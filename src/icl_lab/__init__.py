@@ -21,7 +21,6 @@ from .bounds import (
 )
 from .classify import (
     LabeledDataset,
-    LabeledPoint,
     LinearModel,
     TrainConfig,
     knn_select,
@@ -32,7 +31,6 @@ from .classify import (
     select_coreset,
     sensitivity_scores,
     sigmoid,
-    sup_prob_error,
     train_logistic,
 )
 from .distributions import (

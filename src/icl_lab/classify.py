@@ -18,6 +18,9 @@ from .errors import DivergenceError, ParameterError
 # Total step-size halvings allowed over one training run before giving up.
 MAX_STEP_HALVINGS = 30
 
+# Subset-selection strategies accepted by :func:`select_coreset`.
+CORESET_STRATEGIES = ("uniform", "sensitivity")
+
 
 def sigmoid(z):
     """Numerically stable logistic function; handles scalars and arrays."""
@@ -28,23 +31,6 @@ def sigmoid(z):
     ez = np.exp(arr[~pos])
     out[~pos] = ez / (1.0 + ez)
     return float(out[0]) if np.ndim(z) == 0 else out
-
-
-@dataclass(frozen=True)
-class LabeledPoint:
-    """A feature vector with a binary label."""
-
-    x: np.ndarray
-    y: int
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        if x.ndim != 1 or not np.all(np.isfinite(x)):
-            raise ParameterError("point coordinates must be a finite vector")
-        if self.y not in (0, 1):
-            raise ParameterError(f"label must be 0 or 1, got {self.y!r}")
-        x.setflags(write=False)
-        object.__setattr__(self, "x", x)
 
 
 @dataclass(frozen=True)
@@ -69,16 +55,6 @@ class LabeledDataset:
         labels.setflags(write=False)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
-
-    @classmethod
-    def from_points(cls, points) -> "LabeledDataset":
-        points = list(points)
-        if not points:
-            raise ParameterError("dataset must contain at least one point")
-        return cls(
-            features=np.stack([p.x for p in points]),
-            labels=np.array([p.y for p in points], dtype=np.int64),
-        )
 
     @property
     def num_points(self) -> int:
@@ -263,7 +239,7 @@ def select_coreset(
     n = data.num_points
     if not 1 <= size <= n:
         raise ParameterError(f"coreset size must be in [1, {n}], got {size}")
-    if strategy not in ("uniform", "sensitivity"):
+    if strategy not in CORESET_STRATEGIES:
         raise ParameterError(f"unknown coreset strategy {strategy!r}")
     if size == n:
         return data
@@ -289,16 +265,3 @@ def knn_select(data: LabeledDataset, query, k: int) -> LabeledDataset:
     order = np.argsort(sq_dists, kind="stable")
     return data.subset(order[:k])
 
-
-def sup_prob_error(a: LinearModel, b: LinearModel, eval_points) -> float:
-    """Largest predicted-probability gap between two models over an evaluation set.
-
-    A finite-sample stand-in for the supremum over all inputs, so it lower
-    bounds the true sup.
-    """
-    pts = np.asarray(eval_points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(1, -1) if pts.size else pts.reshape(0, 1)
-    if pts.shape[0] < 1:
-        raise ParameterError("evaluation set must be non-empty")
-    return float(np.max(np.abs(predict_probs(a, pts) - predict_probs(b, pts))))

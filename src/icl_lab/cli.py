@@ -38,7 +38,6 @@ EXIT_USAGE = 1
 EXIT_FAILED_VERIFICATION = 2
 EXIT_IO = 3
 
-_BOUND_KINDS = ("textgen", "bounded_textgen", "coreset", "knn", "subset_penalty")
 _CLI_MODES = {"bigo": MODE_BIG_O, "exact": MODE_EXACT}
 
 
@@ -52,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     bounds = sub.add_parser("bounds", help="sample-size calculators")
     bounds_sub = bounds.add_subparsers(dest="bounds_command", required=True)
     calc = bounds_sub.add_parser("calc", help="evaluate one calculator and print JSON")
-    calc.add_argument("--kind", required=True, choices=_BOUND_KINDS)
+    calc.add_argument("--kind", required=True, choices=KINDS)
     calc.add_argument("--V", type=int, help="vocabulary size")
     calc.add_argument("--m", type=int, help="number of contexts")
     calc.add_argument("--d", type=int, help="input dimension")

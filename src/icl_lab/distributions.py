@@ -90,7 +90,6 @@ class Context:
     """A conditioning context, identified by its index within a task."""
 
     id: int
-    label: object = None
 
 
 @dataclass(frozen=True)

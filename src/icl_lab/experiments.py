@@ -1,8 +1,19 @@
 """Monte Carlo verification runs for every sample-size rule.
 
-Each experiment runs ``trials`` independent trials.  Trial ``i`` draws all of
-its randomness from a stream derived from ``(seed, i)``, so results do not
-depend on execution order and the whole run is a pure function of the config.
+The five runners share one sweep skeleton, :func:`_run_sweep`.  A runner
+checks its kind, resolves its sweep (subset sizes, values of ``k``, or
+``(None,)`` for the two textgen kinds) and supplies ``measure(rng)``, which
+yields one ``(error, detail)`` pair per swept value.  The skeleton owns the
+rest:
+
+* trial ``i`` draws all of its randomness from ``trial_rng(seed, i)``, so
+  results do not depend on execution order and the whole run is a pure
+  function of the config;
+* row ``j`` of trial ``i`` is numbered ``i * len(sweep) + j`` and fails when
+  its error exceeds the allowed error, ``epsilon + 2 * eta`` unless the
+  runner gives one per swept value;
+* the per-value medians, their log-log slope and the report.
+
 Trials may execute in parallel; the ``ICL_LAB_THREADS`` environment variable
 caps the worker count (default 1).
 """
@@ -29,6 +40,7 @@ from .bounds import (
     textgen_samples_per_context,
 )
 from .classify import (
+    CORESET_STRATEGIES,
     LabeledDataset,
     LinearModel,
     TrainConfig,
@@ -116,7 +128,7 @@ class ExperimentConfig:
             raise ParameterError(f"dataset_size must be >= 2, got {self.dataset_size}")
         if self.cluster_separation < 0 or self.noise_scale <= 0 or self.planted_norm <= 0:
             raise ParameterError("cluster_separation must be >= 0; noise_scale, planted_norm > 0")
-        if self.coreset_strategy not in ("uniform", "sensitivity"):
+        if self.coreset_strategy not in CORESET_STRATEGIES:
             raise ParameterError(f"unknown coreset strategy {self.coreset_strategy!r}")
         for name in ("coreset_sizes", "knn_sizes", "subset_sizes"):
             sizes = getattr(self, name)
@@ -155,9 +167,6 @@ class ExperimentConfig:
             data["eta"] = EtaModel(**dict(data["eta"]))
         if "train" in data and not isinstance(data["train"], TrainConfig):
             data["train"] = TrainConfig(**dict(data["train"]))
-        for key in ("coreset_sizes", "knn_sizes", "subset_sizes"):
-            if data.get(key) is not None:
-                data[key] = tuple(int(s) for s in data[key])
         return cls(**data)
 
     @classmethod
@@ -189,19 +198,62 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(root)
 
 
-def _run_trials(trials: int, fn) -> list:
+def _run_sweep(
+    cfg: ExperimentConfig,
+    measure,
+    extras: dict,
+    sweep: tuple = (None,),
+    allowed=None,
+    medians_key: str | None = None,
+    slope: bool = False,
+) -> BoundReport:
+    """Run every trial of ``cfg``; build its report and write it to ``output_path``.
+
+    ``measure(rng)`` yields one ``(error, detail)`` pair per value of
+    ``sweep``, drawing only from the trial's stream.  Row ``j`` of trial ``i``
+    is numbered ``i * len(sweep) + j`` and fails when its error exceeds
+    ``allowed(value)``; by default that is ``epsilon + 2 * eta``, echoed as
+    ``extras["failure_threshold"]``.  With ``medians_key`` the median error
+    per swept value lands in that extras key, and with ``slope`` their log-log
+    slope lands in ``extras["log_log_slope"]``.
+    """
+    extras = dict(extras)
+    if allowed is None:
+        threshold = cfg.params.epsilon + 2.0 * cfg.eta.eta
+        extras["failure_threshold"] = threshold
+
+        def allowed(value):
+            return threshold
+
+    def one_trial(i: int) -> list[TrialResult]:
+        pairs = zip(sweep, measure(trial_rng(cfg.seed, i)), strict=True)
+        return [
+            TrialResult(i * len(sweep) + j, error, error > allowed(value), value, detail)
+            for j, (value, (error, detail)) in enumerate(pairs)
+        ]
+
     workers = max_workers()
     if workers == 1:
-        return [fn(i) for i in range(trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(trials)))
+        nested = [one_trial(i) for i in range(cfg.trials)]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            nested = list(pool.map(one_trial, range(cfg.trials)))
+    rows = [row for trial_rows in nested for row in trial_rows]
 
+    if medians_key is not None:
+        grouped: dict[int, list[float]] = {}
+        for row in rows:
+            grouped.setdefault(row.sweep_value, []).append(row.sup_error)
+        medians = {value: float(np.median(errs)) for value, errs in sorted(grouped.items())}
+        extras[medians_key] = {str(k): v for k, v in medians.items()}
+        if slope:
+            points = [(k, v) for k, v in medians.items() if v > 0]
+            extras["log_log_slope"] = fit_log_log_slope(*zip(*points)) if len(points) >= 2 else None
 
-def _finalize(cfg: ExperimentConfig, trials, extras: dict) -> BoundReport:
     # The echoed config describes the experiment, not the delivery location,
     # so reports written to different paths stay byte-identical.
     echo = dict(cfg.to_dict(), output_path=None)
-    report = build_report(echo, trials, cfg.params.delta, extras)
+    report = build_report(echo, rows, cfg.params.delta, extras)
     if cfg.output_path is not None:
         json_path = Path(cfg.output_path)
         write_json_report(report, json_path)
@@ -209,18 +261,11 @@ def _finalize(cfg: ExperimentConfig, trials, extras: dict) -> BoundReport:
     return report
 
 
-def _median_by_sweep(rows: list[TrialResult]) -> dict[int, float]:
-    grouped: dict[int, list[float]] = {}
-    for row in rows:
-        grouped.setdefault(row.sweep_value, []).append(row.sup_error)
-    return {value: float(np.median(errs)) for value, errs in sorted(grouped.items())}
-
-
-def _sweep_slope(medians: dict[int, float]) -> float | None:
-    points = [(k, v) for k, v in medians.items() if v > 0]
-    if len(points) < 2:
-        return None
-    return fit_log_log_slope([p[0] for p in points], [p[1] for p in points])
+def _within_dataset(cfg: ExperimentConfig, sizes: tuple[int, ...]) -> tuple[int, ...]:
+    """The swept subset sizes, each of which must fit in the dataset."""
+    if max(sizes) > cfg.dataset_size:
+        raise ParameterError(f"{cfg.kind} sizes {sizes} exceed dataset_size {cfg.dataset_size}")
+    return sizes
 
 
 def run_textgen_experiment(cfg: ExperimentConfig) -> BoundReport:
@@ -230,10 +275,8 @@ def run_textgen_experiment(cfg: ExperimentConfig) -> BoundReport:
     p = cfg.params
     bound = textgen_samples_per_context(p, cfg.mode)
     per_context = cfg.samples_override or bound.per_context
-    threshold = p.epsilon + 2.0 * cfg.eta.eta
 
-    def one_trial(i: int) -> TrialResult:
-        rng = trial_rng(cfg.seed, i)
+    def measure(rng):
         task = random_task(p.vocab_size, p.num_contexts, cfg.concentration, rng)
         sup = 0.0
         for ctx, truth in zip(task.contexts, task.dists):
@@ -241,17 +284,15 @@ def run_textgen_experiment(cfg: ExperimentConfig) -> BoundReport:
             prompt = IclPromptSamples(per_context={ctx.id: samples})
             estimate = icl_textgen_dist(prompt, ctx, task.vocab, cfg.eta)
             sup = max(sup, l1_distance(estimate, truth))
-        return TrialResult(i, sup, sup > threshold)
+        yield sup, ""
 
-    rows = _run_trials(cfg.trials, one_trial)
     extras = {
         "samples_per_context": per_context,
         "total_samples_per_trial": per_context * p.num_contexts,
-        "failure_threshold": threshold,
         "bound_formula": bound.formula_text,
         "bound_mode": cfg.mode,
     }
-    return _finalize(cfg, rows, extras)
+    return _run_sweep(cfg, measure, extras)
 
 
 def run_bounded_textgen_experiment(cfg: ExperimentConfig) -> BoundReport:
@@ -266,11 +307,9 @@ def run_bounded_textgen_experiment(cfg: ExperimentConfig) -> BoundReport:
             f"limit {cfg.sequence_limit}"
         )
     samples_per_context = cfg.samples_override or bounded_textgen_size(p)
-    threshold = p.epsilon + 2.0 * cfg.eta.eta
     vocab = Vocabulary.of_size(p.vocab_size)
 
-    def one_trial(i: int) -> TrialResult:
-        rng = trial_rng(cfg.seed, i)
+    def measure(rng):
         truths = [
             random_distribution(space, cfg.concentration, rng) for _ in range(p.num_contexts)
         ]
@@ -283,16 +322,14 @@ def run_bounded_textgen_experiment(cfg: ExperimentConfig) -> BoundReport:
                 prompt, Context(ctx_id), vocab, p.output_len, cfg.eta, cfg.sequence_limit
             )
             sup = max(sup, l1_distance(estimate, truth))
-        return TrialResult(i, sup, sup > threshold)
+        yield sup, ""
 
-    rows = _run_trials(cfg.trials, one_trial)
     extras = {
         "samples_per_context": samples_per_context,
         "sequence_space": space,
-        "failure_threshold": threshold,
         "constant": p.constant,
     }
-    return _finalize(cfg, rows, extras)
+    return _run_sweep(cfg, measure, extras)
 
 
 def cluster_dataset(
@@ -331,16 +368,10 @@ def run_coreset_experiment(cfg: ExperimentConfig) -> BoundReport:
     against the full-data model over a large evaluation cloud."""
     _require_kind(cfg, "coreset")
     p = cfg.params
-    sizes = cfg.coreset_sizes or (coreset_size(p),)
-    if max(sizes) > cfg.dataset_size:
-        raise ParameterError(
-            f"coreset sizes {sizes} exceed dataset_size {cfg.dataset_size}"
-        )
-    threshold = p.epsilon + 2.0 * cfg.eta.eta
+    sizes = _within_dataset(cfg, cfg.coreset_sizes or (coreset_size(p),))
     eval_draws = cfg.resolved_eval_points()
 
-    def one_trial(i: int) -> list[TrialResult]:
-        rng = trial_rng(cfg.seed, i)
+    def measure(rng):
         data, _ = cluster_dataset(
             cfg.dataset_size, p.input_dim, cfg.cluster_separation, cfg.noise_scale, rng
         )
@@ -350,32 +381,23 @@ def run_coreset_experiment(cfg: ExperimentConfig) -> BoundReport:
         )
         eval_points = np.vstack([eval_cloud.features, data.features])
         full_probs = predict_probs(full_model, eval_points)
-        rows = []
-        for j, size in enumerate(sizes):
-            index = i * len(sizes) + j
+        for size in sizes:
             core = select_coreset(data, size, cfg.coreset_strategy, rng)
-            detail = "single-class subset; guarantee vacuous" if core.is_single_class() else ""
             try:
                 local_model = train_logistic(core, cfg.train)
             except DivergenceError as exc:
-                rows.append(TrialResult(index, float("inf"), True, size, str(exc)))
+                yield float("inf"), str(exc)
                 continue
             local_probs = mix_probability(predict_probs(local_model, eval_points), cfg.eta)
-            sup = float(np.max(np.abs(local_probs - full_probs)))
-            rows.append(TrialResult(index, sup, sup > threshold, size, detail))
-        return rows
+            detail = "single-class subset; guarantee vacuous" if core.is_single_class() else ""
+            yield float(np.max(np.abs(local_probs - full_probs))), detail
 
-    nested = _run_trials(cfg.trials, one_trial)
-    rows = [row for trial_rows in nested for row in trial_rows]
-    medians = _median_by_sweep(rows)
     extras = {
         "sizes": list(sizes),
-        "median_sup_error_by_size": {str(k): v for k, v in medians.items()},
-        "failure_threshold": threshold,
         "strategy": cfg.coreset_strategy,
         "eval_points": eval_draws + cfg.dataset_size,
     }
-    return _finalize(cfg, rows, extras)
+    return _run_sweep(cfg, measure, extras, sizes, medians_key="median_sup_error_by_size")
 
 
 def run_knn_experiment(cfg: ExperimentConfig) -> BoundReport:
@@ -383,22 +405,16 @@ def run_knn_experiment(cfg: ExperimentConfig) -> BoundReport:
     model; sweeps k and fits the error-decay slope."""
     _require_kind(cfg, "knn")
     p = cfg.params
-    ks = cfg.knn_sizes or (knn_context_size(p),)
-    if max(ks) > cfg.dataset_size:
-        raise ParameterError(f"knn sizes {ks} exceed dataset_size {cfg.dataset_size}")
-    threshold = p.epsilon + 2.0 * cfg.eta.eta
+    ks = _within_dataset(cfg, cfg.knn_sizes or (knn_context_size(p),))
     queries_per_trial = cfg.resolved_eval_points()
 
-    def one_trial(i: int) -> list[TrialResult]:
-        rng = trial_rng(cfg.seed, i)
+    def measure(rng):
         data, planted = planted_linear_dataset(
             cfg.dataset_size, p.input_dim, cfg.planted_norm, rng
         )
         queries = rng.standard_normal((queries_per_trial, p.input_dim))
         truth = predict_probs(planted, queries)
-        rows = []
-        for j, k in enumerate(ks):
-            index = i * len(ks) + j
+        for k in ks:
             degenerate = 0
             worst = 0.0
             for q in range(queries_per_trial):
@@ -408,21 +424,10 @@ def run_knn_experiment(cfg: ExperimentConfig) -> BoundReport:
                 local_model = train_logistic(neighborhood, cfg.train)
                 prob = mix_probability(predict_prob(local_model, queries[q]), cfg.eta)
                 worst = max(worst, abs(prob - truth[q]))
-            detail = f"{degenerate} single-class neighborhoods" if degenerate else ""
-            rows.append(TrialResult(index, worst, worst > threshold, k, detail))
-        return rows
+            yield worst, f"{degenerate} single-class neighborhoods" if degenerate else ""
 
-    nested = _run_trials(cfg.trials, one_trial)
-    rows = [row for trial_rows in nested for row in trial_rows]
-    medians = _median_by_sweep(rows)
-    extras = {
-        "k_values": list(ks),
-        "median_sup_error_by_k": {str(k): v for k, v in medians.items()},
-        "log_log_slope": _sweep_slope(medians),
-        "failure_threshold": threshold,
-        "queries_per_trial": queries_per_trial,
-    }
-    return _finalize(cfg, rows, extras)
+    extras = {"k_values": list(ks), "queries_per_trial": queries_per_trial}
+    return _run_sweep(cfg, measure, extras, ks, medians_key="median_sup_error_by_k", slope=True)
 
 
 def run_subset_penalty_experiment(cfg: ExperimentConfig) -> BoundReport:
@@ -434,30 +439,21 @@ def run_subset_penalty_experiment(cfg: ExperimentConfig) -> BoundReport:
     vocab = Vocabulary.of_size(p.vocab_size)
     context = Context(0)
 
-    def one_trial(i: int) -> list[TrialResult]:
-        rng = trial_rng(cfg.seed, i)
+    def measure(rng):
         truth = random_distribution(p.vocab_size, cfg.concentration, rng)
         draws = sample_tokens(truth, max(sizes), rng)
-        rows = []
-        for j, n in enumerate(sizes):
-            index = i * len(sizes) + j
+        for n in sizes:
             prompt = IclPromptSamples(per_context={context.id: draws[:n]})
             estimate = icl_textgen_dist(prompt, context, vocab, cfg.eta)
-            err = l1_distance(estimate, truth)
-            allowed = subset_penalty(n, p.constant) + 2.0 * cfg.eta.eta
-            rows.append(TrialResult(index, err, err > allowed, n))
-        return rows
+            yield l1_distance(estimate, truth), ""
 
-    nested = _run_trials(cfg.trials, one_trial)
-    rows = [row for trial_rows in nested for row in trial_rows]
-    medians = _median_by_sweep(rows)
-    extras = {
-        "subset_sizes": list(sizes),
-        "median_l1_by_size": {str(k): v for k, v in medians.items()},
-        "log_log_slope": _sweep_slope(medians),
-        "penalty_constant": p.constant,
-    }
-    return _finalize(cfg, rows, extras)
+    def allowed(n: int) -> float:
+        return subset_penalty(n, p.constant) + 2.0 * cfg.eta.eta
+
+    extras = {"subset_sizes": list(sizes), "penalty_constant": p.constant}
+    return _run_sweep(
+        cfg, measure, extras, sizes, allowed, medians_key="median_l1_by_size", slope=True
+    )
 
 
 _RUNNERS = {

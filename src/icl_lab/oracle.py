@@ -56,10 +56,9 @@ class EtaModel:
 
 @dataclass(frozen=True)
 class IclPromptSamples:
-    """Prompt contents: per-context sample lists and/or a labeled subset."""
+    """Prompt contents: one sample list per context."""
 
     per_context: Mapping[int, object] = field(default_factory=dict)
-    subset: LabeledDataset | None = None
 
     def samples_for(self, context_id: int):
         if context_id not in self.per_context:

@@ -31,6 +31,10 @@ class TrialResult:
     detail: str = ""
 
     def __post_init__(self):
+        # Plain Python scalars, so a numpy error or flag serializes as a JSON
+        # number or boolean and the CSV prints a bare float.
+        object.__setattr__(self, "sup_error", float(self.sup_error))
+        object.__setattr__(self, "failed", bool(self.failed))
         if self.sup_error < 0:
             raise ParameterError(f"sup_error must be non-negative, got {self.sup_error}")
 

@@ -6,7 +6,6 @@ import pytest
 from icl_lab import (
     DivergenceError,
     LabeledDataset,
-    LabeledPoint,
     LinearModel,
     ParameterError,
     TrainConfig,
@@ -17,7 +16,6 @@ from icl_lab import (
     predict_probs,
     select_coreset,
     sigmoid,
-    sup_prob_error,
     train_logistic,
 )
 
@@ -176,40 +174,7 @@ class TestKnnSelect:
             knn_select(data, np.array([0.0]), 2)
 
 
-class TestSupProbError:
-    def test_identity(self):
-        model = LinearModel(np.array([1.0, -2.0]), 0.3)
-        pts = np.random.default_rng(0).standard_normal((50, 2))
-        assert sup_prob_error(model, model, pts) == 0.0
-
-    def test_bias_shift_arithmetic(self):
-        # At w.x + b = -ln 3 the shifted-by-ln 9 model gives the mirrored
-        # probability: |sigmoid(-ln 3) - sigmoid(ln 3)| = 0.5.
-        a = LinearModel(np.array([1.0]), 0.0)
-        b = LinearModel(np.array([1.0]), math.log(9))
-        assert sup_prob_error(a, b, np.array([[-math.log(3)]])) == pytest.approx(0.5)
-
-    def test_max_monotone_in_eval_set(self):
-        rng = np.random.default_rng(6)
-        a = LinearModel(rng.standard_normal(3), 0.1)
-        b = LinearModel(rng.standard_normal(3), -0.2)
-        pts = rng.standard_normal((10_000, 3))
-        full = sup_prob_error(a, b, pts)
-        assert full >= sup_prob_error(a, b, pts[:100])
-
-    def test_empty_rejected(self):
-        model = LinearModel(np.array([1.0]), 0.0)
-        with pytest.raises(ParameterError):
-            sup_prob_error(model, model, np.empty((0, 1)))
-
-
 class TestDatasetTypes:
-    def test_from_points_round_trip(self):
-        points = [LabeledPoint(np.array([1.0, 2.0]), 1), LabeledPoint(np.array([3.0, 4.0]), 0)]
-        data = LabeledDataset.from_points(points)
-        assert data.num_points == 2 and data.dim == 2
-        assert list(data.labels) == [1, 0]
-
     def test_rejects_bad_labels(self):
         with pytest.raises(ParameterError):
             make_dataset([[1.0]], [2])

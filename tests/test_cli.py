@@ -4,6 +4,7 @@ import pytest
 
 from icl_lab import BoundParams, ExperimentConfig
 from icl_lab.cli import main
+from icl_lab.experiments import KINDS
 
 SENTIMENT_PAIRS_FILE = {
     "pairs": [
@@ -147,6 +148,26 @@ class TestVerify:
         )
         assert code == 0
         assert len(json.loads(out_path.read_text())["trials"]) == 4
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_reports_are_strict_json_and_plain_csv(self, capsys, tmp_path, tiny_config, kind):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tiny_config(kind).to_dict()))
+        out_path = tmp_path / "r.json"
+        code, _, err = run_cli(
+            capsys, "verify", kind, "--config", str(path), "--output", str(out_path)
+        )
+        assert code in (0, 2), err
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        rows = json.loads(out_path.read_text(), parse_constant=reject)["trials"]
+        assert rows and all(type(row["failed"]) is bool for row in rows)
+        csv_rows = (tmp_path / "r.csv").read_text().splitlines()[1:]
+        assert len(csv_rows) == len(rows)
+        for line in csv_rows:
+            float(line.split(",")[1])
 
 
 class TestPromptBuild:

@@ -29,7 +29,7 @@ from icl_lab import (
     write_csv_report,
     write_json_report,
 )
-from icl_lab.experiments import max_workers
+from icl_lab.experiments import KINDS, max_workers
 
 
 def textgen_config(**overrides):
@@ -358,3 +358,24 @@ class TestSubsetPenaltyExperiment:
 def test_run_experiment_dispatches():
     report = run_experiment(textgen_config(trials=3))
     assert report.config["kind"] == "textgen"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_sweep_rows_follow_the_skeleton(tiny_config, kind):
+    cfg = tiny_config(kind)
+    sweep = {
+        "coreset": cfg.coreset_sizes,
+        "knn": cfg.knn_sizes,
+        "subset_penalty": tuple(sorted(cfg.subset_sizes)),
+    }.get(kind, (None,))
+    report = run_experiment(cfg)
+    assert len(report.trials) == cfg.trials * len(sweep)
+    for n, row in enumerate(report.trials):
+        i, j = divmod(n, len(sweep))
+        assert row.trial_index == i * len(sweep) + j
+        assert row.sweep_value == sweep[j]
+        if kind == "subset_penalty":
+            allowed = cfg.params.constant / np.sqrt(row.sweep_value) + 2.0 * cfg.eta.eta
+        else:
+            allowed = report.extras["failure_threshold"]
+        assert row.failed == (row.sup_error > allowed)
