@@ -42,6 +42,7 @@ from .distributions import (
     l1_distance,
     random_distribution,
     random_task,
+    sample_counts,
     sample_tokens,
     tv_distance,
 )
@@ -61,9 +62,9 @@ from .experiments import (
 from .oracle import (
     EtaModel,
     IclPromptSamples,
-    decode_sequences,
     encode_sequences,
     icl_classify_prob,
+    icl_counts_dist,
     icl_sequence_dist,
     icl_textgen_dist,
     mix_probability,

@@ -131,19 +131,22 @@ def tv_distance(p: CategoricalDistribution, q: CategoricalDistribution) -> float
     return 0.5 * l1_distance(p, q)
 
 
-def empirical_distribution(samples, vocab: Vocabulary) -> CategoricalDistribution:
-    """Frequency estimate from i.i.d. token indices. Raw counts, no smoothing."""
+def token_counts(samples, size: int) -> np.ndarray:
+    """Occurrences of each index of ``[0, size)`` among the token indices ``samples``."""
     idx = np.asarray(samples, dtype=np.int64)
     if idx.size == 0:
         raise ParameterError("cannot estimate a distribution from an empty sample list")
     if idx.ndim != 1:
         raise ParameterError("samples must be a flat sequence of token indices")
-    if idx.min() < 0 or idx.max() >= vocab.size:
-        raise IndexError(
-            f"token index out of range [0, {vocab.size}): min {idx.min()}, max {idx.max()}"
-        )
-    counts = np.bincount(idx, minlength=vocab.size)
-    return CategoricalDistribution(counts / idx.size)
+    if idx.min() < 0 or idx.max() >= size:
+        raise IndexError(f"token index out of range [0, {size}): min {idx.min()}, max {idx.max()}")
+    return np.bincount(idx, minlength=size)
+
+
+def empirical_distribution(samples, vocab: Vocabulary) -> CategoricalDistribution:
+    """Frequency estimate from i.i.d. token indices. Raw counts, no smoothing."""
+    counts = token_counts(samples, vocab.size)
+    return CategoricalDistribution(counts / counts.sum())
 
 
 def sample_tokens(dist: CategoricalDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -155,6 +158,17 @@ def sample_tokens(dist: CategoricalDistribution, n: int, rng: np.random.Generato
     idx = np.searchsorted(cdf, u, side="right")
     # Guard against u landing beyond the final cumsum entry (rounding).
     return np.minimum(idx, dist.size - 1).astype(np.int64)
+
+
+def sample_counts(dist: CategoricalDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Per-token counts of ``n`` i.i.d. draws: one Multinomial(n, p) vector of length V.
+
+    It has the law of ``token_counts(sample_tokens(dist, n, rng), dist.size)``
+    at O(V) cost instead of O(n log V), without materializing the tokens.
+    """
+    if n < 1:
+        raise ParameterError(f"sample count must be >= 1, got {n}")
+    return rng.multinomial(n, dist.probs)
 
 
 def random_distribution(

@@ -51,23 +51,14 @@ from .classify import (
     train_logistic,
 )
 from .distributions import (
-    Context,
-    Vocabulary,
+    CategoricalDistribution,
     l1_distance,
     random_distribution,
     random_task,
-    sample_tokens,
+    sample_counts,
 )
 from .errors import DivergenceError, ParameterError
-from .oracle import (
-    DEFAULT_SEQUENCE_LIMIT,
-    EtaModel,
-    IclPromptSamples,
-    decode_sequences,
-    icl_sequence_dist,
-    icl_textgen_dist,
-    mix_probability,
-)
+from .oracle import DEFAULT_SEQUENCE_LIMIT, EtaModel, icl_counts_dist, mix_probability
 from .reports import (
     BoundReport,
     TrialResult,
@@ -116,6 +107,8 @@ class ExperimentConfig:
             raise ParameterError(f"unknown experiment kind {self.kind!r}; expected one of {KINDS}")
         if self.trials < 1:
             raise ParameterError(f"trials must be >= 1, got {self.trials}")
+        if not 0 <= self.seed < 2**64:
+            raise ParameterError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.eval_points is not None and self.eval_points < 1:
             raise ParameterError(f"eval_points must be >= 1, got {self.eval_points}")
         if self.mode not in MODES:
@@ -194,7 +187,7 @@ def max_workers() -> int:
 
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     """Independent stream for trial ``trial_index``, a pure function of (seed, index)."""
-    root = np.random.SeedSequence(entropy=seed & 0xFFFFFFFFFFFFFFFF, spawn_key=(trial_index,))
+    root = np.random.SeedSequence(entropy=seed, spawn_key=(trial_index,))
     return np.random.default_rng(root)
 
 
@@ -278,13 +271,7 @@ def run_textgen_experiment(cfg: ExperimentConfig) -> BoundReport:
 
     def measure(rng):
         task = random_task(p.vocab_size, p.num_contexts, cfg.concentration, rng)
-        sup = 0.0
-        for ctx, truth in zip(task.contexts, task.dists):
-            samples = sample_tokens(truth, per_context, rng)
-            prompt = IclPromptSamples(per_context={ctx.id: samples})
-            estimate = icl_textgen_dist(prompt, ctx, task.vocab, cfg.eta)
-            sup = max(sup, l1_distance(estimate, truth))
-        yield sup, ""
+        yield _sup_l1_error(task.dists, per_context, cfg.eta, rng), ""
 
     extras = {
         "samples_per_context": per_context,
@@ -307,22 +294,12 @@ def run_bounded_textgen_experiment(cfg: ExperimentConfig) -> BoundReport:
             f"limit {cfg.sequence_limit}"
         )
     samples_per_context = cfg.samples_override or bounded_textgen_size(p)
-    vocab = Vocabulary.of_size(p.vocab_size)
 
     def measure(rng):
         truths = [
             random_distribution(space, cfg.concentration, rng) for _ in range(p.num_contexts)
         ]
-        sup = 0.0
-        for ctx_id, truth in enumerate(truths):
-            codes = sample_tokens(truth, samples_per_context, rng)
-            sequences = decode_sequences(codes, p.vocab_size, p.output_len)
-            prompt = IclPromptSamples(per_context={ctx_id: sequences})
-            estimate = icl_sequence_dist(
-                prompt, Context(ctx_id), vocab, p.output_len, cfg.eta, cfg.sequence_limit
-            )
-            sup = max(sup, l1_distance(estimate, truth))
-        yield sup, ""
+        yield _sup_l1_error(truths, samples_per_context, cfg.eta, rng), ""
 
     extras = {
         "samples_per_context": samples_per_context,
@@ -330,6 +307,27 @@ def run_bounded_textgen_experiment(cfg: ExperimentConfig) -> BoundReport:
         "constant": p.constant,
     }
     return _run_sweep(cfg, measure, extras)
+
+
+def _sup_l1_error(truths, n: int, eta: EtaModel, rng: np.random.Generator) -> float:
+    """Worst L1 error of the responder over ``truths``, each estimated from the
+    counts of ``n`` i.i.d. draws (drawn in order, one Multinomial per truth)."""
+    return max(l1_distance(icl_counts_dist(sample_counts(t, n, rng), eta), t) for t in truths)
+
+
+def nested_counts(dist: CategoricalDistribution, sizes, rng: np.random.Generator):
+    """Yield the count vectors of nested i.i.d. samples of the sorted ``sizes``.
+
+    Each size adds a ``Multinomial(n_k - n_{k-1}, p)`` draw to the previous
+    counts, which gives the joint law of the counts of one token stream's prefixes.
+    """
+    counts = np.zeros(dist.size, dtype=np.int64)
+    drawn = 0
+    for n in sizes:
+        if n > drawn:
+            counts = counts + sample_counts(dist, n - drawn, rng)
+            drawn = n
+        yield counts
 
 
 def cluster_dataset(
@@ -436,16 +434,11 @@ def run_subset_penalty_experiment(cfg: ExperimentConfig) -> BoundReport:
     _require_kind(cfg, "subset_penalty")
     p = cfg.params
     sizes = tuple(sorted(cfg.subset_sizes))
-    vocab = Vocabulary.of_size(p.vocab_size)
-    context = Context(0)
 
     def measure(rng):
         truth = random_distribution(p.vocab_size, cfg.concentration, rng)
-        draws = sample_tokens(truth, max(sizes), rng)
-        for n in sizes:
-            prompt = IclPromptSamples(per_context={context.id: draws[:n]})
-            estimate = icl_textgen_dist(prompt, context, vocab, cfg.eta)
-            yield l1_distance(estimate, truth), ""
+        for counts in nested_counts(truth, sizes, rng):
+            yield l1_distance(icl_counts_dist(counts, cfg.eta), truth), ""
 
     def allowed(n: int) -> float:
         return subset_penalty(n, p.constant) + 2.0 * cfg.eta.eta

@@ -2,7 +2,8 @@
 
 Given prompt samples, the responder returns exactly the behavior the
 verification experiments assume: the empirical distribution of the samples
-for generation, or a locally trained logistic model for classification.  An
+(from their per-outcome counts, a sufficient statistic) for generation, or a
+locally trained logistic model for classification.  An
 injectable error knob degrades either output by mixing toward uniform, which
 lets experiments chart how guarantees decay as responder fidelity drops.
 """
@@ -15,12 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .classify import LabeledDataset, TrainConfig, predict_prob, train_logistic
-from .distributions import (
-    CategoricalDistribution,
-    Context,
-    Vocabulary,
-    empirical_distribution,
-)
+from .distributions import CategoricalDistribution, Context, Vocabulary, token_counts
 from .errors import ParameterError
 
 ETA_NONE = "none"
@@ -86,19 +82,27 @@ def mix_probability(p, eta_model: EtaModel):
     return (1.0 - eta_model.eta) * p + eta_model.eta * 0.5
 
 
+def icl_counts_dist(counts, eta: EtaModel = EtaModel.none()) -> CategoricalDistribution:
+    """Output distribution the responder produces from per-outcome prompt counts.
+
+    With the error knob off this is exactly the empirical distribution
+    ``counts / counts.sum()``.
+    """
+    counts = np.asarray(counts)
+    total = counts.sum()
+    if total < 1:
+        raise ParameterError("cannot estimate a distribution from zero samples")
+    return mix_with_uniform(CategoricalDistribution(counts / total), eta)
+
+
 def icl_textgen_dist(
     prompt: IclPromptSamples,
     context: Context,
     vocab: Vocabulary,
     eta: EtaModel = EtaModel.none(),
 ) -> CategoricalDistribution:
-    """Next-token distribution the responder produces for ``context``.
-
-    With the error knob off this is exactly the empirical distribution of the
-    prompt samples.
-    """
-    samples = prompt.samples_for(context.id)
-    return mix_with_uniform(empirical_distribution(samples, vocab), eta)
+    """Next-token distribution the responder produces for ``context``."""
+    return icl_counts_dist(token_counts(prompt.samples_for(context.id), vocab.size), eta)
 
 
 def icl_classify_prob(
@@ -123,17 +127,6 @@ def encode_sequences(sequences, vocab_size: int, length: int) -> np.ndarray:
     return arr @ weights
 
 
-def decode_sequences(codes, vocab_size: int, length: int) -> np.ndarray:
-    """Inverse of :func:`encode_sequences`; returns an (n, length) index array."""
-    codes = np.asarray(codes, dtype=np.int64)
-    out = np.empty((codes.size, length), dtype=np.int64)
-    rest = codes.copy()
-    for pos in range(length - 1, -1, -1):
-        out[:, pos] = rest % vocab_size
-        rest //= vocab_size
-    return out
-
-
 def icl_sequence_dist(
     prompt: IclPromptSamples,
     context: Context,
@@ -156,8 +149,5 @@ def icl_sequence_dist(
             f"sequence space V^l = {vocab.size}^{length} = {space} exceeds the "
             f"limit {sequence_limit}; use a smaller vocabulary or shorter length"
         )
-    samples = prompt.samples_for(context.id)
-    codes = encode_sequences(samples, vocab.size, length)
-    counts = np.bincount(codes, minlength=space)
-    empirical = CategoricalDistribution(counts / codes.size)
-    return mix_with_uniform(empirical, eta)
+    codes = encode_sequences(prompt.samples_for(context.id), vocab.size, length)
+    return icl_counts_dist(np.bincount(codes, minlength=space), eta)

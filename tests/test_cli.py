@@ -140,6 +140,16 @@ class TestVerify:
         )
         assert code == 3
 
+    def test_negative_seed_is_parameter_error(self, capsys, tmp_path, config_path):
+        out_path = tmp_path / "r.json"
+        code, _, err = run_cli(
+            capsys, "verify", "textgen", "--config", str(config_path),
+            "--output", str(out_path), "--seed", "-1",
+        )
+        assert code == 1
+        assert "seed" in err
+        assert not out_path.exists()
+
     def test_trials_override(self, capsys, tmp_path, config_path):
         out_path = tmp_path / "r.json"
         code, _, _ = run_cli(

@@ -12,6 +12,7 @@ from icl_lab import (
     l1_distance,
     random_distribution,
     random_task,
+    sample_counts,
     sample_tokens,
     tv_distance,
 )
@@ -151,6 +152,35 @@ class TestSampleTokens:
             ]
             medians.append(np.median(errs))
         assert medians[0] > medians[1] > medians[2]
+
+
+class TestSampleCounts:
+    def test_int64_vector_summing_to_n(self):
+        out = sample_counts(dist(0.2, 0.3, 0.5), 1_000, np.random.default_rng(0))
+        assert out.dtype == np.int64
+        assert out.shape == (3,)
+        assert out.sum() == 1_000
+
+    def test_deterministic_given_seed(self):
+        p = dist(0.1, 0.2, 0.3, 0.4)
+        a = sample_counts(p, 50, np.random.default_rng(42))
+        b = sample_counts(p, 50, np.random.default_rng(42))
+        assert np.array_equal(a, b)
+
+    def test_rejects_non_positive_count(self):
+        with pytest.raises(ParameterError):
+            sample_counts(dist(0.5, 0.5), 0, np.random.default_rng(0))
+
+    def test_mean_matches_n_times_p(self):
+        # The mean of 200 Multinomial(n, p) vectors has standard error
+        # sqrt(n p (1-p) / 200) per entry.
+        probs = np.array([0.1, 0.2, 0.3, 0.4])
+        n, seeds = 500, 200
+        draws = np.array(
+            [sample_counts(dist(*probs), n, np.random.default_rng(s)) for s in range(seeds)]
+        )
+        stderr = np.sqrt(n * probs * (1 - probs) / seeds)
+        assert np.all(np.abs(draws.mean(axis=0) - n * probs) <= 5 * stderr)
 
 
 class TestRandomTask:

@@ -14,9 +14,12 @@ from icl_lab import (
     build_report,
     cluster_dataset,
     fit_log_log_slope,
+    icl_counts_dist,
+    l1_distance,
     planted_linear_dataset,
     predict_prob,
     predict_probs,
+    random_distribution,
     report_to_dict,
     run_bounded_textgen_experiment,
     run_coreset_experiment,
@@ -29,7 +32,7 @@ from icl_lab import (
     write_csv_report,
     write_json_report,
 )
-from icl_lab.experiments import KINDS, max_workers
+from icl_lab.experiments import KINDS, max_workers, nested_counts
 
 
 def textgen_config(**overrides):
@@ -119,6 +122,13 @@ class TestConfig:
         with pytest.raises(ParameterError):
             textgen_config(kind="subset_penalty", subset_sizes=(0, 10))
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_uint64_rejected(self, seed):
+        payload = textgen_config().to_dict()
+        payload["seed"] = seed
+        with pytest.raises(ParameterError, match="seed"):
+            ExperimentConfig.from_dict(payload)
+
     def test_kind_mismatch_rejected(self):
         with pytest.raises(ParameterError):
             run_coreset_experiment(textgen_config())
@@ -131,9 +141,6 @@ class TestTrialRng:
         c = trial_rng(123, 5).random(8)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
-
-    def test_negative_seed_accepted(self):
-        assert trial_rng(-7, 0).random() == trial_rng(-7, 0).random()
 
 
 class TestTextgenExperiment:
@@ -172,6 +179,21 @@ class TestTextgenExperiment:
         )
         report = run_textgen_experiment(cfg)
         assert all(t.sup_error < 0.01 for t in report.trials)
+
+    def test_paper_scale_worked_example(self):
+        # Criterion 1's worked example run empirically: n_i is about 4.6e7
+        # draws for each of 100 contexts over V = 50,000.
+        cfg = ExperimentConfig(
+            kind="textgen",
+            params=BoundParams(epsilon=0.1, delta=0.01, vocab_size=50_000, num_contexts=100),
+            trials=3,
+            seed=2025,
+            mode="big_o",
+        )
+        report = run_textgen_experiment(cfg)
+        assert report.extras["samples_per_context"] == 46_051_702
+        assert report.passed
+        assert all(t.sup_error <= 0.1 for t in report.trials)
 
     def test_writes_reports(self, tmp_path):
         out = tmp_path / "run.json"
@@ -340,6 +362,25 @@ class TestSubsetPenaltyExperiment:
         )
         report = run_subset_penalty_experiment(cfg)
         assert -0.8 <= report.extras["log_log_slope"] <= -0.2
+
+    def test_rows_come_from_nested_counts(self):
+        cfg = ExperimentConfig(
+            kind="subset_penalty",
+            params=BoundParams(epsilon=1.0, delta=0.05, vocab_size=6, constant=2.0),
+            trials=1,
+            seed=9,
+            subset_sizes=(50, 7, 50, 400),
+        )
+        sizes = (7, 50, 50, 400)
+        rng = trial_rng(9, 0)
+        truth = random_distribution(6, 1.0, rng)
+        vectors = list(nested_counts(truth, sizes, rng))
+        assert [int(v.sum()) for v in vectors] == list(sizes)
+        for smaller, larger in zip(vectors, vectors[1:]):
+            assert np.all(smaller <= larger)
+        errors = [l1_distance(icl_counts_dist(v), truth) for v in vectors]
+        report = run_subset_penalty_experiment(cfg)
+        assert [t.sup_error for t in report.trials] == errors
 
     def test_stability_across_seed_sets(self):
         def slope(seed):

@@ -12,10 +12,10 @@ from icl_lab import (
     ParameterError,
     TrainConfig,
     Vocabulary,
-    decode_sequences,
     empirical_distribution,
     encode_sequences,
     icl_classify_prob,
+    icl_counts_dist,
     icl_sequence_dist,
     icl_textgen_dist,
     l1_distance,
@@ -48,6 +48,16 @@ class TestTextgenOracle:
         prompt = IclPromptSamples(per_context={0: [0, 0, 0]})
         out = icl_textgen_dist(prompt, Context(0), Vocabulary.of_size(2), EtaModel.uniform_mix(0.2))
         assert out.probs == pytest.approx([0.9, 0.1])
+
+    def test_counts_give_the_samples_answer(self):
+        prompt = IclPromptSamples(per_context={0: [2, 0, 2, 2]})
+        eta = EtaModel.uniform_mix(0.3)
+        from_samples = icl_textgen_dist(prompt, Context(0), Vocabulary.of_size(3), eta)
+        assert np.array_equal(icl_counts_dist([1, 0, 3], eta).probs, from_samples.probs)
+
+    def test_zero_counts_rejected(self):
+        with pytest.raises(ParameterError):
+            icl_counts_dist(np.zeros(3, dtype=np.int64))
 
     def test_missing_context(self):
         prompt = IclPromptSamples(per_context={0: [0]})
@@ -129,12 +139,6 @@ class TestSequenceOracle:
             IclPromptSamples(per_context={0: seqs[:, 0]}), Context(0), vocab
         )
         assert marginal == pytest.approx(firsts.probs)
-
-    def test_encode_decode_round_trip(self):
-        rng = np.random.default_rng(4)
-        seqs = rng.integers(0, 5, size=(30, 3))
-        codes = encode_sequences(seqs, 5, 3)
-        assert np.array_equal(decode_sequences(codes, 5, 3), seqs)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ParameterError):
