@@ -96,7 +96,7 @@ class Context:
 class SyntheticTask:
     """Ground-truth next-token distributions, one per context."""
 
-    vocab: Vocabulary
+    vocab_size: int
     contexts: tuple[Context, ...]
     dists: tuple[CategoricalDistribution, ...]
 
@@ -109,9 +109,9 @@ class SyntheticTask:
         if len(set(ids)) != len(ids):
             raise ParameterError("context ids must be unique within a task")
         for dist in self.dists:
-            if dist.size != self.vocab.size:
+            if dist.size != self.vocab_size:
                 raise ParameterError(
-                    f"distribution support {dist.size} does not match vocabulary size {self.vocab.size}"
+                    f"distribution support {dist.size} does not match vocabulary size {self.vocab_size}"
                 )
 
     @property
@@ -200,7 +200,6 @@ def random_task(
         raise ParameterError(f"vocabulary size must be >= 2, got {vocab_size}")
     if num_contexts < 1:
         raise ParameterError(f"context count must be >= 1, got {num_contexts}")
-    vocab = Vocabulary.of_size(vocab_size)
     dists = tuple(random_distribution(vocab_size, concentration, rng) for _ in range(num_contexts))
     contexts = tuple(Context(id=i) for i in range(num_contexts))
-    return SyntheticTask(vocab=vocab, contexts=contexts, dists=dists)
+    return SyntheticTask(vocab_size=vocab_size, contexts=contexts, dists=dists)

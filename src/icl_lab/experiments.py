@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -105,20 +106,17 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"unknown experiment kind {self.kind!r}; expected one of {KINDS}")
-        if self.trials < 1:
-            raise ParameterError(f"trials must be >= 1, got {self.trials}")
-        if not 0 <= self.seed < 2**64:
+        for name, low in (("trials", 1), ("seed", 0), ("dataset_size", 2), ("sequence_limit", 1)):
+            _checked_int(name, getattr(self, name), low)
+        for name in ("eval_points", "samples_override"):
+            if getattr(self, name) is not None:
+                _checked_int(name, getattr(self, name), 1)
+        if self.seed >= 2**64:
             raise ParameterError(f"seed must be in [0, 2**64), got {self.seed}")
-        if self.eval_points is not None and self.eval_points < 1:
-            raise ParameterError(f"eval_points must be >= 1, got {self.eval_points}")
         if self.mode not in MODES:
             raise ParameterError(f"unknown bound mode {self.mode!r}; expected one of {MODES}")
         if self.concentration <= 0:
             raise ParameterError(f"concentration must be positive, got {self.concentration}")
-        if self.samples_override is not None and self.samples_override < 1:
-            raise ParameterError(f"samples_override must be >= 1, got {self.samples_override}")
-        if self.dataset_size < 2:
-            raise ParameterError(f"dataset_size must be >= 2, got {self.dataset_size}")
         if self.cluster_separation < 0 or self.noise_scale <= 0 or self.planted_norm <= 0:
             raise ParameterError("cluster_separation must be >= 0; noise_scale, planted_norm > 0")
         if self.coreset_strategy not in CORESET_STRATEGIES:
@@ -127,12 +125,9 @@ class ExperimentConfig:
             sizes = getattr(self, name)
             if sizes is None:
                 continue
-            sizes = tuple(int(s) for s in sizes)
-            if not sizes or any(s < 1 for s in sizes):
-                raise ParameterError(f"{name} entries must be integers >= 1, got {sizes!r}")
-            object.__setattr__(self, name, sizes)
-        if self.sequence_limit < 1:
-            raise ParameterError(f"sequence_limit must be >= 1, got {self.sequence_limit}")
+            if not isinstance(sizes, (list, tuple)) or not sizes:
+                raise ParameterError(f"{name} must be a non-empty list of integers, got {sizes!r}")
+            object.__setattr__(self, name, tuple(_checked_int(f"{name} entries", v, 1) for v in sizes))
 
     def resolved_eval_points(self) -> int:
         if self.eval_points is not None:
@@ -172,6 +167,13 @@ class ExperimentConfig:
         if not isinstance(payload, dict):
             raise ParameterError(f"config file {path} must contain a JSON object")
         return cls.from_dict(payload)
+
+
+def _checked_int(name: str, value, low: int) -> int:
+    """``value`` as an int; anything but an integer >= ``low`` is rejected, bools included."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 def max_workers() -> int:
@@ -412,17 +414,18 @@ def run_knn_experiment(cfg: ExperimentConfig) -> BoundReport:
         )
         queries = rng.standard_normal((queries_per_trial, p.input_dim))
         truth = predict_probs(planted, queries)
-        for k in ks:
-            degenerate = 0
-            worst = 0.0
-            for q in range(queries_per_trial):
-                neighborhood = knn_select(data, queries[q], k)
-                if neighborhood.is_single_class():
-                    degenerate += 1
-                local_model = train_logistic(neighborhood, cfg.train)
-                prob = mix_probability(predict_prob(local_model, queries[q]), cfg.eta)
-                worst = max(worst, abs(prob - truth[q]))
-            yield worst, f"{degenerate} single-class neighborhoods" if degenerate else ""
+        errors = np.zeros((len(ks), queries_per_trial))
+        single = np.zeros((len(ks), queries_per_trial), dtype=bool)
+        for q, query in enumerate(queries):
+            # Neighbours come nearest first, so each k takes a prefix of one sort.
+            ranked = knn_select(data, query, max(ks))
+            for j, k in enumerate(ks):
+                neighborhood = LabeledDataset(ranked.features[:k], ranked.labels[:k])
+                single[j, q] = neighborhood.is_single_class()
+                prob = predict_prob(train_logistic(neighborhood, cfg.train), query)
+                errors[j, q] = abs(mix_probability(prob, cfg.eta) - truth[q])
+        for worst, degenerate in zip(errors.max(axis=1), single.sum(axis=1)):
+            yield float(worst), f"{degenerate} single-class neighborhoods" if degenerate else ""
 
     extras = {"k_values": list(ks), "queries_per_trial": queries_per_trial}
     return _run_sweep(cfg, measure, extras, ks, medians_key="median_sup_error_by_k", slope=True)

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from icl_lab import experiments
 from icl_lab import (
+    BoundParams,
     DivergenceError,
+    ExperimentConfig,
     LabeledDataset,
     LinearModel,
     ParameterError,
@@ -14,6 +17,7 @@ from icl_lab import (
     logistic_loss,
     predict_prob,
     predict_probs,
+    run_knn_experiment,
     select_coreset,
     sigmoid,
     train_logistic,
@@ -69,17 +73,63 @@ class TestTrainLogistic:
         assert model.bias == 0.0
 
     def test_loss_non_increasing_iteration_by_iteration(self):
-        rng = np.random.default_rng(1)
-        features = rng.standard_normal((40, 2))
+        # Heavy-tailed (Cauchy) features make the full Newton step overshoot
+        # at iteration 8, so the halving path runs; prefixes of the same run
+        # expose the per-iteration loss sequence.
+        rng = np.random.default_rng(29)
+        features = rng.standard_t(1, (40, 2))
         labels = (features[:, 0] + 0.3 * rng.standard_normal(40) > 0).astype(int)
         data = LabeledDataset(features, labels)
-        # An oversized step forces the halving path; prefixes of the same run
-        # expose the per-iteration loss sequence.
         losses = [
-            logistic_loss(train_logistic(data, TrainConfig(learning_rate=8.0, max_iters=k)), data)
-            for k in range(0, 25, 4)
+            logistic_loss(train_logistic(data, TrainConfig(max_iters=k)), data) for k in range(16)
         ]
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+
+    def test_knn_sweep_fits_reach_the_gradient_tolerance(self, monkeypatch):
+        # One trial of the criterion-6 config, every local fit recorded.
+        fits = []
+
+        def recording(data, cfg):
+            model = train_logistic(data, cfg)
+            fits.append((data, cfg, model))
+            return model
+
+        monkeypatch.setattr(experiments, "train_logistic", recording)
+        run_knn_experiment(
+            ExperimentConfig(
+                kind="knn",
+                params=BoundParams(epsilon=0.2, delta=0.05, input_dim=5),
+                trials=1,
+                seed=5,
+                knn_sizes=(16, 64, 256, 1024),
+                dataset_size=4096,
+                train=TrainConfig(max_iters=300, grad_tolerance=1e-8, l2_reg=1e-3),
+            )
+        )
+        assert len(fits) == 64
+        for data, cfg, model in fits:
+            grad_w, grad_b = logistic_gradient(model, data, cfg.l2_reg)
+            assert math.hypot(*grad_w, grad_b) < cfg.grad_tolerance
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_single_class_with_ridge_predicts_its_class(self, label):
+        # No finite minimizer exists (the bias is not penalized); the fit
+        # stops at the gradient tolerance with a finite, confident model.
+        rng = np.random.default_rng(4)
+        data = LabeledDataset(rng.standard_normal((12, 3)), np.full(12, label))
+        model = train_logistic(data, TrainConfig(l2_reg=1e-3))
+        assert np.all(np.isfinite(model.weights)) and np.isfinite(model.bias)
+        assert np.all(np.abs(predict_probs(model, data.features) - label) < 1e-6)
+
+    @pytest.mark.parametrize("l2_reg", [0.0, 1e-300])
+    def test_singular_hessian_takes_the_minimum_norm_direction(self, l2_reg):
+        # One point in two dimensions: the Hessian has rank 1 (a 1e-300 ridge
+        # leaves it singular in floating point), and the fit stays on the
+        # point's direction (w, b) ~ (x, 1).
+        data = make_dataset([[1.0, 2.0]], [1])
+        model = train_logistic(data, TrainConfig(l2_reg=l2_reg))
+        assert model.weights == pytest.approx(model.bias * np.array([1.0, 2.0]))
+        assert predict_prob(model, np.array([1.0, 2.0])) > 1 - 1e-6
 
     def test_divergence_error_names_iteration(self):
         data = make_dataset([[1e12], [1e307]], [1, 0])
@@ -167,6 +217,17 @@ class TestKnnSelect:
         perm = rng.permutation(20)
         shuffled = knn_select(LabeledDataset(features[perm], labels[perm]), query, 5)
         assert np.array_equal(base.features, shuffled.features)
+
+    def test_smaller_k_is_a_prefix_of_larger_k(self):
+        # Each point appears three times, so many distances tie exactly.
+        rng = np.random.default_rng(6)
+        base = rng.integers(-2, 3, size=(10, 2)).astype(float)
+        data = LabeledDataset(np.vstack([base, base, base]), rng.integers(0, 2, 30))
+        full = knn_select(data, np.zeros(2), 30)
+        for k in range(1, 31):
+            out = knn_select(data, np.zeros(2), k)
+            assert np.array_equal(out.features, full.features[:k])
+            assert np.array_equal(out.labels, full.labels[:k])
 
     def test_oversized_k_rejected(self):
         data = make_dataset([[1.0]], [0])

@@ -150,6 +150,34 @@ class TestVerify:
         assert "seed" in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("seed", 1.5),
+            ("seed", "7"),
+            ("trials", "3"),
+            ("trials", True),
+            ("eval_points", 2.0),
+            ("samples_override", 400.0),
+            ("dataset_size", 100.0),
+            ("sequence_limit", "10"),
+            ("knn_sizes", [16, 1.5]),
+            ("subset_sizes", [True]),
+        ],
+    )
+    def test_non_integer_config_value_is_parameter_error(
+        self, capsys, tmp_path, config_path, key, value
+    ):
+        payload = dict(json.loads(config_path.read_text()), **{key: value})
+        config_path.write_text(json.dumps(payload))
+        out_path = tmp_path / "r.json"
+        code, _, err = run_cli(
+            capsys, "verify", "textgen", "--config", str(config_path), "--output", str(out_path)
+        )
+        assert code == 1
+        assert key in err
+        assert not out_path.exists()
+
     def test_trials_override(self, capsys, tmp_path, config_path):
         out_path = tmp_path / "r.json"
         code, _, _ = run_cli(

@@ -207,4 +207,4 @@ class TestRandomTask:
     def test_task_validates_context_dist_pairing(self):
         task = random_task(3, 2, 1.0, np.random.default_rng(1))
         with pytest.raises(ParameterError):
-            SyntheticTask(task.vocab, task.contexts, task.dists[:1])
+            SyntheticTask(task.vocab_size, task.contexts, task.dists[:1])

@@ -15,7 +15,9 @@ from icl_lab import (
     cluster_dataset,
     fit_log_log_slope,
     icl_counts_dist,
+    knn_select,
     l1_distance,
+    mix_probability,
     planted_linear_dataset,
     predict_prob,
     predict_probs,
@@ -311,6 +313,32 @@ class TestClassificationExperiments:
                 abs(predict_prob(model, q) - predict_prob(planted, q)) for q in queries
             )
             assert report.trials[i].sup_error == pytest.approx(manual, abs=1e-12)
+
+    def test_knn_rows_match_one_selection_per_k(self):
+        # Reference loop: a separate nearest-neighbour selection per (query, k).
+        cfg = ExperimentConfig(
+            kind="knn",
+            params=BoundParams(epsilon=0.5, delta=0.05, input_dim=3),
+            trials=2,
+            seed=8,
+            knn_sizes=(64, 4, 16),
+            dataset_size=256,
+            eval_points=5,
+            eta=EtaModel.uniform_mix(0.2),
+            train=TrainConfig(max_iters=200, l2_reg=1e-3),
+        )
+        report = run_knn_experiment(cfg)
+        for i in range(2):
+            rng = trial_rng(8, i)
+            data, planted = planted_linear_dataset(256, 3, 2.0, rng)
+            queries = rng.standard_normal((5, 3))
+            truth = predict_probs(planted, queries)
+            for j, k in enumerate(cfg.knn_sizes):
+                errors = []
+                for q, t in zip(queries, truth):
+                    model = train_logistic(knn_select(data, q, k), cfg.train)
+                    errors.append(abs(mix_probability(predict_prob(model, q), cfg.eta) - t))
+                assert report.trials[i * 3 + j].sup_error == max(errors)
 
     def test_knn_eta_shifts_errors_by_at_most_half_eta(self):
         base = ExperimentConfig(
