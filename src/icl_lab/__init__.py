@@ -36,12 +36,10 @@ from .classify import (
 from .distributions import (
     CategoricalDistribution,
     Context,
-    SyntheticTask,
     Vocabulary,
     empirical_distribution,
     l1_distance,
     random_distribution,
-    random_task,
     sample_counts,
     sample_tokens,
     tv_distance,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterError
+from .errors import ParameterError, check_real
 
 MODE_BIG_O = "big_o"
 MODE_EXACT = "exact"
@@ -43,6 +43,8 @@ class BoundParams:
     constant: float = 1.0
 
     def __post_init__(self):
+        for name in ("epsilon", "delta", "constant"):
+            check_real(name, getattr(self, name))
         if not 0.0 < self.epsilon <= 2.0:
             raise ParameterError(f"epsilon must be in (0, 2], got {self.epsilon}")
         if not 0.0 < self.delta < 1.0:

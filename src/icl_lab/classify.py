@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, ParameterError
+from .errors import DivergenceError, ParameterError, check_real
 
 # Damped-Newton line search: steps 1, 1/2, ..., 2**-40; Armijo sufficient-decrease share.
 _STEP_SIZES = [0.5**i for i in range(41)]
@@ -102,6 +102,8 @@ class TrainConfig:
     l2_reg: float = 0.0
 
     def __post_init__(self):
+        for name in ("learning_rate", "grad_tolerance", "l2_reg"):
+            check_real(name, getattr(self, name))
         if self.learning_rate <= 0:
             raise ParameterError(f"learning_rate must be positive, got {self.learning_rate}")
         # max_iters = 0 is allowed: training then returns the all-zeros init.

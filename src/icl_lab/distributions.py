@@ -92,33 +92,6 @@ class Context:
     id: int
 
 
-@dataclass(frozen=True)
-class SyntheticTask:
-    """Ground-truth next-token distributions, one per context."""
-
-    vocab_size: int
-    contexts: tuple[Context, ...]
-    dists: tuple[CategoricalDistribution, ...]
-
-    def __post_init__(self):
-        if len(self.contexts) != len(self.dists):
-            raise ParameterError("need exactly one distribution per context")
-        if len(self.contexts) < 1:
-            raise ParameterError("task must have at least one context")
-        ids = [c.id for c in self.contexts]
-        if len(set(ids)) != len(ids):
-            raise ParameterError("context ids must be unique within a task")
-        for dist in self.dists:
-            if dist.size != self.vocab_size:
-                raise ParameterError(
-                    f"distribution support {dist.size} does not match vocabulary size {self.vocab_size}"
-                )
-
-    @property
-    def num_contexts(self) -> int:
-        return len(self.contexts)
-
-
 def l1_distance(p: CategoricalDistribution, q: CategoricalDistribution) -> float:
     """Sum of absolute probability differences; 0 iff p == q, at most 2."""
     if p.size != q.size:
@@ -163,12 +136,19 @@ def sample_tokens(dist: CategoricalDistribution, n: int, rng: np.random.Generato
 def sample_counts(dist: CategoricalDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
     """Per-token counts of ``n`` i.i.d. draws: one Multinomial(n, p) vector of length V.
 
-    It has the law of ``token_counts(sample_tokens(dist, n, rng), dist.size)``
-    at O(V) cost instead of O(n log V), without materializing the tokens.
+    It has the law of ``token_counts(sample_tokens(dist, n, rng), dist.size)``.
+    With ``n >= V`` it is one ``rng.multinomial`` call, O(V).  With ``n < V``
+    it counts ``n`` sorted uniforms placed on the CDF, O(n log n + V), which
+    beats multinomial's one binomial draw per outcome.  Scaling the uniforms by
+    the CDF's last entry keeps every index below V and off zero-probability outcomes.
     """
     if n < 1:
         raise ParameterError(f"sample count must be >= 1, got {n}")
-    return rng.multinomial(n, dist.probs)
+    if n >= dist.size:
+        return rng.multinomial(n, dist.probs)
+    cdf = np.cumsum(dist.probs)
+    u = np.sort(rng.random(n)) * cdf[-1]
+    return np.bincount(np.searchsorted(cdf, u, side="right"), minlength=dist.size)
 
 
 def random_distribution(
@@ -191,15 +171,3 @@ def random_distribution(
         total = draws.sum()
     return CategoricalDistribution(draws / total)
 
-
-def random_task(
-    vocab_size: int, num_contexts: int, concentration: float, rng: np.random.Generator
-) -> SyntheticTask:
-    """Generate a synthetic task: one random distribution per context."""
-    if vocab_size < 2:
-        raise ParameterError(f"vocabulary size must be >= 2, got {vocab_size}")
-    if num_contexts < 1:
-        raise ParameterError(f"context count must be >= 1, got {num_contexts}")
-    dists = tuple(random_distribution(vocab_size, concentration, rng) for _ in range(num_contexts))
-    contexts = tuple(Context(id=i) for i in range(num_contexts))
-    return SyntheticTask(vocab_size=vocab_size, contexts=contexts, dists=dists)

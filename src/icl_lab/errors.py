@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the real-number check that raises one."""
+
+import math
+import numbers
 
 
 class ParameterError(ValueError):
@@ -11,3 +14,9 @@ class DivergenceError(RuntimeError):
     def __init__(self, iteration: int, message: str | None = None):
         self.iteration = iteration
         super().__init__(message or f"non-finite training loss at iteration {iteration}")
+
+
+def check_real(name: str, value) -> None:
+    """Reject ``value`` unless it is a finite real number; bools are rejected too."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ParameterError(f"{name} must be a finite real number, got {value!r}")

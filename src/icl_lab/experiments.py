@@ -55,10 +55,9 @@ from .distributions import (
     CategoricalDistribution,
     l1_distance,
     random_distribution,
-    random_task,
     sample_counts,
 )
-from .errors import DivergenceError, ParameterError
+from .errors import DivergenceError, ParameterError, check_real
 from .oracle import DEFAULT_SEQUENCE_LIMIT, EtaModel, icl_counts_dist, mix_probability
 from .reports import (
     BoundReport,
@@ -115,6 +114,8 @@ class ExperimentConfig:
             raise ParameterError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.mode not in MODES:
             raise ParameterError(f"unknown bound mode {self.mode!r}; expected one of {MODES}")
+        for name in ("concentration", "cluster_separation", "noise_scale", "planted_norm"):
+            check_real(name, getattr(self, name))
         if self.concentration <= 0:
             raise ParameterError(f"concentration must be positive, got {self.concentration}")
         if self.cluster_separation < 0 or self.noise_scale <= 0 or self.planted_norm <= 0:
@@ -268,20 +269,17 @@ def run_textgen_experiment(cfg: ExperimentConfig) -> BoundReport:
     worst-context L1 error against epsilon with the promised failure rate."""
     _require_kind(cfg, "textgen")
     p = cfg.params
+    if p.vocab_size < 2:
+        raise ParameterError(f"textgen needs vocab_size >= 2, got {p.vocab_size}")
     bound = textgen_samples_per_context(p, cfg.mode)
     per_context = cfg.samples_override or bound.per_context
-
-    def measure(rng):
-        task = random_task(p.vocab_size, p.num_contexts, cfg.concentration, rng)
-        yield _sup_l1_error(task.dists, per_context, cfg.eta, rng), ""
-
     extras = {
         "samples_per_context": per_context,
         "total_samples_per_trial": per_context * p.num_contexts,
         "bound_formula": bound.formula_text,
         "bound_mode": cfg.mode,
     }
-    return _run_sweep(cfg, measure, extras)
+    return _run_sweep(cfg, _sup_l1_measure(cfg, p.vocab_size, per_context), extras)
 
 
 def run_bounded_textgen_experiment(cfg: ExperimentConfig) -> BoundReport:
@@ -296,25 +294,32 @@ def run_bounded_textgen_experiment(cfg: ExperimentConfig) -> BoundReport:
             f"limit {cfg.sequence_limit}"
         )
     samples_per_context = cfg.samples_override or bounded_textgen_size(p)
-
-    def measure(rng):
-        truths = [
-            random_distribution(space, cfg.concentration, rng) for _ in range(p.num_contexts)
-        ]
-        yield _sup_l1_error(truths, samples_per_context, cfg.eta, rng), ""
-
     extras = {
         "samples_per_context": samples_per_context,
         "sequence_space": space,
         "constant": p.constant,
     }
-    return _run_sweep(cfg, measure, extras)
+    return _run_sweep(cfg, _sup_l1_measure(cfg, space, samples_per_context), extras)
 
 
-def _sup_l1_error(truths, n: int, eta: EtaModel, rng: np.random.Generator) -> float:
-    """Worst L1 error of the responder over ``truths``, each estimated from the
-    counts of ``n`` i.i.d. draws (drawn in order, one Multinomial per truth)."""
-    return max(l1_distance(icl_counts_dist(sample_counts(t, n, rng), eta), t) for t in truths)
+def _sup_l1_measure(cfg: ExperimentConfig, support: int, n: int):
+    """``measure(rng)`` of the textgen kinds: the responder's worst L1 error over
+    ``num_contexts`` random truths on ``support`` outcomes, each estimated from
+    the counts of ``n`` i.i.d. draws.
+
+    Contexts stream: context i's truth is drawn, then its counts, and it is
+    scored and dropped before context i + 1, so a trial holds O(support) memory.
+    """
+
+    def measure(rng):
+        truths = (
+            random_distribution(support, cfg.concentration, rng)
+            for _ in range(cfg.params.num_contexts)
+        )
+        errs = (l1_distance(icl_counts_dist(sample_counts(t, n, rng), cfg.eta), t) for t in truths)
+        yield max(errs), ""
+
+    return measure
 
 
 def nested_counts(dist: CategoricalDistribution, sizes, rng: np.random.Generator):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .classify import LabeledDataset, TrainConfig, predict_prob, train_logistic
 from .distributions import CategoricalDistribution, Context, Vocabulary, token_counts
-from .errors import ParameterError
+from .errors import ParameterError, check_real
 
 ETA_NONE = "none"
 ETA_UNIFORM_MIX = "uniform_mix"
@@ -34,6 +34,7 @@ class EtaModel:
     kind: str = ETA_NONE
 
     def __post_init__(self):
+        check_real("eta", self.eta)
         if self.kind not in (ETA_NONE, ETA_UNIFORM_MIX):
             raise ParameterError(f"unknown eta kind {self.kind!r}")
         if self.kind == ETA_NONE and self.eta != 0.0:

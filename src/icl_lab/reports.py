@@ -4,7 +4,8 @@ A report passes when the observed failure rate does not exceed the target
 failure probability plus a normal-approximation 95% half-width,
 ``1.96 * sqrt(r (1 - r) / trials)`` with ``r`` the observed rate.  Reports
 carry no timestamps or environment state, so identical (config, seed) runs
-serialize to identical bytes.
+serialize to identical bytes.  JSON reports are strict: a non-finite float,
+such as the error of a divergent fit, is written as null.
 """
 
 from __future__ import annotations
@@ -101,8 +102,20 @@ def report_to_dict(report: BoundReport) -> dict:
     }
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float, at any depth, replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def write_json_report(report: BoundReport, path) -> None:
-    payload = json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+    strict = _finite_or_null(report_to_dict(report))
+    payload = json.dumps(strict, indent=2, sort_keys=True, allow_nan=False) + "\n"
     Path(path).write_text(payload, encoding="utf-8")
 
 

@@ -163,12 +163,45 @@ class TestVerify:
             ("sequence_limit", "10"),
             ("knn_sizes", [16, 1.5]),
             ("subset_sizes", [True]),
+            ("concentration", "1.0"),
+            ("concentration", True),
+            ("concentration", float("nan")),
+            ("cluster_separation", "1.5"),
+            ("noise_scale", None),
+            ("planted_norm", float("inf")),
         ],
     )
     def test_non_integer_config_value_is_parameter_error(
         self, capsys, tmp_path, config_path, key, value
     ):
         payload = dict(json.loads(config_path.read_text()), **{key: value})
+        config_path.write_text(json.dumps(payload))
+        out_path = tmp_path / "r.json"
+        code, _, err = run_cli(
+            capsys, "verify", "textgen", "--config", str(config_path), "--output", str(out_path)
+        )
+        assert code == 1
+        assert key in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("params", "epsilon", "0.2"),
+            ("params", "delta", True),
+            ("params", "constant", float("inf")),
+            ("train", "learning_rate", "0.5"),
+            ("train", "grad_tolerance", float("nan")),
+            ("train", "l2_reg", True),
+            ("eta", "eta", "0.1"),
+            ("params", "vocab_size", 1),
+        ],
+    )
+    def test_bad_nested_config_value_is_parameter_error(
+        self, capsys, tmp_path, config_path, section, key, value
+    ):
+        payload = json.loads(config_path.read_text())
+        payload[section] = dict(payload[section], **{key: value})
         config_path.write_text(json.dumps(payload))
         out_path = tmp_path / "r.json"
         code, _, err = run_cli(

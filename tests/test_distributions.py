@@ -6,12 +6,10 @@ from hypothesis import strategies as st
 from icl_lab import (
     CategoricalDistribution,
     ParameterError,
-    SyntheticTask,
     Vocabulary,
     empirical_distribution,
     l1_distance,
     random_distribution,
-    random_task,
     sample_counts,
     sample_tokens,
     tv_distance,
@@ -155,17 +153,21 @@ class TestSampleTokens:
 
 
 class TestSampleCounts:
+    # Each test covers both sampler paths: multinomial (n >= V) and sorted
+    # uniforms placed on the CDF (n < V).
     def test_int64_vector_summing_to_n(self):
-        out = sample_counts(dist(0.2, 0.3, 0.5), 1_000, np.random.default_rng(0))
-        assert out.dtype == np.int64
-        assert out.shape == (3,)
-        assert out.sum() == 1_000
+        for probs, n in (((0.2, 0.3, 0.5), 1_000), (np.full(50, 0.02), 20)):
+            out = sample_counts(dist(*probs), n, np.random.default_rng(0))
+            assert out.dtype == np.int64
+            assert out.shape == (len(probs),)
+            assert out.sum() == n
 
     def test_deterministic_given_seed(self):
         p = dist(0.1, 0.2, 0.3, 0.4)
-        a = sample_counts(p, 50, np.random.default_rng(42))
-        b = sample_counts(p, 50, np.random.default_rng(42))
-        assert np.array_equal(a, b)
+        for n in (50, 3):
+            a = sample_counts(p, n, np.random.default_rng(42))
+            b = sample_counts(p, n, np.random.default_rng(42))
+            assert np.array_equal(a, b)
 
     def test_rejects_non_positive_count(self):
         with pytest.raises(ParameterError):
@@ -174,37 +176,31 @@ class TestSampleCounts:
     def test_mean_matches_n_times_p(self):
         # The mean of 200 Multinomial(n, p) vectors has standard error
         # sqrt(n p (1-p) / 200) per entry.
-        probs = np.array([0.1, 0.2, 0.3, 0.4])
-        n, seeds = 500, 200
-        draws = np.array(
-            [sample_counts(dist(*probs), n, np.random.default_rng(s)) for s in range(seeds)]
-        )
-        stderr = np.sqrt(n * probs * (1 - probs) / seeds)
-        assert np.all(np.abs(draws.mean(axis=0) - n * probs) <= 5 * stderr)
+        seeds = 200
+        for probs, n in ((np.array([0.1, 0.2, 0.3, 0.4]), 500), (np.arange(1, 9) / 36, 5)):
+            draws = np.array(
+                [sample_counts(dist(*probs), n, np.random.default_rng(s)) for s in range(seeds)]
+            )
+            stderr = np.sqrt(n * probs * (1 - probs) / seeds)
+            assert np.all(np.abs(draws.mean(axis=0) - n * probs) <= 5 * stderr)
+
+    @pytest.mark.parametrize("n", [2, 1_000])
+    def test_zero_probability_outcomes_are_never_counted(self, n):
+        # Leading, inner and trailing zeros; the normalized cumulative sum of
+        # this vector ends just below 1.
+        p = dist(0.0, *[0.1] * 5, 0.0, *[0.1] * 5, 0.0)
+        zeros = p.probs == 0.0
+        for seed in range(200):
+            out = sample_counts(p, n, np.random.default_rng(seed))
+            assert out.shape == (13,) and out.sum() == n
+            assert not out[zeros].any()
 
 
-class TestRandomTask:
-    def test_valid_and_deterministic(self):
-        a = random_task(4, 2, 1.0, np.random.default_rng(3))
-        b = random_task(4, 2, 1.0, np.random.default_rng(3))
-        assert a.num_contexts == 2
-        for da, db in zip(a.dists, b.dists):
-            assert da.probs.sum() == pytest.approx(1.0)
-            assert np.array_equal(da.probs, db.probs)
-
+class TestRandomDistribution:
     def test_large_concentration_approaches_uniform(self):
         d = random_distribution(8, 1e7, np.random.default_rng(0))
         assert np.max(np.abs(d.probs - 0.125)) < 0.005
 
     def test_rejects_non_positive_concentration(self):
         with pytest.raises(ParameterError):
-            random_task(4, 2, 0.0, np.random.default_rng(0))
-
-    def test_rejects_tiny_vocab(self):
-        with pytest.raises(ParameterError):
-            random_task(1, 2, 1.0, np.random.default_rng(0))
-
-    def test_task_validates_context_dist_pairing(self):
-        task = random_task(3, 2, 1.0, np.random.default_rng(1))
-        with pytest.raises(ParameterError):
-            SyntheticTask(task.vocab_size, task.contexts, task.dists[:1])
+            random_distribution(4, 0.0, np.random.default_rng(0))

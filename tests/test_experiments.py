@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +80,26 @@ class TestReports:
         assert lines[0] == "trial_index,sup_error,failed"
         assert lines[1] == "0,0.25,0"
         assert lines[2] == "1,0.5,1"
+
+    def test_non_finite_floats_are_written_as_null(self, tmp_path):
+        # A DivergenceError row carries sup_error=inf, and so can a per-size median.
+        trials = [
+            TrialResult(0, float("inf"), True, 25, "non-finite training loss at iteration 3"),
+            TrialResult(1, 0.5, True, 25),
+        ]
+        extras = {"median_sup_error_by_size": {"25": float("inf")}, "slope": float("nan")}
+        report = build_report({"kind": "coreset"}, trials, 0.1, extras)
+        path = tmp_path / "r.json"
+        write_json_report(report, path)
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        payload = json.loads(path.read_text(), parse_constant=reject)
+        assert payload["trials"][0]["sup_error"] is None
+        assert payload["trials"][0]["detail"] == "non-finite training loss at iteration 3"
+        assert payload["trials"][1]["sup_error"] == 0.5
+        assert payload["extras"] == {"median_sup_error_by_size": {"25": None}, "slope": None}
 
     def test_writes_byte_identical(self, tmp_path):
         report = run_textgen_experiment(textgen_config(trials=5))
@@ -196,6 +217,24 @@ class TestTextgenExperiment:
         assert report.extras["samples_per_context"] == 46_051_702
         assert report.passed
         assert all(t.sup_error <= 0.1 for t in report.trials)
+
+    def test_trial_memory_does_not_grow_with_contexts(self):
+        # Contexts stream through a trial one at a time, so its peak memory is
+        # O(V), not O(m V): ten times the contexts stay within twice the peak.
+        def peak(contexts):
+            params = BoundParams(
+                epsilon=0.2, delta=0.05, vocab_size=20_000, num_contexts=contexts
+            )
+            cfg = textgen_config(params=params, samples_override=5_000, trials=1)
+            tracemalloc.start()
+            try:
+                run_textgen_experiment(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(4)  # warm-up, so one-off first-call allocations are not counted
+        assert peak(40) <= 2 * peak(4)
 
     def test_writes_reports(self, tmp_path):
         out = tmp_path / "run.json"
