@@ -41,8 +41,6 @@ from .distributions import (
     l1_distance,
     random_distribution,
     sample_counts,
-    sample_tokens,
-    tv_distance,
 )
 from .errors import DivergenceError, ParameterError
 from .experiments import (
@@ -73,10 +71,6 @@ from .prompts import (
     PromptConfig,
     SeparatorCollisionWarning,
     build_prompt,
-    cosine_similarity,
-    embed_text,
-    fnv1a_64,
-    similarity_select,
 )
 from .reports import (
     BoundReport,

@@ -18,11 +18,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterError, check_real
+from .errors import ParameterError, check_int, check_real
 
 MODE_BIG_O = "big_o"
 MODE_EXACT = "exact"
 MODES = (MODE_BIG_O, MODE_EXACT)
+
+# The formula text of each rule (of textgen, one per mode), formatted with the
+# BoundParams fields; the subset penalty's with ``constant`` and ``size``.
+FORMULAS = {
+    MODE_BIG_O: "n = ceil({constant:g} * (V/eps^2) * ln(m/delta)); "
+    "V={vocab_size}, m={num_contexts}, eps={epsilon:g}, delta={delta:g} (natural log)",
+    MODE_EXACT: "n = ceil((V^2/(2*eps^2)) * ln(2*V*m/delta)); "
+    "V={vocab_size}, m={num_contexts}, eps={epsilon:g}, delta={delta:g} "
+    "(natural log; constants fixed by the union-bound derivation)",
+    "bounded_textgen": "k = ceil({constant:g} * (l*ln(V)/eps^2) * ln(1/delta)); "
+    "V={vocab_size}, l={output_len} (natural log)",
+    "coreset": "size = ceil({constant:g} * d/eps); d={input_dim}",
+    "knn": "k = ceil({constant:g} * (1/eps^2) * ln(1/delta)) (natural log)",
+    "subset_penalty": "penalty = {constant:g} / sqrt(size); size={size}",
+}
 
 
 @dataclass(frozen=True)
@@ -49,15 +64,8 @@ class BoundParams:
             raise ParameterError(f"epsilon must be in (0, 2], got {self.epsilon}")
         if not 0.0 < self.delta < 1.0:
             raise ParameterError(f"delta must be in (0, 1), got {self.delta}")
-        for name, minimum in (
-            ("vocab_size", 1),
-            ("num_contexts", 1),
-            ("input_dim", 1),
-            ("output_len", 1),
-        ):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < minimum:
-                raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        for name in ("vocab_size", "num_contexts", "input_dim", "output_len"):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), 1))
         if self.constant <= 0:
             raise ParameterError(f"constant must be positive, got {self.constant}")
 
@@ -92,20 +100,12 @@ def textgen_samples_per_context(params: BoundParams, mode: str = MODE_BIG_O) -> 
     if mode == MODE_BIG_O:
         log_term = _checked_log(m / delta, "m/delta")
         per_context = math.ceil(c * (V / eps**2) * log_term)
-        formula = (
-            f"n = ceil({c:g} * (V/eps^2) * ln(m/delta)); "
-            f"V={V}, m={m}, eps={eps:g}, delta={delta:g} (natural log)"
-        )
     elif mode == MODE_EXACT:
         log_term = _checked_log(2 * V * m / delta, "2*V*m/delta")
         per_context = math.ceil((V**2 / (2 * eps**2)) * log_term)
-        formula = (
-            f"n = ceil((V^2/(2*eps^2)) * ln(2*V*m/delta)); "
-            f"V={V}, m={m}, eps={eps:g}, delta={delta:g} "
-            "(natural log; constants fixed by the union-bound derivation)"
-        )
     else:
         raise ParameterError(f"unknown bound mode {mode!r}; expected one of {MODES}")
+    formula = FORMULAS[mode].format(**vars(params))
     return BoundResult(
         per_context=per_context, total=m * per_context, mode=mode, formula_text=formula
     )
@@ -143,6 +143,7 @@ def subset_penalty(subset_size: int, constant: float = 1.0) -> float:
     """Extra estimation error from seeing only a subset: constant / sqrt(size)."""
     if subset_size < 1:
         raise ParameterError(f"subset size must be >= 1, got {subset_size}")
+    check_real("constant", constant)
     if constant <= 0:
         raise ParameterError(f"constant must be positive, got {constant}")
     return constant / math.sqrt(subset_size)

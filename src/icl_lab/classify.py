@@ -13,14 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, ParameterError, check_real
+from .errors import DivergenceError, ParameterError, check_int, check_real
 
 # Damped-Newton line search: steps 1, 1/2, ..., 2**-40; Armijo sufficient-decrease share.
 _STEP_SIZES = [0.5**i for i in range(41)]
 _ARMIJO = 1e-4
-
-# Subset-selection strategies accepted by :func:`select_coreset`.
-CORESET_STRATEGIES = ("uniform", "sensitivity")
 
 
 def sigmoid(z):
@@ -107,8 +104,7 @@ class TrainConfig:
         if self.learning_rate <= 0:
             raise ParameterError(f"learning_rate must be positive, got {self.learning_rate}")
         # max_iters = 0 is allowed: training then returns the all-zeros init.
-        if not isinstance(self.max_iters, int) or self.max_iters < 0:
-            raise ParameterError(f"max_iters must be a non-negative integer, got {self.max_iters!r}")
+        object.__setattr__(self, "max_iters", check_int("max_iters", self.max_iters, 0))
         if self.grad_tolerance <= 0:
             raise ParameterError(f"grad_tolerance must be positive, got {self.grad_tolerance}")
         if self.l2_reg < 0:
@@ -209,8 +205,8 @@ def predict_probs(model: LinearModel, features) -> np.ndarray:
     return sigmoid(features @ model.weights + model.bias)
 
 
-# Short deterministic pilot fit used only to score points for the
-# sensitivity strategy; kept fixed so selection depends only on (data, seed).
+# Short deterministic pilot fit used only to score points for sensitivity
+# sampling; kept fixed so selection depends only on (data, seed).
 _PILOT_CONFIG = TrainConfig(max_iters=100, grad_tolerance=1e-6, l2_reg=1e-3)
 
 
@@ -227,25 +223,21 @@ def sensitivity_scores(data: LabeledDataset) -> np.ndarray:
 
 
 def select_coreset(
-    data: LabeledDataset, size: int, strategy: str, rng: np.random.Generator
+    data: LabeledDataset, size: int, weights: np.ndarray | None, rng: np.random.Generator
 ) -> LabeledDataset:
-    """Pick ``size`` points without replacement, ``uniform`` or by ``sensitivity``.
+    """Pick ``size`` points without replacement, with probability proportional to ``weights``.
 
-    Indices are sorted, so the subset preserves dataset order.  ``size == N``
-    returns the dataset unchanged under either strategy.
+    ``weights`` of None picks uniformly; :func:`sensitivity_scores` gives the
+    sensitivity weights.  Indices are sorted, so the subset preserves dataset
+    order.  ``size == N`` returns the dataset unchanged.
     """
     n = data.num_points
     if not 1 <= size <= n:
         raise ParameterError(f"coreset size must be in [1, {n}], got {size}")
-    if strategy not in CORESET_STRATEGIES:
-        raise ParameterError(f"unknown coreset strategy {strategy!r}")
     if size == n:
         return data
-    if strategy == "uniform":
-        idx = rng.choice(n, size=size, replace=False)
-    else:
-        scores = sensitivity_scores(data)
-        idx = rng.choice(n, size=size, replace=False, p=scores / scores.sum())
+    p = None if weights is None else weights / weights.sum()
+    idx = rng.choice(n, size=size, replace=False, p=p)
     return data.subset(np.sort(idx))
 
 

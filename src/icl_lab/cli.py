@@ -17,9 +17,11 @@ import argparse
 import dataclasses
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from .bounds import (
+    FORMULAS,
     MODE_BIG_O,
     MODE_EXACT,
     BoundParams,
@@ -29,7 +31,7 @@ from .bounds import (
     subset_penalty,
     textgen_samples_per_context,
 )
-from .errors import ParameterError
+from .errors import ParameterError, from_object
 from .experiments import KINDS, ExperimentConfig, run_experiment
 from .prompts import ExamplePair, PromptConfig, build_prompt
 
@@ -82,33 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_flags(args: argparse.Namespace, kind: str, names: tuple[str, ...]):
-    for name in names:
-        if getattr(args, name) is None:
-            raise ParameterError(f"missing --{name} (required for kind '{kind}')")
-
-
-def _cmd_bounds_calc(args: argparse.Namespace) -> int:
-    kind = args.kind
-    if kind == "subset_penalty":
-        _require_flags(args, kind, ("size",))
-        payload = {
-            "kind": kind,
-            "subset_size": args.size,
-            "penalty": subset_penalty(args.size, args.constant),
-            "formula": f"penalty = {args.constant:g} / sqrt(size); size={args.size}",
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return EXIT_OK
-
-    required = {
-        "textgen": ("V", "m", "epsilon", "delta"),
-        "bounded_textgen": ("V", "l", "epsilon", "delta"),
-        "coreset": ("d", "epsilon"),
-        "knn": ("epsilon", "delta"),
-    }[kind]
-    _require_flags(args, kind, required)
-    params = BoundParams(
+def _params(args: argparse.Namespace) -> BoundParams:
+    """Calculator inputs from the flags, with stand-ins for the ones a rule does not read."""
+    return BoundParams(
         epsilon=args.epsilon,
         delta=args.delta if args.delta is not None else 0.5,
         vocab_size=args.V if args.V is not None else 2,
@@ -117,36 +95,45 @@ def _cmd_bounds_calc(args: argparse.Namespace) -> int:
         output_len=args.l if args.l is not None else 1,
         constant=args.constant,
     )
-    if kind == "textgen":
-        result = textgen_samples_per_context(params, _CLI_MODES[args.mode])
-        payload = {
-            "kind": kind,
-            "mode": result.mode,
-            "per_context": result.per_context,
-            "total": result.total,
-            "formula": result.formula_text,
-        }
-    elif kind == "bounded_textgen":
-        size = bounded_textgen_size(params)
-        payload = {
-            "kind": kind,
-            "size": size,
-            "formula": f"k = ceil({params.constant:g} * (l*ln(V)/eps^2) * ln(1/delta)); "
-            f"V={params.vocab_size}, l={params.output_len} (natural log)",
-        }
-    elif kind == "coreset":
-        payload = {
-            "kind": kind,
-            "size": coreset_size(params),
-            "formula": f"size = ceil({params.constant:g} * d/eps); d={params.input_dim}",
-        }
-    else:
-        payload = {
-            "kind": kind,
-            "size": knn_context_size(params),
-            "formula": f"k = ceil({params.constant:g} * (1/eps^2) * ln(1/delta)) (natural log)",
-        }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+
+
+def _textgen(args: argparse.Namespace) -> dict:
+    """The ``BoundResult`` fields, with ``formula_text`` printed as ``formula``."""
+    fields = dataclasses.asdict(textgen_samples_per_context(_params(args), _CLI_MODES[args.mode]))
+    fields["formula"] = fields.pop("formula_text")
+    return fields
+
+
+def _sized(calculator, args: argparse.Namespace) -> dict:
+    """Printed fields of a rule whose calculator returns one size."""
+    params = _params(args)
+    return {"size": calculator(params), "formula": FORMULAS[args.kind].format(**vars(params))}
+
+
+def _penalty(args: argparse.Namespace) -> dict:
+    return {
+        "subset_size": args.size,
+        "penalty": subset_penalty(args.size, args.constant),
+        "formula": FORMULAS["subset_penalty"].format(constant=args.constant, size=args.size),
+    }
+
+
+# kind -> (flags the rule reads, its printed fields as a function of the flags)
+_RULES = {
+    "textgen": (("V", "m", "epsilon", "delta"), _textgen),
+    "bounded_textgen": (("V", "l", "epsilon", "delta"), partial(_sized, bounded_textgen_size)),
+    "coreset": (("d", "epsilon"), partial(_sized, coreset_size)),
+    "knn": (("epsilon", "delta"), partial(_sized, knn_context_size)),
+    "subset_penalty": (("size",), _penalty),
+}
+
+
+def _cmd_bounds_calc(args: argparse.Namespace) -> int:
+    flags, fields = _RULES[args.kind]
+    for name in flags:
+        if getattr(args, name) is None:
+            raise ParameterError(f"missing --{name} (required for kind '{args.kind}')")
+    print(json.dumps({"kind": args.kind, **fields(args)}, indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -185,15 +172,18 @@ def _load_pairs_file(path: str) -> tuple[list[ExamplePair], str | None, dict]:
             payload = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ParameterError(f"pairs file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or "pairs" not in payload:
+    if not isinstance(payload, dict) or not isinstance(payload.get("pairs"), list):
         raise ParameterError(f"pairs file {path} must be a JSON object with a 'pairs' list")
     pairs = []
     for entry in payload["pairs"]:
-        if isinstance(entry, dict):
-            pairs.append(ExamplePair(entry["input"], entry["output"]))
-        else:
-            input_text, output_text = entry
-            pairs.append(ExamplePair(input_text, output_text))
+        if isinstance(entry, dict) and {"input", "output"} <= entry.keys():
+            entry = [entry["input"], entry["output"]]
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise ParameterError(
+                f"each pair must be [input, output] or {{'input': ..., 'output': ...}}, "
+                f"got {entry!r}"
+            )
+        pairs.append(ExamplePair(*entry))
     return pairs, payload.get("query"), payload.get("config", {})
 
 
@@ -202,9 +192,9 @@ def _cmd_prompt_build(args: argparse.Namespace) -> int:
     query = args.query if args.query is not None else file_query
     if query is None:
         raise ParameterError("missing --query (and the pairs file has no 'query' field)")
+    config = from_object(PromptConfig, config_dict, "pairs file 'config'")
     if args.separator is not None:
-        config_dict = dict(config_dict, separator=args.separator)
-    config = PromptConfig(**config_dict)
+        config = dataclasses.replace(config, separator=args.separator)
     print(build_prompt(pairs, query, config))
     return EXIT_OK
 

@@ -1,10 +1,9 @@
-"""Finite categorical distributions: construction, sampling, estimation, L1 metric.
+"""Finite categorical distributions: construction, count sampling, estimation, L1 metric.
 
-The canonical distance between two distributions here is the plain L1 sum
-``sum_v |p(v) - q(v)|`` (range [0, 2]); the conventional total-variation
-normalization is available as :func:`tv_distance` = L1 / 2.  All randomness
-flows through an explicit ``numpy.random.Generator`` so every operation is a
-pure function of its inputs and the seed.
+The distance between two distributions here is the plain L1 sum
+``sum_v |p(v) - q(v)|`` (range [0, 2]), twice the total-variation distance.
+All randomness flows through an explicit ``numpy.random.Generator`` so every
+operation is a pure function of its inputs and the seed.
 """
 
 from __future__ import annotations
@@ -99,11 +98,6 @@ def l1_distance(p: CategoricalDistribution, q: CategoricalDistribution) -> float
     return float(np.abs(p.probs - q.probs).sum())
 
 
-def tv_distance(p: CategoricalDistribution, q: CategoricalDistribution) -> float:
-    """Total-variation distance under the standard 1/2 normalization."""
-    return 0.5 * l1_distance(p, q)
-
-
 def token_counts(samples, size: int) -> np.ndarray:
     """Occurrences of each index of ``[0, size)`` among the token indices ``samples``."""
     idx = np.asarray(samples, dtype=np.int64)
@@ -122,21 +116,9 @@ def empirical_distribution(samples, vocab: Vocabulary) -> CategoricalDistributio
     return CategoricalDistribution(counts / counts.sum())
 
 
-def sample_tokens(dist: CategoricalDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``n`` i.i.d. token indices by inverse-CDF over the probability vector."""
-    if n < 1:
-        raise ParameterError(f"sample count must be >= 1, got {n}")
-    cdf = np.cumsum(dist.probs)
-    u = rng.random(n)
-    idx = np.searchsorted(cdf, u, side="right")
-    # Guard against u landing beyond the final cumsum entry (rounding).
-    return np.minimum(idx, dist.size - 1).astype(np.int64)
-
-
 def sample_counts(dist: CategoricalDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Per-token counts of ``n`` i.i.d. draws: one Multinomial(n, p) vector of length V.
+    """Counts of ``n`` i.i.d. draws from ``dist``: one Multinomial(n, p) vector of length V.
 
-    It has the law of ``token_counts(sample_tokens(dist, n, rng), dist.size)``.
     With ``n >= V`` it is one ``rng.multinomial`` call, O(V).  With ``n < V``
     it counts ``n`` sorted uniforms placed on the CDF, O(n log n + V), which
     beats multinomial's one binomial draw per outcome.  Scaling the uniforms by

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -41,7 +40,6 @@ from .bounds import (
     textgen_samples_per_context,
 )
 from .classify import (
-    CORESET_STRATEGIES,
     LabeledDataset,
     LinearModel,
     TrainConfig,
@@ -49,6 +47,7 @@ from .classify import (
     predict_prob,
     predict_probs,
     select_coreset,
+    sensitivity_scores,
     train_logistic,
 )
 from .distributions import (
@@ -57,7 +56,7 @@ from .distributions import (
     random_distribution,
     sample_counts,
 )
-from .errors import DivergenceError, ParameterError, check_real
+from .errors import DivergenceError, ParameterError, check_int, check_real, from_object
 from .oracle import DEFAULT_SEQUENCE_LIMIT, EtaModel, icl_counts_dist, mix_probability
 from .reports import (
     BoundReport,
@@ -106,10 +105,10 @@ class ExperimentConfig:
         if self.kind not in KINDS:
             raise ParameterError(f"unknown experiment kind {self.kind!r}; expected one of {KINDS}")
         for name, low in (("trials", 1), ("seed", 0), ("dataset_size", 2), ("sequence_limit", 1)):
-            _checked_int(name, getattr(self, name), low)
+            check_int(name, getattr(self, name), low)
         for name in ("eval_points", "samples_override"):
             if getattr(self, name) is not None:
-                _checked_int(name, getattr(self, name), 1)
+                check_int(name, getattr(self, name), 1)
         if self.seed >= 2**64:
             raise ParameterError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.mode not in MODES:
@@ -120,15 +119,15 @@ class ExperimentConfig:
             raise ParameterError(f"concentration must be positive, got {self.concentration}")
         if self.cluster_separation < 0 or self.noise_scale <= 0 or self.planted_norm <= 0:
             raise ParameterError("cluster_separation must be >= 0; noise_scale, planted_norm > 0")
-        if self.coreset_strategy not in CORESET_STRATEGIES:
-            raise ParameterError(f"unknown coreset strategy {self.coreset_strategy!r}")
+        if self.coreset_strategy not in ("uniform", "sensitivity"):
+            raise ParameterError(f"unknown coreset_strategy {self.coreset_strategy!r}")
         for name in ("coreset_sizes", "knn_sizes", "subset_sizes"):
             sizes = getattr(self, name)
             if sizes is None:
                 continue
             if not isinstance(sizes, (list, tuple)) or not sizes:
                 raise ParameterError(f"{name} must be a non-empty list of integers, got {sizes!r}")
-            object.__setattr__(self, name, tuple(_checked_int(f"{name} entries", v, 1) for v in sizes))
+            object.__setattr__(self, name, tuple(check_int(f"{name} entries", v, 1) for v in sizes))
 
     def resolved_eval_points(self) -> int:
         if self.eval_points is not None:
@@ -145,18 +144,10 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         data = dict(data)
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-        if "params" not in data:
-            raise ParameterError("config is missing the 'params' section")
-        data["params"] = BoundParams(**dict(data["params"]))
-        if "eta" in data and not isinstance(data["eta"], EtaModel):
-            data["eta"] = EtaModel(**dict(data["eta"]))
-        if "train" in data and not isinstance(data["train"], TrainConfig):
-            data["train"] = TrainConfig(**dict(data["train"]))
-        return cls(**data)
+        for name, section in (("params", BoundParams), ("eta", EtaModel), ("train", TrainConfig)):
+            if name in data and not isinstance(data[name], section):
+                data[name] = from_object(section, data[name], f"config section '{name}'")
+        return from_object(cls, data, "config")
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
@@ -168,13 +159,6 @@ class ExperimentConfig:
         if not isinstance(payload, dict):
             raise ParameterError(f"config file {path} must contain a JSON object")
         return cls.from_dict(payload)
-
-
-def _checked_int(name: str, value, low: int) -> int:
-    """``value`` as an int; anything but an integer >= ``low`` is rejected, bools included."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
-    return int(value)
 
 
 def max_workers() -> int:
@@ -380,6 +364,8 @@ def run_coreset_experiment(cfg: ExperimentConfig) -> BoundReport:
         data, _ = cluster_dataset(
             cfg.dataset_size, p.input_dim, cfg.cluster_separation, cfg.noise_scale, rng
         )
+        # The pilot fit behind the scores draws nothing from rng.
+        weights = sensitivity_scores(data) if cfg.coreset_strategy == "sensitivity" else None
         full_model = train_logistic(data, cfg.train)
         eval_cloud, _ = cluster_dataset(
             eval_draws, p.input_dim, cfg.cluster_separation, cfg.noise_scale, rng
@@ -387,7 +373,7 @@ def run_coreset_experiment(cfg: ExperimentConfig) -> BoundReport:
         eval_points = np.vstack([eval_cloud.features, data.features])
         full_probs = predict_probs(full_model, eval_points)
         for size in sizes:
-            core = select_coreset(data, size, cfg.coreset_strategy, rng)
+            core = select_coreset(data, size, weights, rng)
             try:
                 local_model = train_logistic(core, cfg.train)
             except DivergenceError as exc:

@@ -1,28 +1,16 @@
-"""Prompt assembly and hashed bag-of-tokens example retrieval.
+"""Prompt assembly.
 
 Prompts are built by concatenating example pairs and the query with a
 separator:  ``x_1 y_1 [SEP] x_2 y_2 [SEP] ... x_N y_N [SEP] query``.
-Retrieval embeds texts as L2-normalized hashed token counts (FNV-1a 64-bit,
-bucketed mod the embedding dimension) and ranks by cosine similarity, which
-is deterministic across runs and platforms.
 """
 
 from __future__ import annotations
 
-import re
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import ParameterError
-
-TOKEN_PATTERN = re.compile(r"\w+")
-FNV64_OFFSET = 0xCBF29CE484222325
-FNV64_PRIME = 0x100000001B3
-MIN_EMBED_DIM = 8
-DEFAULT_EMBED_DIM = 256
 
 
 class SeparatorCollisionWarning(UserWarning):
@@ -37,6 +25,9 @@ class ExamplePair:
     output_text: str
 
     def __post_init__(self):
+        for text in (self.input_text, self.output_text):
+            if not isinstance(text, str):
+                raise ParameterError(f"example texts must be strings, got {text!r}")
         if not self.input_text:
             raise ParameterError("example input text must be non-empty")
 
@@ -48,8 +39,10 @@ class PromptConfig:
     trailing_separator_before_query: bool = True
 
     def __post_init__(self):
-        if not self.separator:
-            raise ParameterError("separator must be non-empty")
+        if not isinstance(self.separator, str) or not self.separator:
+            raise ParameterError(f"separator must be a non-empty string, got {self.separator!r}")
+        if not isinstance(self.pair_joiner, str):
+            raise ParameterError(f"pair_joiner must be a string, got {self.pair_joiner!r}")
 
 
 def build_prompt(
@@ -62,8 +55,8 @@ def build_prompt(
     inside the texts; a separator collision is allowed but warned about, since
     it makes example boundaries ambiguous to the consumer.
     """
-    if not query:
-        raise ParameterError("query must be non-empty")
+    if not isinstance(query, str) or not query:
+        raise ParameterError(f"query must be a non-empty string, got {query!r}")
     texts = [t for pair in pairs for t in (pair.input_text, pair.output_text)] + [query]
     if any(config.separator in text for text in texts):
         warnings.warn(
@@ -79,61 +72,3 @@ def build_prompt(
         parts.pop()
     parts.append(query)
     return config.pair_joiner.join(parts)
-
-
-def fnv1a_64(data: bytes) -> int:
-    """FNV-1a 64-bit hash; fixed here so embeddings never vary across platforms."""
-    value = FNV64_OFFSET
-    for byte in data:
-        value ^= byte
-        value = (value * FNV64_PRIME) & 0xFFFFFFFFFFFFFFFF
-    return value
-
-
-def embed_text(text: str, dim: int = DEFAULT_EMBED_DIM) -> np.ndarray:
-    """Hashed bag-of-tokens embedding, L2-normalized.
-
-    Case-folded ``\\w+`` tokens are each hashed to one of ``dim`` buckets;
-    the bucket-count vector is normalized to unit length.
-    """
-    if dim < MIN_EMBED_DIM:
-        raise ParameterError(f"embedding dimension must be >= {MIN_EMBED_DIM}, got {dim}")
-    tokens = TOKEN_PATTERN.findall(text.lower())
-    if not tokens:
-        raise ParameterError(f"text {text!r} has no tokens to embed")
-    counts = np.zeros(dim)
-    for token in tokens:
-        counts[fnv1a_64(token.encode("utf-8")) % dim] += 1.0
-    return counts / np.linalg.norm(counts)
-
-
-def cosine_similarity(a, b) -> float:
-    """dot(a, b) / (||a|| ||b||), clipped into [-1, 1] against rounding."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise ParameterError(f"vectors must share one dimension, got {a.shape} and {b.shape}")
-    norm_a = np.linalg.norm(a)
-    norm_b = np.linalg.norm(b)
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise ParameterError("cosine similarity is undefined for zero vectors")
-    return float(np.clip((a @ b) / (norm_a * norm_b), -1.0, 1.0))
-
-
-def similarity_select(
-    pairs: Sequence[ExamplePair], query: str, k: int, dim: int = DEFAULT_EMBED_DIM
-) -> list[ExamplePair]:
-    """The ``k`` pairs whose inputs are most cosine-similar to the query.
-
-    Selection ties break by original index (lowest wins).  The result is
-    ordered by ascending similarity so the most similar example sits last,
-    right next to the query once the prompt is built.
-    """
-    pairs = list(pairs)
-    if not 1 <= k <= len(pairs):
-        raise ParameterError(f"k must be in [1, {len(pairs)}], got {k}")
-    query_vec = embed_text(query, dim)
-    sims = [cosine_similarity(embed_text(p.input_text, dim), query_vec) for p in pairs]
-    chosen = sorted(range(len(pairs)), key=lambda i: (-sims[i], i))[:k]
-    ordered = sorted(chosen, key=lambda i: (sims[i], i))
-    return [pairs[i] for i in ordered]

@@ -19,6 +19,7 @@ from icl_lab import (
     predict_probs,
     run_knn_experiment,
     select_coreset,
+    sensitivity_scores,
     sigmoid,
     train_logistic,
 )
@@ -168,28 +169,25 @@ class TestSelectCoreset:
         )
 
     def test_full_size_returns_dataset(self):
-        for strategy in ("uniform", "sensitivity"):
-            out = select_coreset(self.data, 30, strategy, np.random.default_rng(0))
+        for weights in (None, sensitivity_scores(self.data)):
+            out = select_coreset(self.data, 30, weights, np.random.default_rng(0))
             assert np.array_equal(out.features, self.data.features)
             assert np.array_equal(out.labels, self.data.labels)
 
     def test_singleton_reproducible(self):
-        a = select_coreset(self.data, 1, "uniform", np.random.default_rng(9))
-        b = select_coreset(self.data, 1, "uniform", np.random.default_rng(9))
+        a = select_coreset(self.data, 1, None, np.random.default_rng(9))
+        b = select_coreset(self.data, 1, None, np.random.default_rng(9))
         assert np.array_equal(a.features, b.features)
 
     def test_sensitivity_deterministic_given_seed(self):
-        a = select_coreset(self.data, 10, "sensitivity", np.random.default_rng(4))
-        b = select_coreset(self.data, 10, "sensitivity", np.random.default_rng(4))
+        weights = sensitivity_scores(self.data)
+        a = select_coreset(self.data, 10, weights, np.random.default_rng(4))
+        b = select_coreset(self.data, 10, weights, np.random.default_rng(4))
         assert np.array_equal(a.features, b.features)
 
     def test_oversized_rejected(self):
         with pytest.raises(ParameterError):
-            select_coreset(self.data, 31, "uniform", np.random.default_rng(0))
-
-    def test_unknown_strategy(self):
-        with pytest.raises(ParameterError):
-            select_coreset(self.data, 5, "grid", np.random.default_rng(0))
+            select_coreset(self.data, 31, None, np.random.default_rng(0))
 
 
 class TestKnnSelect:

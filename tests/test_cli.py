@@ -21,7 +21,58 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# The six README `bounds calc` examples and their stdout, byte for byte.
+README_BOUNDS_CALCS = [
+    (
+        "--kind textgen --V 50000 --m 100 --epsilon 0.1 --delta 0.01 --mode bigo --constant 1",
+        '{\n  "formula": "n = ceil(1 * (V/eps^2) * ln(m/delta)); V=50000, m=100, eps=0.1, '
+        'delta=0.01 (natural log)",\n  "kind": "textgen",\n  "mode": "big_o",\n'
+        '  "per_context": 46051702,\n  "total": 4605170200\n}\n',
+    ),
+    (
+        "--kind textgen --V 20 --m 10 --epsilon 0.2 --delta 0.05 --mode exact",
+        '{\n  "formula": "n = ceil((V^2/(2*eps^2)) * ln(2*V*m/delta)); V=20, m=10, eps=0.2, '
+        'delta=0.05 (natural log; constants fixed by the union-bound derivation)",\n'
+        '  "kind": "textgen",\n  "mode": "exact",\n  "per_context": 44936,\n'
+        '  "total": 449360\n}\n',
+    ),
+    (
+        "--kind knn --epsilon 0.1 --delta 0.01",
+        '{\n  "formula": "k = ceil(1 * (1/eps^2) * ln(1/delta)) (natural log)",\n'
+        '  "kind": "knn",\n  "size": 461\n}\n',
+    ),
+    (
+        "--kind coreset --d 10 --epsilon 0.1",
+        '{\n  "formula": "size = ceil(1 * d/eps); d=10",\n  "kind": "coreset",\n'
+        '  "size": 100\n}\n',
+    ),
+    (
+        "--kind bounded_textgen --V 5 --l 2 --epsilon 0.2 --delta 0.05",
+        '{\n  "formula": "k = ceil(1 * (l*ln(V)/eps^2) * ln(1/delta)); V=5, l=2 (natural log)",\n'
+        '  "kind": "bounded_textgen",\n  "size": 242\n}\n',
+    ),
+    (
+        "--kind subset_penalty --size 100",
+        '{\n  "formula": "penalty = 1 / sqrt(size); size=100",\n  "kind": "subset_penalty",\n'
+        '  "penalty": 0.1,\n  "subset_size": 100\n}\n',
+    ),
+]
+
+
 class TestBoundsCalc:
+    @pytest.mark.parametrize("flags, stdout", README_BOUNDS_CALCS)
+    def test_readme_example_stdout(self, capsys, flags, stdout):
+        assert run_cli(capsys, "bounds", "calc", *flags.split()) == (0, stdout, "")
+
+    @pytest.mark.parametrize("constant", ["nan", "inf"])
+    def test_non_finite_penalty_constant_is_parameter_error(self, capsys, constant):
+        code, out, err = run_cli(
+            capsys, "bounds", "calc", "--kind", "subset_penalty", "--size", "100",
+            "--constant", constant,
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: constant")
+
     def test_textgen_worked_example(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -169,6 +220,10 @@ class TestVerify:
             ("cluster_separation", "1.5"),
             ("noise_scale", None),
             ("planted_norm", float("inf")),
+            ("coreset_strategy", "grid"),
+            ("params", [1, 2]),
+            ("train", 5),
+            ("eta", "none"),
         ],
     )
     def test_non_integer_config_value_is_parameter_error(
@@ -195,6 +250,12 @@ class TestVerify:
             ("train", "l2_reg", True),
             ("eta", "eta", "0.1"),
             ("params", "vocab_size", 1),
+            ("params", "num_contexts", True),
+            ("params", "input_dim", True),
+            ("train", "max_iters", True),
+            ("params", "foo", 1),
+            ("train", "lr", 1),
+            ("eta", "scale", 0.1),
         ],
     )
     def test_bad_nested_config_value_is_parameter_error(
@@ -275,6 +336,24 @@ class TestPromptBuild:
         code, _, err = run_cli(capsys, "prompt", "build", "--pairs", str(path))
         assert code == 1
         assert "--query" in err
+
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"pairs": [["a", "b", "c"]]},
+            {"pairs": [{"output": "b"}]},
+            {"pairs": [["a", "b"]], "config": {"sep": "|"}},
+            {"pairs": [[1, "b"]]},
+            {"pairs": 5},
+        ],
+    )
+    def test_malformed_pairs_file_is_parameter_error(self, capsys, tmp_path, payload):
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps(dict(payload, query="q")))
+        code, out, err = run_cli(capsys, "prompt", "build", "--pairs", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestUsageErrors:

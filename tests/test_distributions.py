@@ -8,11 +8,10 @@ from icl_lab import (
     ParameterError,
     Vocabulary,
     empirical_distribution,
+    icl_counts_dist,
     l1_distance,
     random_distribution,
     sample_counts,
-    sample_tokens,
-    tv_distance,
 )
 
 
@@ -43,10 +42,6 @@ class TestL1Distance:
     def test_dimension_mismatch(self):
         with pytest.raises(ParameterError):
             l1_distance(dist(1, 0), dist(1, 0, 0))
-
-    def test_tv_is_half_l1(self):
-        p, q = dist(0.5, 0.5), dist(0.75, 0.25)
-        assert tv_distance(p, q) == pytest.approx(l1_distance(p, q) / 2)
 
     @settings(max_examples=200)
     @given(dist_pairs())
@@ -114,44 +109,6 @@ class TestEmpiricalDistribution:
             empirical_distribution([0, 3], Vocabulary.of_size(3))
 
 
-class TestSampleTokens:
-    def test_point_mass_samples(self):
-        p = CategoricalDistribution.point_mass(3, 5)
-        out = sample_tokens(p, 5, np.random.default_rng(0))
-        assert list(out) == [3, 3, 3, 3, 3]
-
-    def test_deterministic_given_seed(self):
-        p = dist(0.5, 0.5)
-        a = sample_tokens(p, 4, np.random.default_rng(42))
-        b = sample_tokens(p, 4, np.random.default_rng(42))
-        assert np.array_equal(a, b)
-
-    def test_law_of_large_numbers(self):
-        # n = 10^4 draws from [0.9, 0.1]: the empirical estimate lands well
-        # inside L1 0.05 (binomial sd of the first coordinate is 0.003).
-        p = dist(0.9, 0.1)
-        out = sample_tokens(p, 10_000, np.random.default_rng(7))
-        estimate = empirical_distribution(out, Vocabulary.of_size(2))
-        assert l1_distance(estimate, p) < 0.05
-
-    def test_rejects_non_positive_count(self):
-        with pytest.raises(ParameterError):
-            sample_tokens(dist(0.5, 0.5), 0, np.random.default_rng(0))
-
-    def test_convergence_is_monotone_in_median(self):
-        p = dist(0.35, 0.25, 0.2, 0.2)
-        vocab = Vocabulary.of_size(4)
-        medians = []
-        for n in (100, 1_000, 10_000):
-            errs = [
-                l1_distance(empirical_distribution(
-                    sample_tokens(p, n, np.random.default_rng(seed)), vocab), p)
-                for seed in range(100)
-            ]
-            medians.append(np.median(errs))
-        assert medians[0] > medians[1] > medians[2]
-
-
 class TestSampleCounts:
     # Each test covers both sampler paths: multinomial (n >= V) and sorted
     # uniforms placed on the CDF (n < V).
@@ -194,6 +151,17 @@ class TestSampleCounts:
             out = sample_counts(p, n, np.random.default_rng(seed))
             assert out.shape == (13,) and out.sum() == n
             assert not out[zeros].any()
+
+    def test_convergence_is_monotone_in_median(self):
+        p = dist(0.35, 0.25, 0.2, 0.2)
+        medians = []
+        for n in (100, 1_000, 10_000):
+            errs = [
+                l1_distance(icl_counts_dist(sample_counts(p, n, np.random.default_rng(seed))), p)
+                for seed in range(100)
+            ]
+            medians.append(np.median(errs))
+        assert medians[0] > medians[1] > medians[2]
 
 
 class TestRandomDistribution:

@@ -1,6 +1,3 @@
-import math
-
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,10 +8,6 @@ from icl_lab import (
     PromptConfig,
     SeparatorCollisionWarning,
     build_prompt,
-    cosine_similarity,
-    embed_text,
-    fnv1a_64,
-    similarity_select,
 )
 
 SENTIMENT_PAIRS = [
@@ -84,105 +77,6 @@ def test_build_prompt_round_trip_property(raw_pairs, query):
     assert chunks[-1] == query
     parsed = [tuple(chunk.split(" ")) for chunk in chunks[:-1]]
     assert parsed == [(p.input_text, p.output_text) for p in pairs]
-
-
-class TestCosineSimilarity:
-    def test_identical(self):
-        v = np.array([1.0, 2.0, 3.0])
-        assert cosine_similarity(v, v) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert cosine_similarity([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
-
-    def test_opposite(self):
-        assert cosine_similarity([1.0, -2.0], [-1.0, 2.0]) == pytest.approx(-1.0)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ParameterError):
-            cosine_similarity([0.0, 0.0], [1.0, 0.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ParameterError):
-            cosine_similarity([1.0], [1.0, 0.0])
-
-
-class TestFnv1a:
-    def test_reference_vectors(self):
-        # Standard FNV-1a 64-bit test vectors.
-        assert fnv1a_64(b"") == 0xCBF29CE484222325
-        assert fnv1a_64(b"a") == 0xAF63DC4C8601EC8C
-
-    def test_stable_across_calls(self):
-        assert fnv1a_64(b"token") == fnv1a_64(b"token")
-
-
-class TestEmbedText:
-    def test_identical_strings_identical_vectors(self):
-        a = embed_text("the quick brown fox", 64)
-        b = embed_text("the quick brown fox", 64)
-        assert np.array_equal(a, b)
-        assert cosine_similarity(a, b) == pytest.approx(1.0)
-
-    def test_disjoint_tokens_orthogonal(self):
-        dim = 512
-        left, right = "alpha beta", "gamma delta"
-        buckets = lambda text: {fnv1a_64(t.encode()) % dim for t in text.split()}
-        assert not buckets(left) & buckets(right)
-        assert cosine_similarity(embed_text(left, dim), embed_text(right, dim)) == 0.0
-
-    def test_count_weighting(self):
-        # "a a b" has bucket counts (2, 1), "a b" has (1, 1):
-        # cosine = 3 / sqrt(5 * 2).
-        sim = cosine_similarity(embed_text("a a b", 256), embed_text("a b", 256))
-        assert sim == pytest.approx(3 / math.sqrt(10))
-
-    def test_unit_norm(self):
-        assert np.linalg.norm(embed_text("some words here", 64)) == pytest.approx(1.0)
-
-    def test_case_folded(self):
-        assert np.array_equal(embed_text("Hello World", 64), embed_text("hello world", 64))
-
-    def test_empty_text_rejected(self):
-        with pytest.raises(ParameterError):
-            embed_text("  !!!  ", 64)
-
-    def test_small_dim_rejected(self):
-        with pytest.raises(ParameterError):
-            embed_text("words", 4)
-
-
-class TestSimilaritySelect:
-    def test_exact_match_is_last(self):
-        pairs = [
-            ExamplePair("completely different words", "a"),
-            ExamplePair("query text here", "b"),
-            ExamplePair("unrelated stuff entirely", "c"),
-        ]
-        out = similarity_select(pairs, "query text here", 2)
-        assert out[-1].output_text == "b"
-
-    def test_k_equals_all_is_permutation(self):
-        pairs = [ExamplePair(f"token{i} filler", str(i)) for i in range(5)]
-        out = similarity_select(pairs, "token0 filler", 5)
-        assert sorted(p.output_text for p in out) == [str(i) for i in range(5)]
-
-    def test_tie_preserves_original_order(self):
-        pairs = [ExamplePair("same words", str(i)) for i in range(4)]
-        out = similarity_select(pairs, "other thing", 3)
-        assert [p.output_text for p in out] == ["0", "1", "2"]
-
-    def test_stable_under_duplicating_unselected(self):
-        pairs = [
-            ExamplePair("red green blue", "match"),
-            ExamplePair("nothing shared", "miss"),
-        ]
-        base = similarity_select(pairs, "red green", 1)
-        padded = similarity_select(pairs + [pairs[1]] * 3, "red green", 1)
-        assert base == padded
-
-    def test_oversized_k_rejected(self):
-        with pytest.raises(ParameterError):
-            similarity_select(SENTIMENT_PAIRS, "query", 3)
 
 
 def test_example_pair_requires_input():
