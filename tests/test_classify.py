@@ -189,6 +189,12 @@ class TestSelectCoreset:
         with pytest.raises(ParameterError):
             select_coreset(self.data, 31, None, np.random.default_rng(0))
 
+    def test_unknown_strategy(self, tiny_config):
+        # The strategy picks select_coreset's weights; the config rejects
+        # a name that maps to none.
+        with pytest.raises(ParameterError, match="coreset_strategy"):
+            tiny_config("coreset", coreset_strategy="grid")
+
 
 class TestKnnSelect:
     def test_two_nearest(self):
