@@ -5,6 +5,8 @@ labels mapped {0,1} -> {-1,+1}, plus an optional ridge ``l2_reg/2 * ||w||^2``
 (never on the bias), by damped Newton: each iteration solves the (d+1)x(d+1)
 Hessian system and halves the step from 1 until the Armijo condition holds,
 so accepted losses never increase and convergence near the optimum is quadratic.
+:func:`fit_logistic_stack` runs a stack of same-shaped fits at once, each
+exactly as it would run alone; :func:`train_logistic` is a stack of one.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .errors import DivergenceError, ParameterError, check_int, check_real
 # Damped-Newton line search: steps 1, 1/2, ..., 2**-40; Armijo sufficient-decrease share.
 _STEP_SIZES = [0.5**i for i in range(41)]
 _ARMIJO = 1e-4
+_EPS = float(np.finfo(float).eps)
 
 
 def sigmoid(z):
@@ -111,20 +114,45 @@ class TrainConfig:
             raise ParameterError(f"l2_reg must be non-negative, got {self.l2_reg}")
 
 
-def _problem(data: LabeledDataset, l2_reg: float):
-    """Design matrix with a ones column (``theta = (w, b)``), signs, ridge per entry of theta."""
-    X = np.column_stack([data.features, np.ones(data.num_points)])
-    return X, 2.0 * data.labels - 1.0, np.append(np.full(data.dim, float(l2_reg)), 0.0)
+def _signed_design(features, labels) -> np.ndarray:
+    """``s_i (x_i, 1)`` per point, labels mapped {0,1} -> s in {-1,+1}.
+
+    Margins ``s_i (w.x_i + b)`` are then ``Z @ theta`` with ``theta = (w, b)``;
+    ``features`` and ``labels`` may be stacks, (..., N, d) and (..., N).
+    """
+    features = np.asarray(features, dtype=float)
+    signs = 2.0 * np.asarray(labels) - 1.0
+    Z = np.empty(features.shape[:-1] + (features.shape[-1] + 1,))
+    np.multiply(features, signs[..., None], out=Z[..., :-1])
+    Z[..., -1] = signs
+    return Z
 
 
-def _loss(X: np.ndarray, signs: np.ndarray, ridge: np.ndarray, theta: np.ndarray) -> float:
-    return float(np.logaddexp(0.0, -signs * (X @ theta)).mean() + 0.5 * (ridge * theta) @ theta)
+def _ridge(dim: int, l2_reg: float) -> np.ndarray:
+    """Ridge weight of each entry of theta; the bias is never penalized."""
+    ridge = np.full(dim + 1, float(l2_reg))
+    ridge[-1] = 0.0
+    return ridge
 
 
-def _gradient(X: np.ndarray, signs: np.ndarray, ridge: np.ndarray, theta: np.ndarray):
-    """Gradient of :func:`_loss` and each point's probability of the other label."""
-    wrong = sigmoid(-signs * (X @ theta))
-    return X.T @ (-signs * wrong) / X.shape[0] + ridge * theta, wrong
+def _loss(margins: np.ndarray, e: np.ndarray, half_ridge: np.ndarray, thetas: np.ndarray):
+    """Loss of every fit in a stack from its margins and ``e = exp(-|margins|)``."""
+    data_term = np.add.reduce(np.log1p(e) - np.minimum(margins, 0.0), axis=1) / margins.shape[1]
+    return data_term + np.add.reduce(half_ridge * thetas * thetas, axis=1)
+
+
+def _gradient(Z, margins, e, ridge, thetas):
+    """Gradient of :func:`_loss` per fit and each point's probability of the other label."""
+    wrong = np.where(margins > 0, e, 1.0) / (1.0 + e)  # sigmoid(-margins), from the same e
+    return (wrong[:, None, :] @ Z)[:, 0] / -Z.shape[1] + ridge * thetas, wrong
+
+
+def _stack_of_one(model: LinearModel, data: LabeledDataset, l2_reg: float):
+    """:func:`_gradient`'s inputs for one model: design, margins, their e, ridge, theta."""
+    Z = _signed_design(data.features[None], data.labels[None])
+    theta = np.append(model.weights, model.bias)[None]
+    margins = (Z @ theta[:, :, None])[..., 0]
+    return Z, margins, np.exp(-np.abs(margins)), _ridge(data.dim, l2_reg), theta
 
 
 def logistic_loss(model: LinearModel, data: LabeledDataset, l2_reg: float = 0.0) -> float:
@@ -132,54 +160,126 @@ def logistic_loss(model: LinearModel, data: LabeledDataset, l2_reg: float = 0.0)
     _check_dim(model, data.dim)
     # Overflow to inf is legitimate here; the trainer detects and handles it.
     with np.errstate(over="ignore", invalid="ignore"):
-        return _loss(*_problem(data, l2_reg), np.append(model.weights, model.bias))
+        _, margins, e, ridge, theta = _stack_of_one(model, data, l2_reg)
+        return float(_loss(margins, e, 0.5 * ridge, theta)[0])
 
 
 def logistic_gradient(model: LinearModel, data: LabeledDataset, l2_reg: float = 0.0):
     """Analytic gradient of :func:`logistic_loss` w.r.t. (weights, bias)."""
     _check_dim(model, data.dim)
     with np.errstate(over="ignore", invalid="ignore"):
-        grad, _ = _gradient(*_problem(data, l2_reg), np.append(model.weights, model.bias))
-    return grad[:-1], float(grad[-1])
+        grad, _ = _gradient(*_stack_of_one(model, data, l2_reg))
+    return grad[0, :-1], float(grad[0, -1])
 
 
-def train_logistic(data: LabeledDataset, cfg: TrainConfig = TrainConfig()) -> LinearModel:
-    """Damped Newton from the all-zeros initialization.
+def _min_norm_directions(hessians: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """Minimum-norm solution of every system ``H x = g`` in a stack.
 
-    Stops at ``max_iters`` iterations or when the gradient norm drops below
-    ``grad_tolerance``.  Each iteration solves the Hessian system for the
-    Newton direction and halves the step from 1 until the Armijo condition
-    holds; if no step down to ``2**-40`` passes, the current iterate is
-    returned.  A non-finite Hessian, or a non-finite loss at the smallest step
-    (which a non-finite direction always gives), raises
-    :class:`DivergenceError` naming the iteration, counted from 1.
+    Eigenvalues at most ``eps * (d + 1)`` times the largest in magnitude count
+    as zero: ``lstsq``'s ``rcond=None`` cutoff, as the singular values of a
+    symmetric matrix are its eigenvalues' magnitudes.
     """
-    X, signs, ridge = _problem(data, cfg.l2_reg)
-    theta = np.zeros(data.dim + 1)
+    values, vectors = np.linalg.eigh(hessians)
+    magnitudes = np.abs(values)
+    cutoff = np.maximum.reduce(magnitudes, axis=1, keepdims=True) * (_EPS * values.shape[1])
+    inverse = 1.0 / np.where(magnitudes > cutoff, values, np.inf)
+    coords = (grads[:, None, :] @ vectors)[:, 0] * inverse
+    return (vectors @ coords[:, :, None])[..., 0]
+
+
+def fit_logistic_stack(features, labels, cfg: TrainConfig = TrainConfig()) -> np.ndarray:
+    """Damped Newton from the all-zeros initialization, on a stack of fits at once.
+
+    ``features`` is (B, N, d) and ``labels`` (B, N) in {0, 1}; row b of the
+    returned (B, d + 1) array is ``theta = (w, b)`` of fit b, exactly what that
+    fit gives in a stack of one.  A fit stops at ``max_iters`` iterations or
+    when its gradient norm drops below ``grad_tolerance``.  Each iteration
+    solves the Hessian system for the minimum-norm Newton direction and halves
+    the step from 1 until the Armijo condition holds; if no step down to
+    ``2**-40`` passes, the fit stops at its current iterate.  A stopped fit
+    leaves the stack.  A non-finite Hessian, or a non-finite loss at the
+    smallest step (which a non-finite direction always gives), raises
+    :class:`DivergenceError` naming the iteration, counted from 1.
+
+    Margins are carried from iterate to iterate: a step moves them by
+    ``Z @ direction``, computed once per iteration, and the accepted
+    candidate's ``exp(-|margin|)`` also serves the next gradient.
+    """
+    if np.ndim(features) != 3 or np.shape(labels) != np.shape(features)[:2]:
+        raise ParameterError("need (B, N, d) features and (B, N) labels")
+    Z = _signed_design(features, labels)
+    num_fits, n, size = Z.shape
+    ridge = _ridge(size - 1, cfg.l2_reg)
+    half_ridge, ridge_matrix = 0.5 * ridge, np.diag(ridge)
+    thetas = np.zeros((num_fits, size))
+    # The fits still in the stack; rows maps them to rows of thetas.
+    rows, theta = np.arange(num_fits), thetas.copy()
+    margins, e = np.zeros((num_fits, n)), np.ones((num_fits, n))
+    loss = np.full(num_fits, np.log(2.0))
     with np.errstate(over="ignore", invalid="ignore"):
-        loss = _loss(X, signs, ridge, theta)  # log(2): the features are finite
         for iteration in range(1, cfg.max_iters + 1):
-            grad, wrong = _gradient(X, signs, ridge, theta)
-            if np.linalg.norm(grad) < cfg.grad_tolerance:
-                break
-            hessian = (X.T * (wrong * (1.0 - wrong))) @ X / X.shape[0] + np.diag(ridge)
-            if not np.all(np.isfinite(hessian)):
+            grad, wrong = _gradient(Z, margins, e, ridge, theta)
+            done = np.sqrt(np.add.reduce(grad * grad, axis=1)) < cfg.grad_tolerance
+            if np.count_nonzero(done):
+                thetas[rows[done]] = theta[done]
+                keep = ~done
+                rows, Z, theta, margins, e, loss, grad, wrong = (
+                    a[keep] for a in (rows, Z, theta, margins, e, loss, grad, wrong)
+                )
+                if not rows.size:
+                    break
+            hessian = (Z.transpose(0, 2, 1) * (wrong * (1.0 - wrong))[:, None, :]) @ Z
+            hessian /= n
+            hessian += ridge_matrix
+            if np.count_nonzero(np.isfinite(hessian)) < hessian.size:
                 raise DivergenceError(iteration)
             # Minimum-norm direction: the Hessian is singular when, say, there are
             # fewer points than d + 1 and no ridge, or the fit has saturated.
-            direction = np.linalg.lstsq(hessian, grad, rcond=None)[0]
-            decrease = _ARMIJO * max(float(grad @ direction), 0.0)
+            direction = _min_norm_directions(hessian, grad)
+            decrease = _ARMIJO * np.maximum(np.add.reduce(grad * direction, axis=1), 0.0)
+            slopes = (Z @ direction[:, :, None])[..., 0]
+            pending = None  # the fits still searching; None while that is all of them
             for step in _STEP_SIZES:
-                candidate = theta - step * direction
-                new_loss = _loss(X, signs, ridge, candidate)
-                if new_loss <= loss - step * decrease:
+                if pending is None:  # the first step, 1
+                    cand_m, cand_t, target = margins - slopes, theta - direction, loss - decrease
+                else:
+                    cand_m = margins[pending] - step * slopes[pending]
+                    cand_t = theta[pending] - step * direction[pending]
+                    target = loss[pending] - step * decrease[pending]
+                cand_e = np.exp(-np.abs(cand_m))
+                cand_loss = _loss(cand_m, cand_e, half_ridge, cand_t)
+                ok = cand_loss <= target
+                if pending is None:
+                    if np.count_nonzero(ok) == ok.size:
+                        theta, margins, e, loss = cand_t, cand_m, cand_e, cand_loss
+                        break
+                    pending = np.arange(ok.size)
+                accepted = pending[ok]
+                theta[accepted], margins[accepted] = cand_t[ok], cand_m[ok]
+                e[accepted], loss[accepted] = cand_e[ok], cand_loss[ok]
+                pending = pending[~ok]
+                if not pending.size:
                     break
             else:
-                if not np.isfinite(new_loss):
+                if np.count_nonzero(np.isfinite(cand_loss[~ok])) < pending.size:
                     raise DivergenceError(iteration)
-                break
-            theta, loss = candidate, new_loss
-    return LinearModel(weights=theta[:-1], bias=float(theta[-1]))
+                # Stalled: no step decreases the loss enough.
+                thetas[rows[pending]] = theta[pending]
+                keep = np.ones(rows.size, dtype=bool)
+                keep[pending] = False
+                rows, Z, theta, margins, e, loss = (
+                    a[keep] for a in (rows, Z, theta, margins, e, loss)
+                )
+                if not rows.size:
+                    break
+    thetas[rows] = theta
+    return thetas
+
+
+def train_logistic(data: LabeledDataset, cfg: TrainConfig = TrainConfig()) -> LinearModel:
+    """:func:`fit_logistic_stack` on ``data`` alone."""
+    theta = fit_logistic_stack(data.features[None], data.labels[None], cfg)[0]
+    return LinearModel(weights=theta[:-1], bias=theta[-1])
 
 
 def _check_dim(model: LinearModel, dim: int):
@@ -241,8 +341,8 @@ def select_coreset(
     return data.subset(np.sort(idx))
 
 
-def knn_select(data: LabeledDataset, query, k: int) -> LabeledDataset:
-    """The ``k`` points nearest ``query`` in Euclidean distance, nearest first.
+def knn_order(data: LabeledDataset, query, k: int) -> np.ndarray:
+    """Indices of the ``k`` points nearest ``query`` in Euclidean distance, nearest first.
 
     Exact distance ties are broken by dataset index, lowest first.
     """
@@ -252,6 +352,10 @@ def knn_select(data: LabeledDataset, query, k: int) -> LabeledDataset:
     if not 1 <= k <= data.num_points:
         raise ParameterError(f"k must be in [1, {data.num_points}], got {k}")
     sq_dists = ((data.features - query) ** 2).sum(axis=1)
-    order = np.argsort(sq_dists, kind="stable")
-    return data.subset(order[:k])
+    return np.argsort(sq_dists, kind="stable")[:k]
+
+
+def knn_select(data: LabeledDataset, query, k: int) -> LabeledDataset:
+    """The points :func:`knn_order` picks, in its order."""
+    return data.subset(knn_order(data, query, k))
 

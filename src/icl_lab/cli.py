@@ -31,7 +31,7 @@ from .bounds import (
     subset_penalty,
     textgen_samples_per_context,
 )
-from .errors import ParameterError, from_object
+from .errors import ParameterError, check_keys, from_object
 from .experiments import KINDS, ExperimentConfig, run_experiment
 from .prompts import ExamplePair, PromptConfig, build_prompt
 
@@ -174,9 +174,11 @@ def _load_pairs_file(path: str) -> tuple[list[ExamplePair], str | None, dict]:
             raise ParameterError(f"pairs file {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or not isinstance(payload.get("pairs"), list):
         raise ParameterError(f"pairs file {path} must be a JSON object with a 'pairs' list")
+    check_keys(payload, {"pairs", "query", "config"}, f"pairs file {path}")
     pairs = []
     for entry in payload["pairs"]:
         if isinstance(entry, dict) and {"input", "output"} <= entry.keys():
+            check_keys(entry, {"input", "output"}, "a pair object")
             entry = [entry["input"], entry["output"]]
         if not isinstance(entry, list) or len(entry) != 2:
             raise ParameterError(

@@ -30,6 +30,13 @@ def check_int(name: str, value, low: int) -> int:
     return int(value)
 
 
+def check_keys(value: dict, known, where: str) -> None:
+    """Reject any key of the JSON object ``value`` outside ``known``, naming ``where``."""
+    unknown = set(value) - set(known)
+    if unknown:
+        raise ParameterError(f"{where} has unknown keys {sorted(unknown)}")
+
+
 def from_object(cls, value, where: str):
     """The dataclass ``cls`` built from the JSON object ``value``.
 
@@ -39,9 +46,7 @@ def from_object(cls, value, where: str):
     if not isinstance(value, dict):
         raise ParameterError(f"{where} must be a JSON object, got {value!r}")
     fields = dataclasses.fields(cls)
-    unknown = set(value) - {f.name for f in fields}
-    if unknown:
-        raise ParameterError(f"{where} has unknown keys {sorted(unknown)}")
+    check_keys(value, {f.name for f in fields}, where)
     missing = [
         f.name
         for f in fields

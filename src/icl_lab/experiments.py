@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -43,7 +44,8 @@ from .classify import (
     LabeledDataset,
     LinearModel,
     TrainConfig,
-    knn_select,
+    fit_logistic_stack,
+    knn_order,
     predict_prob,
     predict_probs,
     select_coreset,
@@ -224,7 +226,7 @@ def _run_sweep(
         grouped: dict[int, list[float]] = {}
         for row in rows:
             grouped.setdefault(row.sweep_value, []).append(row.sup_error)
-        medians = {value: float(np.median(errs)) for value, errs in sorted(grouped.items())}
+        medians = {value: _median(errs) for value, errs in sorted(grouped.items())}
         extras[medians_key] = {str(k): v for k, v in medians.items()}
         if slope:
             points = [(k, v) for k, v in medians.items() if v > 0]
@@ -239,6 +241,15 @@ def _run_sweep(
         write_json_report(report, json_path)
         write_csv_report(report, json_path.with_suffix(".csv"))
     return report
+
+
+def _median(values: list[float]) -> float:
+    """``np.median`` of ``values``, without the ``numpy.ma`` import it costs."""
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return float(ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2)
 
 
 def _within_dataset(cfg: ExperimentConfig, sizes: tuple[int, ...]) -> tuple[int, ...]:
@@ -391,6 +402,25 @@ def run_coreset_experiment(cfg: ExperimentConfig) -> BoundReport:
     return _run_sweep(cfg, measure, extras, sizes, medians_key="median_sup_error_by_size")
 
 
+# Largest design tensor, (fits, k, d + 1) float64, that one stacked knn fit holds.
+STACK_BYTES = 256 * 1024
+
+
+def _fit_neighbourhoods(data: LabeledDataset, neighbours: np.ndarray, train: TrainConfig):
+    """One logistic model per row of the (queries, k) index array ``neighbours``.
+
+    The fits run as stacks of at most :data:`STACK_BYTES` of design tensor.
+    """
+    num, k = neighbours.shape
+    per_stack = max(1, STACK_BYTES // (8 * k * (data.dim + 1)))
+    models = []
+    for start in range(0, num, per_stack):
+        idx = neighbours[start : start + per_stack]
+        thetas = fit_logistic_stack(data.features[idx], data.labels[idx], train)
+        models += [LinearModel(t[:-1], t[-1]) for t in thetas]
+    return models
+
+
 def run_knn_experiment(cfg: ExperimentConfig) -> BoundReport:
     """Per-query local models on k nearest neighbors, compared to the planted
     model; sweeps k and fits the error-decay slope."""
@@ -405,18 +435,18 @@ def run_knn_experiment(cfg: ExperimentConfig) -> BoundReport:
         )
         queries = rng.standard_normal((queries_per_trial, p.input_dim))
         truth = predict_probs(planted, queries)
-        errors = np.zeros((len(ks), queries_per_trial))
-        single = np.zeros((len(ks), queries_per_trial), dtype=bool)
-        for q, query in enumerate(queries):
-            # Neighbours come nearest first, so each k takes a prefix of one sort.
-            ranked = knn_select(data, query, max(ks))
-            for j, k in enumerate(ks):
-                neighborhood = LabeledDataset(ranked.features[:k], ranked.labels[:k])
-                single[j, q] = neighborhood.is_single_class()
-                prob = predict_prob(train_logistic(neighborhood, cfg.train), query)
-                errors[j, q] = abs(mix_probability(prob, cfg.eta) - truth[q])
-        for worst, degenerate in zip(errors.max(axis=1), single.sum(axis=1)):
-            yield float(worst), f"{degenerate} single-class neighborhoods" if degenerate else ""
+        # Neighbours come nearest first, so each k fits prefixes of one ranking per query.
+        ranked = np.stack([knn_order(data, query, max(ks)) for query in queries])
+        for k in ks:
+            models = _fit_neighbourhoods(data, ranked[:, :k], cfg.train)
+            errors = (
+                abs(mix_probability(predict_prob(model, query), cfg.eta) - t)
+                for model, query, t in zip(models, queries, truth)
+            )
+            labels = data.labels[ranked[:, :k]]
+            degenerate = int(np.count_nonzero(np.all(labels == labels[:, :1], axis=1)))
+            detail = f"{degenerate} single-class neighborhoods" if degenerate else ""
+            yield float(max(errors)), detail
 
     extras = {"k_values": list(ks), "queries_per_trial": queries_per_trial}
     return _run_sweep(cfg, measure, extras, ks, medians_key="median_sup_error_by_k", slope=True)

@@ -43,6 +43,11 @@ class PromptConfig:
             raise ParameterError(f"separator must be a non-empty string, got {self.separator!r}")
         if not isinstance(self.pair_joiner, str):
             raise ParameterError(f"pair_joiner must be a string, got {self.pair_joiner!r}")
+        if not isinstance(self.trailing_separator_before_query, bool):
+            raise ParameterError(
+                "trailing_separator_before_query must be true or false, "
+                f"got {self.trailing_separator_before_query!r}"
+            )
 
 
 def build_prompt(

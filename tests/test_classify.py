@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from icl_lab import experiments
+from icl_lab.classify import fit_logistic_stack
 from icl_lab import (
     BoundParams,
     DivergenceError,
@@ -87,15 +89,16 @@ class TestTrainLogistic:
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_knn_sweep_fits_reach_the_gradient_tolerance(self, monkeypatch):
-        # One trial of the criterion-6 config, every local fit recorded.
+        # One trial of the criterion-6 config, every local fit of every stack recorded.
         fits = []
 
-        def recording(data, cfg):
-            model = train_logistic(data, cfg)
-            fits.append((data, cfg, model))
-            return model
+        def recording(features, labels, cfg):
+            thetas = fit_logistic_stack(features, labels, cfg)
+            for x, y, theta in zip(features, labels, thetas):
+                fits.append((LabeledDataset(x, y), cfg, LinearModel(theta[:-1], theta[-1])))
+            return thetas
 
-        monkeypatch.setattr(experiments, "train_logistic", recording)
+        monkeypatch.setattr(experiments, "fit_logistic_stack", recording)
         run_knn_experiment(
             ExperimentConfig(
                 kind="knn",
@@ -159,6 +162,88 @@ class TestTrainLogistic:
             plus = logistic_loss(LinearModel(model.weights, model.bias + h), data, l2)
             minus = logistic_loss(LinearModel(model.weights, model.bias - h), data, l2)
             assert (plus - minus) / (2 * h) == pytest.approx(grad_b, rel=1e-5, abs=1e-8)
+
+
+class TestFitLogisticStack:
+    # Four fits of three points on a line: labels that no threshold separates,
+    # a single class, a separable pair of classes and heavy-tailed features.
+    FEATURES = np.array(
+        [
+            [[-1.0], [0.0], [1.0]],
+            [[-0.9], [-2.6], [0.5]],
+            [[-2.0], [-1.0], [2.0]],
+            [[-30.0], [0.1], [50.0]],
+        ]
+    )
+    LABELS = np.array([[1, 0, 1], [0, 0, 0], [0, 0, 1], [0, 1, 1]])
+
+    @staticmethod
+    def stop_iteration(features, labels, cfg):
+        """The number of iterations after which the lone fit's iterate no longer changes."""
+        final = fit_logistic_stack(features[None], labels[None], cfg)[0]
+        return next(
+            k
+            for k in range(cfg.max_iters + 1)
+            if np.array_equal(
+                fit_logistic_stack(
+                    features[None], labels[None], dataclasses.replace(cfg, max_iters=k)
+                )[0],
+                final,
+            )
+        )
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            # Every fit reaches the tolerance, after 3, 18, 18 and 22 iterations.
+            TrainConfig(max_iters=300, l2_reg=0.0),
+            # In iterations 4 and 43 to 61 some fits halve their step while
+            # others take step 1, and at iteration 61 no step passes the
+            # single-class fit's Armijo test: it stalls and leaves the stack.
+            TrainConfig(max_iters=300, grad_tolerance=1e-300, l2_reg=1e-3),
+            TrainConfig(max_iters=0),
+        ],
+        ids=["tolerance", "stall", "no-iterations"],
+    )
+    def test_each_row_is_its_lone_fit(self, cfg):
+        thetas = fit_logistic_stack(self.FEATURES, self.LABELS, cfg)
+        assert thetas.shape == (4, 2)
+        for features, labels, theta in zip(self.FEATURES, self.LABELS, thetas):
+            assert np.array_equal(theta, fit_logistic_stack(features[None], labels[None], cfg)[0])
+            model = train_logistic(LabeledDataset(features, labels), cfg)
+            assert np.array_equal(theta, np.append(model.weights, model.bias))
+        if cfg.max_iters == 0:
+            assert np.array_equal(thetas, np.zeros((4, 2)))
+
+    def test_members_leave_at_different_iterations(self):
+        cfg = TrainConfig(max_iters=300, l2_reg=0.0)
+        stops = [self.stop_iteration(x, y, cfg) for x, y in zip(self.FEATURES, self.LABELS)]
+        assert stops[0] <= 5 and len(set(stops)) == 3
+
+    def test_stalled_fit_stops_above_the_tolerance(self):
+        cfg = TrainConfig(max_iters=300, grad_tolerance=1e-300, l2_reg=1e-3)
+        features, labels = self.FEATURES[1], self.LABELS[1]
+        assert self.stop_iteration(features, labels, cfg) < cfg.max_iters
+        model = train_logistic(LabeledDataset(features, labels), cfg)
+        grad_w, grad_b = logistic_gradient(model, LabeledDataset(features, labels), cfg.l2_reg)
+        assert math.hypot(*grad_w, grad_b) >= cfg.grad_tolerance
+
+    def test_divergent_member_raises_its_own_iteration(self):
+        features = np.array([[[-1.0], [1.0]], [[1e12], [1e307]], [[0.5], [2.0]]])
+        labels = np.array([[0, 1], [1, 0], [1, 0]])
+        cfg = TrainConfig(max_iters=10)
+        with pytest.raises(DivergenceError) as lone:
+            fit_logistic_stack(features[1:2], labels[1:2], cfg)
+        with pytest.raises(DivergenceError) as stacked:
+            fit_logistic_stack(features, labels, cfg)
+        assert stacked.value.iteration == lone.value.iteration == 1
+        fit_logistic_stack(features[::2], labels[::2], cfg)  # the others fit
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ParameterError):
+            fit_logistic_stack(np.zeros((2, 3, 1)), np.zeros((2, 4)))
+        with pytest.raises(ParameterError):
+            fit_logistic_stack(np.zeros((3, 1)), np.zeros(3))
 
 
 class TestSelectCoreset:

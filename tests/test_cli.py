@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import icl_lab
 
 from icl_lab import BoundParams, ExperimentConfig
 from icl_lab.cli import main
@@ -302,6 +308,26 @@ class TestVerify:
             float(line.split(",")[1])
 
 
+    @pytest.mark.parametrize("kind", ["knn", "coreset", "subset_penalty"])
+    def test_sweep_run_does_not_import_numpy_ma(self, tmp_path, tiny_config, kind):
+        # np.median imports numpy.ma, about 15 ms of start-up, so the runner avoids it.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tiny_config(kind).to_dict()))
+        script = (
+            "import sys\n"
+            "from icl_lab.cli import main\n"
+            f"code = main(['verify', {kind!r}, '--config', {str(path)!r}])\n"
+            "print(code, 'numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(icl_lab.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        code, imported = done.stdout.split()[-2:]
+        assert code in ("0", "2") and imported == "False"
+
+
 class TestPromptBuild:
     def test_reference_prompt(self, capsys, tmp_path):
         path = tmp_path / "pairs.json"
@@ -354,6 +380,29 @@ class TestPromptBuild:
         code, out, err = run_cli(capsys, "prompt", "build", "--pairs", str(path))
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+    def test_non_bool_trailing_separator_is_parameter_error(self, capsys, tmp_path):
+        # "no" used to run as true and print "a b [SEP] q".
+        path = tmp_path / "pairs.json"
+        payload = {"pairs": [["a", "b"]], "query": "q"}
+        path.write_text(json.dumps(dict(payload, config={"trailing_separator_before_query": "no"})))
+        code, out, err = run_cli(capsys, "prompt", "build", "--pairs", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "trailing_separator_before_query" in err
+
+    @pytest.mark.parametrize(
+        "extra, key",
+        [({"extra": 1}, "extra"), ({}, "label")],
+    )
+    def test_unknown_pairs_file_key_is_parameter_error(self, capsys, tmp_path, extra, key):
+        # Both used to print "a b [SEP] q" and exit 0.
+        path = tmp_path / "pairs.json"
+        payload = {"pairs": [{"input": "a", "output": "b", "label": "x"}], "query": "q"}
+        path.write_text(json.dumps(dict(payload, **extra)))
+        code, out, err = run_cli(capsys, "prompt", "build", "--pairs", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and repr(key) in err
 
 
 class TestUsageErrors:

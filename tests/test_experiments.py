@@ -35,7 +35,7 @@ from icl_lab import (
     write_csv_report,
     write_json_report,
 )
-from icl_lab.experiments import KINDS, max_workers, nested_counts
+from icl_lab.experiments import KINDS, _median, max_workers, nested_counts
 
 
 def textgen_config(**overrides):
@@ -114,6 +114,31 @@ class TestReports:
         assert fit_log_log_slope(xs, ys) == pytest.approx(-1.0)
         with pytest.raises(ParameterError):
             fit_log_log_slope([1], [1])
+
+
+class TestMedian:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.3],
+            [0.5, 0.1, 0.2],
+            [0.4, 0.1],
+            [0.1 + 0.2, 0.7, 1e-300, 0.3, 0.3, 5.0],
+            [float("inf"), 0.2, 0.25, 0.1],
+            [2.0, float("inf"), 0.1],
+            [float("nan"), 0.1, 0.2],
+        ],
+    )
+    def test_equals_numpy_median(self, values):
+        expected = np.median(values)
+        assert _median(values) == expected or (np.isnan(expected) and np.isnan(_median(values)))
+        assert type(_median(values)) is float
+
+    def test_random_lists_odd_and_even(self):
+        rng = np.random.default_rng(0)
+        for size in range(1, 40):
+            values = list(rng.standard_exponential(size) * 10.0 ** rng.uniform(-8, 8))
+            assert _median(values) == np.median(values)
 
 
 class TestConfig:
