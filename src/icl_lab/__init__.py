@@ -59,7 +59,6 @@ from .oracle import (
     EtaModel,
     IclPromptSamples,
     encode_sequences,
-    icl_classify_prob,
     icl_counts_dist,
     icl_sequence_dist,
     icl_textgen_dist,

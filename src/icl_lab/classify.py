@@ -21,6 +21,7 @@ from .errors import DivergenceError, ParameterError, check_int, check_real
 _STEP_SIZES = [0.5**i for i in range(41)]
 _ARMIJO = 1e-4
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 def sigmoid(z):
@@ -196,9 +197,10 @@ def fit_logistic_stack(features, labels, cfg: TrainConfig = TrainConfig()) -> np
     when its gradient norm drops below ``grad_tolerance``.  Each iteration
     solves the Hessian system for the minimum-norm Newton direction and halves
     the step from 1 until the Armijo condition holds; if no step down to
-    ``2**-40`` passes, the fit stops at its current iterate.  A stopped fit
-    leaves the stack.  A non-finite Hessian, or a non-finite loss at the
-    smallest step (which a non-finite direction always gives), raises
+    ``2**-40`` passes, the fit stalls and stops at its current iterate.
+    Converged and stalled fits leave the stack together, at the top of the
+    next iteration.  A non-finite Hessian, or a non-finite loss at the smallest
+    step (which a non-finite direction always gives), raises
     :class:`DivergenceError` naming the iteration, counted from 1.
 
     Margins are carried from iterate to iterate: a step moves them by
@@ -215,16 +217,19 @@ def fit_logistic_stack(features, labels, cfg: TrainConfig = TrainConfig()) -> np
     # The fits still in the stack; rows maps them to rows of thetas.
     rows, theta = np.arange(num_fits), thetas.copy()
     margins, e = np.zeros((num_fits, n)), np.ones((num_fits, n))
-    loss = np.full(num_fits, np.log(2.0))
+    loss, stalled = np.full(num_fits, np.log(2.0)), np.zeros(num_fits, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for iteration in range(1, cfg.max_iters + 1):
             grad, wrong = _gradient(Z, margins, e, ridge, theta)
-            done = np.sqrt(np.add.reduce(grad * grad, axis=1)) < cfg.grad_tolerance
+            squares = np.add.reduce(grad * grad, axis=1)
+            norms, tiny = np.sqrt(squares), squares < _TINY
+            norms[tiny] = np.hypot.reduce(grad[tiny], axis=1)  # hypot rescales: no underflow
+            done = stalled | (norms < cfg.grad_tolerance)
             if np.count_nonzero(done):
                 thetas[rows[done]] = theta[done]
                 keep = ~done
-                rows, Z, theta, margins, e, loss, grad, wrong = (
-                    a[keep] for a in (rows, Z, theta, margins, e, loss, grad, wrong)
+                rows, Z, theta, margins, e, loss, stalled, grad, wrong = (
+                    a[keep] for a in (rows, Z, theta, margins, e, loss, stalled, grad, wrong)
                 )
                 if not rows.size:
                     break
@@ -263,15 +268,7 @@ def fit_logistic_stack(features, labels, cfg: TrainConfig = TrainConfig()) -> np
             else:
                 if np.count_nonzero(np.isfinite(cand_loss[~ok])) < pending.size:
                     raise DivergenceError(iteration)
-                # Stalled: no step decreases the loss enough.
-                thetas[rows[pending]] = theta[pending]
-                keep = np.ones(rows.size, dtype=bool)
-                keep[pending] = False
-                rows, Z, theta, margins, e, loss = (
-                    a[keep] for a in (rows, Z, theta, margins, e, loss)
-                )
-                if not rows.size:
-                    break
+                stalled[pending] = True  # no step decreases the loss enough
     thetas[rows] = theta
     return thetas
 

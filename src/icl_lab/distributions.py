@@ -95,7 +95,8 @@ def l1_distance(p: CategoricalDistribution, q: CategoricalDistribution) -> float
     """Sum of absolute probability differences; 0 iff p == q, at most 2."""
     if p.size != q.size:
         raise ParameterError(f"distribution sizes differ: {p.size} vs {q.size}")
-    return float(np.abs(p.probs - q.probs).sum())
+    diff = p.probs - q.probs
+    return float(np.abs(diff, out=diff).sum())  # in place: one V-sized temporary, not two
 
 
 def token_counts(samples, size: int) -> np.ndarray:

@@ -14,6 +14,9 @@ rest:
   runner gives one per swept value;
 * the per-value medians, their log-log slope and the report.
 
+The three counts kinds (textgen, bounded_textgen, subset_penalty) share
+:func:`_counts_measure`; subset_penalty is its one-context case over a size grid.
+
 Trials may execute in parallel; the ``ICL_LAB_THREADS`` environment variable
 caps the worker count (default 1).
 """
@@ -46,10 +49,10 @@ from .classify import (
     TrainConfig,
     fit_logistic_stack,
     knn_order,
-    predict_prob,
     predict_probs,
     select_coreset,
     sensitivity_scores,
+    sigmoid,
     train_logistic,
 )
 from .distributions import (
@@ -134,7 +137,7 @@ class ExperimentConfig:
     def resolved_eval_points(self) -> int:
         if self.eval_points is not None:
             return self.eval_points
-        return DEFAULT_EVAL_POINTS.get(self.kind, 1000)
+        return DEFAULT_EVAL_POINTS[self.kind]
 
     def to_dict(self) -> dict:
         raw = dataclasses.asdict(self)
@@ -267,14 +270,14 @@ def run_textgen_experiment(cfg: ExperimentConfig) -> BoundReport:
     if p.vocab_size < 2:
         raise ParameterError(f"textgen needs vocab_size >= 2, got {p.vocab_size}")
     bound = textgen_samples_per_context(p, cfg.mode)
-    per_context = cfg.samples_override or bound.per_context
+    n = cfg.samples_override or bound.per_context
     extras = {
-        "samples_per_context": per_context,
-        "total_samples_per_trial": per_context * p.num_contexts,
+        "samples_per_context": n,
+        "total_samples_per_trial": n * p.num_contexts,
         "bound_formula": bound.formula_text,
         "bound_mode": cfg.mode,
     }
-    return _run_sweep(cfg, _sup_l1_measure(cfg, p.vocab_size, per_context), extras)
+    return _run_sweep(cfg, _counts_measure(cfg, p.vocab_size, p.num_contexts, (n,)), extras)
 
 
 def run_bounded_textgen_experiment(cfg: ExperimentConfig) -> BoundReport:
@@ -288,31 +291,32 @@ def run_bounded_textgen_experiment(cfg: ExperimentConfig) -> BoundReport:
             f"sequence space {p.vocab_size}^{p.output_len} = {space} exceeds the "
             f"limit {cfg.sequence_limit}"
         )
-    samples_per_context = cfg.samples_override or bounded_textgen_size(p)
+    n = cfg.samples_override or bounded_textgen_size(p)
     extras = {
-        "samples_per_context": samples_per_context,
+        "samples_per_context": n,
         "sequence_space": space,
         "constant": p.constant,
     }
-    return _run_sweep(cfg, _sup_l1_measure(cfg, space, samples_per_context), extras)
+    return _run_sweep(cfg, _counts_measure(cfg, space, p.num_contexts, (n,)), extras)
 
 
-def _sup_l1_measure(cfg: ExperimentConfig, support: int, n: int):
-    """``measure(rng)`` of the textgen kinds: the responder's worst L1 error over
-    ``num_contexts`` random truths on ``support`` outcomes, each estimated from
-    the counts of ``n`` i.i.d. draws.
-
-    Contexts stream: context i's truth is drawn, then its counts, and it is
-    scored and dropped before context i + 1, so a trial holds O(support) memory.
+def _counts_measure(cfg: ExperimentConfig, support: int, contexts: int, sizes: tuple[int, ...]):
+    """``measure(rng)`` of the three counts kinds: per sorted size n, the worst L1
+    error over ``contexts`` random truths on ``support`` outcomes, each estimated
+    from the counts of n i.i.d. draws.  A context's errors are listed, so its
+    counts are freed before the next truth is drawn: O(support) memory.
     """
 
     def measure(rng):
-        truths = (
-            random_distribution(support, cfg.concentration, rng)
-            for _ in range(cfg.params.num_contexts)
-        )
-        errs = (l1_distance(icl_counts_dist(sample_counts(t, n, rng), cfg.eta), t) for t in truths)
-        yield max(errs), ""
+        worst = [0.0] * len(sizes)  # L1 errors are non-negative
+        for _ in range(contexts):
+            truth = random_distribution(support, cfg.concentration, rng)
+            errors = [
+                l1_distance(icl_counts_dist(c, cfg.eta), truth)
+                for c in nested_counts(truth, sizes, rng)
+            ]
+            worst = [max(w, e) for w, e in zip(worst, errors)]
+        yield from ((error, "") for error in worst)
 
     return measure
 
@@ -320,14 +324,14 @@ def _sup_l1_measure(cfg: ExperimentConfig, support: int, n: int):
 def nested_counts(dist: CategoricalDistribution, sizes, rng: np.random.Generator):
     """Yield the count vectors of nested i.i.d. samples of the sorted ``sizes``.
 
-    Each size adds a ``Multinomial(n_k - n_{k-1}, p)`` draw to the previous
-    counts, which gives the joint law of the counts of one token stream's prefixes.
+    Each size after the first adds a ``Multinomial(n_k - n_{k-1}, p)`` draw to
+    the previous counts, which gives the joint law of one token stream's prefixes.
     """
-    counts = np.zeros(dist.size, dtype=np.int64)
-    drawn = 0
+    counts, drawn = None, 0
     for n in sizes:
         if n > drawn:
-            counts = counts + sample_counts(dist, n - drawn, rng)
+            draw = sample_counts(dist, n - drawn, rng)
+            counts = draw if counts is None else counts + draw
             drawn = n
         yield counts
 
@@ -407,18 +411,17 @@ STACK_BYTES = 256 * 1024
 
 
 def _fit_neighbourhoods(data: LabeledDataset, neighbours: np.ndarray, train: TrainConfig):
-    """One logistic model per row of the (queries, k) index array ``neighbours``.
+    """The (queries, d + 1) ``theta = (w, b)`` array of one logistic fit per row
+    of the (queries, k) index array ``neighbours``.
 
     The fits run as stacks of at most :data:`STACK_BYTES` of design tensor.
     """
     num, k = neighbours.shape
     per_stack = max(1, STACK_BYTES // (8 * k * (data.dim + 1)))
-    models = []
-    for start in range(0, num, per_stack):
-        idx = neighbours[start : start + per_stack]
-        thetas = fit_logistic_stack(data.features[idx], data.labels[idx], train)
-        models += [LinearModel(t[:-1], t[-1]) for t in thetas]
-    return models
+    stacks = (neighbours[i : i + per_stack] for i in range(0, num, per_stack))
+    return np.concatenate(
+        [fit_logistic_stack(data.features[s], data.labels[s], train) for s in stacks]
+    )
 
 
 def run_knn_experiment(cfg: ExperimentConfig) -> BoundReport:
@@ -438,35 +441,30 @@ def run_knn_experiment(cfg: ExperimentConfig) -> BoundReport:
         # Neighbours come nearest first, so each k fits prefixes of one ranking per query.
         ranked = np.stack([knn_order(data, query, max(ks)) for query in queries])
         for k in ks:
-            models = _fit_neighbourhoods(data, ranked[:, :k], cfg.train)
-            errors = (
-                abs(mix_probability(predict_prob(model, query), cfg.eta) - t)
-                for model, query, t in zip(models, queries, truth)
-            )
+            thetas = _fit_neighbourhoods(data, ranked[:, :k], cfg.train)
+            # A batched matmul, unlike einsum, gives each query's w.x bit for bit.
+            logits = (thetas[:, None, :-1] @ queries[:, :, None])[:, 0, 0] + thetas[:, -1]
+            errors = np.abs(mix_probability(sigmoid(logits), cfg.eta) - truth)
             labels = data.labels[ranked[:, :k]]
             degenerate = int(np.count_nonzero(np.all(labels == labels[:, :1], axis=1)))
             detail = f"{degenerate} single-class neighborhoods" if degenerate else ""
-            yield float(max(errors)), detail
+            yield float(np.max(errors)), detail
 
     extras = {"k_values": list(ks), "queries_per_trial": queries_per_trial}
     return _run_sweep(cfg, measure, extras, ks, medians_key="median_sup_error_by_k", slope=True)
 
 
 def run_subset_penalty_experiment(cfg: ExperimentConfig) -> BoundReport:
-    """Single-context estimation error versus sample count: sweeps a size grid
-    and fits the log-log decay slope (about -1/2 for i.i.d. sampling)."""
+    """Textgen's measure with one context over a size grid: error versus sample
+    count, and its log-log decay slope (about -1/2 for i.i.d. sampling)."""
     _require_kind(cfg, "subset_penalty")
     p = cfg.params
     sizes = tuple(sorted(cfg.subset_sizes))
 
-    def measure(rng):
-        truth = random_distribution(p.vocab_size, cfg.concentration, rng)
-        for counts in nested_counts(truth, sizes, rng):
-            yield l1_distance(icl_counts_dist(counts, cfg.eta), truth), ""
-
     def allowed(n: int) -> float:
         return subset_penalty(n, p.constant) + 2.0 * cfg.eta.eta
 
+    measure = _counts_measure(cfg, p.vocab_size, 1, sizes)
     extras = {"subset_sizes": list(sizes), "penalty_constant": p.constant}
     return _run_sweep(
         cfg, measure, extras, sizes, allowed, medians_key="median_l1_by_size", slope=True

@@ -1,11 +1,12 @@
 """Idealized in-context responder.
 
 Given prompt samples, the responder returns exactly the behavior the
-verification experiments assume: the empirical distribution of the samples
-(from their per-outcome counts, a sufficient statistic) for generation, or a
-locally trained logistic model for classification.  An
-injectable error knob degrades either output by mixing toward uniform, which
-lets experiments chart how guarantees decay as responder fidelity drops.
+verification experiments assume: the empirical distribution of the samples,
+computed from their per-outcome counts (a sufficient statistic), for single
+tokens or whole sequences.  An injectable error knob degrades the output by
+mixing toward uniform, which lets experiments chart how guarantees decay as
+responder fidelity drops; :func:`mix_probability` applies the same knob to a
+classifier's class-1 probability.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Mapping
 
 import numpy as np
 
-from .classify import LabeledDataset, TrainConfig, predict_prob, train_logistic
 from .distributions import CategoricalDistribution, Context, Vocabulary, token_counts
 from .errors import ParameterError, check_real
 
@@ -104,17 +104,6 @@ def icl_textgen_dist(
 ) -> CategoricalDistribution:
     """Next-token distribution the responder produces for ``context``."""
     return icl_counts_dist(token_counts(prompt.samples_for(context.id), vocab.size), eta)
-
-
-def icl_classify_prob(
-    subset: LabeledDataset,
-    query,
-    cfg: TrainConfig = TrainConfig(),
-    eta: EtaModel = EtaModel.none(),
-) -> float:
-    """Class-1 probability from a logistic model trained on the prompt subset."""
-    model = train_logistic(subset, cfg)
-    return float(mix_probability(predict_prob(model, query), eta))
 
 
 def encode_sequences(sequences, vocab_size: int, length: int) -> np.ndarray:

@@ -125,6 +125,13 @@ class TestTrainLogistic:
         assert np.all(np.isfinite(model.weights)) and np.isfinite(model.bias)
         assert np.all(np.abs(predict_probs(model, data.features) - label) < 1e-6)
 
+    def test_single_class_is_confident_inside_the_hull(self):
+        rng = np.random.default_rng(1)
+        features = rng.standard_normal((12, 2)) + 1.0
+        model = train_logistic(LabeledDataset(features, np.ones(12)), TrainConfig(max_iters=300))
+        hull = rng.dirichlet(np.ones(12), size=10) @ features
+        assert np.all(predict_probs(model, np.vstack([features, hull])) > 0.5)
+
     @pytest.mark.parametrize("l2_reg", [0.0, 1e-300])
     def test_singular_hessian_takes_the_minimum_norm_direction(self, l2_reg):
         # One point in two dimensions: the Hessian has rank 1 (a 1e-300 ridge
@@ -227,6 +234,21 @@ class TestFitLogisticStack:
         model = train_logistic(LabeledDataset(features, labels), cfg)
         grad_w, grad_b = logistic_gradient(model, LabeledDataset(features, labels), cfg.l2_reg)
         assert math.hypot(*grad_w, grad_b) >= cfg.grad_tolerance
+
+    def test_gradient_below_the_square_underflow_still_counts(self):
+        # Separable with no ridge: the gradient shrinks like exp(-w) and passes
+        # 1.5e-154, below which its square underflows to 0, near iteration 373.
+        data = LabeledDataset([[-1.0], [1.0]], [0, 1])
+        cfg = TrainConfig(max_iters=373, grad_tolerance=1e-300, l2_reg=0.0)
+        early = train_logistic(data, cfg)
+        later = train_logistic(data, dataclasses.replace(cfg, max_iters=500))
+        assert later.weights[0] > early.weights[0] + 100
+        final = train_logistic(data, dataclasses.replace(cfg, max_iters=2000))
+        assert np.array_equal(
+            final.weights, train_logistic(data, dataclasses.replace(cfg, max_iters=3000)).weights
+        )
+        grad_w, _ = logistic_gradient(final, data)
+        assert 0 < abs(grad_w[0]) < cfg.grad_tolerance
 
     def test_divergent_member_raises_its_own_iteration(self):
         features = np.array([[[-1.0], [1.0]], [[1e12], [1e307]], [[0.5], [2.0]]])

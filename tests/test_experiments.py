@@ -5,10 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from icl_lab import experiments
 from icl_lab import (
     BoundParams,
     EtaModel,
     ExperimentConfig,
+    LinearModel,
     ParameterError,
     TrainConfig,
     TrialResult,
@@ -30,6 +32,7 @@ from icl_lab import (
     run_knn_experiment,
     run_subset_penalty_experiment,
     run_textgen_experiment,
+    sample_counts,
     train_logistic,
     trial_rng,
     write_csv_report,
@@ -404,6 +407,41 @@ class TestClassificationExperiments:
                     errors.append(abs(mix_probability(predict_prob(model, q), cfg.eta) - t))
                 assert report.trials[i * 3 + j].sup_error == max(errors)
 
+    def test_knn_scores_each_query_as_predict_prob(self, monkeypatch):
+        # The runner scores all queries as arrays; each probability must equal
+        # predict_prob of that query's own fitted model, bit for bit.
+        fitted, scored = [], []
+        real_fit, real_sigmoid = experiments.fit_logistic_stack, experiments.sigmoid
+
+        def fit(features, labels, train):
+            fitted.append(real_fit(features, labels, train))
+            return fitted[-1]
+
+        def score(logits):
+            scored.append(real_sigmoid(logits))
+            return scored[-1]
+
+        monkeypatch.setattr(experiments, "fit_logistic_stack", fit)
+        monkeypatch.setattr(experiments, "sigmoid", score)
+        cfg = ExperimentConfig(
+            kind="knn",
+            params=BoundParams(epsilon=0.5, delta=0.05, input_dim=5),
+            trials=1,
+            seed=6,
+            knn_sizes=(8, 32),
+            dataset_size=256,
+            eval_points=40,
+            train=TrainConfig(max_iters=200, l2_reg=1e-3),
+        )
+        run_knn_experiment(cfg)
+        rng = trial_rng(6, 0)
+        planted_linear_dataset(256, 5, 2.0, rng)
+        queries = rng.standard_normal((40, 5))
+        assert len(fitted) == len(scored) == 2  # one stack per k at this size
+        for thetas, probs in zip(fitted, scored):
+            models = [LinearModel(t[:-1], t[-1]) for t in thetas]
+            assert probs.tolist() == [predict_prob(m, q) for m, q in zip(models, queries)]
+
     def test_knn_eta_shifts_errors_by_at_most_half_eta(self):
         base = ExperimentConfig(
             kind="knn",
@@ -473,6 +511,24 @@ class TestSubsetPenaltyExperiment:
         errors = [l1_distance(icl_counts_dist(v), truth) for v in vectors]
         report = run_subset_penalty_experiment(cfg)
         assert [t.sup_error for t in report.trials] == errors
+        # One size: the counts are sample_counts' own draw from the same state.
+        state = rng.bit_generator.state
+        (single,) = nested_counts(truth, (50,), rng)
+        rng.bit_generator.state = state
+        drawn = sample_counts(truth, 50, rng)
+        assert single.dtype == drawn.dtype == np.int64
+        assert np.array_equal(single, drawn)
+
+    def test_is_textgen_with_one_context(self):
+        params = BoundParams(epsilon=0.2, delta=0.05, vocab_size=7, num_contexts=1, constant=2.0)
+        common = dict(params=params, trials=6, seed=21, concentration=0.5)
+        textgen = run_textgen_experiment(
+            ExperimentConfig(kind="textgen", samples_override=300, **common)
+        )
+        subset = run_subset_penalty_experiment(
+            ExperimentConfig(kind="subset_penalty", subset_sizes=(300,), **common)
+        )
+        assert [t.sup_error for t in textgen.trials] == [t.sup_error for t in subset.trials]
 
     def test_stability_across_seed_sets(self):
         def slope(seed):

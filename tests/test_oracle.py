@@ -14,7 +14,6 @@ from icl_lab import (
     Vocabulary,
     empirical_distribution,
     encode_sequences,
-    icl_classify_prob,
     icl_counts_dist,
     icl_sequence_dist,
     icl_textgen_dist,
@@ -36,6 +35,10 @@ class TestEtaModel:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ParameterError):
             EtaModel(eta=0.1, kind="dirichlet")
+
+    def test_mixture_arithmetic(self):
+        assert mix_probability(1.0, EtaModel.uniform_mix(0.2)) == pytest.approx(0.9)
+        assert mix_probability(0.5, EtaModel.uniform_mix(0.7)) == pytest.approx(0.5)
 
 
 class TestTextgenOracle:
@@ -72,34 +75,6 @@ class TestTextgenOracle:
             prompt = IclPromptSamples(per_context={1: samples})
             out = icl_textgen_dist(prompt, Context(1), vocab)
             assert l1_distance(out, empirical_distribution(samples, vocab)) == 0.0
-
-
-class TestClassifyOracle:
-    def test_single_class_subset_confident_inside_hull(self):
-        rng = np.random.default_rng(1)
-        features = rng.standard_normal((12, 2)) + 1.0
-        subset = LabeledDataset(features, np.ones(12, dtype=np.int64))
-        cfg = TrainConfig(max_iters=300)
-        for point in features:
-            assert icl_classify_prob(subset, point, cfg) > 0.5
-        # convex combinations stay on the confident side too
-        weights = rng.dirichlet(np.ones(12), size=10)
-        for w in weights:
-            assert icl_classify_prob(subset, w @ features, cfg) > 0.5
-
-    def test_mixture_arithmetic(self):
-        assert mix_probability(1.0, EtaModel.uniform_mix(0.2)) == pytest.approx(0.9)
-        assert mix_probability(0.5, EtaModel.uniform_mix(0.7)) == pytest.approx(0.5)
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(2)
-        subset = LabeledDataset(
-            rng.standard_normal((10, 3)), rng.integers(0, 2, 10).astype(np.int64)
-        )
-        query = rng.standard_normal(3)
-        a = icl_classify_prob(subset, query, TrainConfig(max_iters=100))
-        b = icl_classify_prob(subset, query, TrainConfig(max_iters=100))
-        assert a == b
 
 
 class TestSequenceOracle:
