@@ -31,9 +31,10 @@ from .bounds import (
     subset_penalty,
     textgen_samples_per_context,
 )
-from .errors import ParameterError, check_keys, from_object
+from .errors import ParameterError, check_keys, from_object, load_json_object
 from .experiments import KINDS, ExperimentConfig, run_experiment
 from .prompts import ExamplePair, PromptConfig, build_prompt
+from .reports import report_to_dict
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -151,14 +152,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
     report = run_experiment(cfg)
-    summary = {
-        "kind": cfg.kind,
-        "trials": len(report.trials),
-        "failure_rate": report.failure_rate,
-        "delta_target": report.delta_target,
-        "ci_halfwidth": report.ci_halfwidth,
-        "pass": report.passed,
-    }
+    summary = report_to_dict(report)  # the verdict fields, without config, extras or rows
+    del summary["config"], summary["extras"]
+    summary.update(kind=cfg.kind, trials=len(report.trials))
     if cfg.output_path is not None:
         summary["output_json"] = cfg.output_path
         summary["output_csv"] = str(Path(cfg.output_path).with_suffix(".csv"))
@@ -167,12 +163,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _load_pairs_file(path: str) -> tuple[list[ExamplePair], str | None, dict]:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParameterError(f"pairs file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or not isinstance(payload.get("pairs"), list):
+    payload = load_json_object(path, "pairs file")
+    if not isinstance(payload.get("pairs"), list):
         raise ParameterError(f"pairs file {path} must be a JSON object with a 'pairs' list")
     check_keys(payload, {"pairs", "query", "config"}, f"pairs file {path}")
     pairs = []

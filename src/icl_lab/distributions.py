@@ -33,9 +33,7 @@ class Vocabulary:
 
     @classmethod
     def of_size(cls, size: int) -> "Vocabulary":
-        """Synthetic vocabulary of ``size`` generic tokens."""
-        if size < 1:
-            raise ParameterError(f"vocabulary size must be >= 1, got {size}")
+        """Synthetic vocabulary of ``size`` generic tokens; a size below 1 is refused."""
         return cls(tuple(f"tok{i}" for i in range(size)))
 
     @property
@@ -58,15 +56,16 @@ class CategoricalDistribution:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1 or probs.size < 1:
             raise ParameterError("probability vector must be one-dimensional and non-empty")
-        if not np.all(np.isfinite(probs)):
-            raise ParameterError("probability vector contains non-finite entries")
-        if np.any(probs < 0.0) or np.any(probs > 1.0 + PROB_SUM_TOLERANCE):
-            raise ParameterError("probability entries must lie in [0, 1]")
-        total = float(probs.sum())
-        if abs(total - 1.0) > PROB_SUM_TOLERANCE:
+        # A non-finite entry or an overflowing sum fails the sum test; with no negative
+        # entry, a sum within tolerance bounds every entry by 1 + PROB_SUM_TOLERANCE.
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(probs.sum())
+        if not abs(total - 1.0) <= PROB_SUM_TOLERANCE:
             raise ParameterError(
                 f"probabilities sum to {total!r}, outside tolerance {PROB_SUM_TOLERANCE} of 1"
             )
+        if probs.min() < 0.0:
+            raise ParameterError("probability entries must be non-negative")
         probs = probs / total
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
@@ -146,11 +145,16 @@ def random_distribution(
         raise ParameterError(f"support size must be >= 1, got {size}")
     if concentration <= 0:
         raise ParameterError(f"concentration must be positive, got {concentration}")
-    draws = rng.gamma(concentration, 1.0, size=size)
-    total = draws.sum()
-    while not np.isfinite(total) or total <= 0.0:
-        # All gamma draws can underflow to zero for very small concentration.
+    with np.errstate(over="ignore"):
         draws = rng.gamma(concentration, 1.0, size=size)
         total = draws.sum()
-    return CategoricalDistribution(draws / total)
+        if 0.0 < total < np.inf:
+            return CategoricalDistribution(draws / total)
+        # Every draw underflowed to zero, or their sum overflowed.  In law Gamma(a) =
+        # Gamma(a + 1) * U**(1/a), whose log, scaled by min(a, 1), does neither.
+        scale = min(concentration, 1.0)
+        logs = scale * np.log(rng.gamma(concentration + 1.0, 1.0, size=size))
+        logs += scale / concentration * np.log1p(-rng.random(size))
+        weights = np.exp((logs - logs.max()) / scale)
+    return CategoricalDistribution(weights / weights.sum())
 

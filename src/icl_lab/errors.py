@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the input checks that raise one."""
 
 import dataclasses
+import json
 import math
 import numbers
 
@@ -55,3 +56,15 @@ def from_object(cls, value, where: str):
     if missing:
         raise ParameterError(f"{where} is missing required keys {missing}")
     return cls(**value)
+
+
+def load_json_object(path, what: str) -> dict:
+    """The JSON object in the file at ``path``; anything else is refused, naming ``what``."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            payload = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ParameterError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ParameterError(f"{what} {path} must contain a JSON object")
+    return payload

@@ -24,7 +24,6 @@ caps the worker count (default 1).
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -61,8 +60,21 @@ from .distributions import (
     random_distribution,
     sample_counts,
 )
-from .errors import DivergenceError, ParameterError, check_int, check_real, from_object
-from .oracle import DEFAULT_SEQUENCE_LIMIT, EtaModel, icl_counts_dist, mix_probability
+from .errors import (
+    DivergenceError,
+    ParameterError,
+    check_int,
+    check_real,
+    from_object,
+    load_json_object,
+)
+from .oracle import (
+    DEFAULT_SEQUENCE_LIMIT,
+    EtaModel,
+    icl_counts_dist,
+    mix_probability,
+    sequence_space,
+)
 from .reports import (
     BoundReport,
     TrialResult,
@@ -156,14 +168,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
-        with open(path, encoding="utf-8") as handle:
-            try:
-                payload = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ParameterError(f"config file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ParameterError(f"config file {path} must contain a JSON object")
-        return cls.from_dict(payload)
+        return cls.from_dict(load_json_object(path, "config file"))
 
 
 def max_workers() -> int:
@@ -285,12 +290,7 @@ def run_bounded_textgen_experiment(cfg: ExperimentConfig) -> BoundReport:
     distribution of length-l sequences, estimated from whole-sequence samples."""
     _require_kind(cfg, "bounded_textgen")
     p = cfg.params
-    space = p.vocab_size**p.output_len
-    if space > cfg.sequence_limit:
-        raise ParameterError(
-            f"sequence space {p.vocab_size}^{p.output_len} = {space} exceeds the "
-            f"limit {cfg.sequence_limit}"
-        )
+    space = sequence_space(p.vocab_size, p.output_len, cfg.sequence_limit)
     n = cfg.samples_override or bounded_textgen_size(p)
     extras = {
         "samples_per_context": n,
@@ -390,7 +390,7 @@ def run_coreset_experiment(cfg: ExperimentConfig) -> BoundReport:
         for size in sizes:
             core = select_coreset(data, size, weights, rng)
             try:
-                local_model = train_logistic(core, cfg.train)
+                local_model = full_model if core is data else train_logistic(core, cfg.train)
             except DivergenceError as exc:
                 yield float("inf"), str(exc)
                 continue

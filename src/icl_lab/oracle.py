@@ -17,7 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from .distributions import CategoricalDistribution, Context, Vocabulary, token_counts
-from .errors import ParameterError, check_real
+from .errors import ParameterError, check_int, check_real
 
 ETA_NONE = "none"
 ETA_UNIFORM_MIX = "uniform_mix"
@@ -60,10 +60,7 @@ class IclPromptSamples:
     def samples_for(self, context_id: int):
         if context_id not in self.per_context:
             raise ParameterError(f"prompt has no samples for context {context_id}")
-        samples = self.per_context[context_id]
-        if len(samples) == 0:
-            raise ParameterError(f"prompt sample list for context {context_id} is empty")
-        return samples
+        return self.per_context[context_id]
 
 
 def mix_with_uniform(
@@ -117,6 +114,20 @@ def encode_sequences(sequences, vocab_size: int, length: int) -> np.ndarray:
     return arr @ weights
 
 
+def sequence_space(vocab_size: int, length: int, limit: int) -> int:
+    """The number ``vocab_size ** length`` of length-``length`` sequences, refused past
+    ``limit``.  With V >= 2 any ``length >= limit.bit_length()`` has V^l >= 2^l > limit,
+    so it is refused before V^l is computed."""
+    if vocab_size < 2 or length < limit.bit_length():
+        space = vocab_size**length
+        if space <= limit:
+            return space
+    raise ParameterError(
+        f"sequence space V^l = {vocab_size}^{length} exceeds the limit {limit}; "
+        "use a smaller vocabulary or shorter length"
+    )
+
+
 def icl_sequence_dist(
     prompt: IclPromptSamples,
     context: Context,
@@ -131,13 +142,8 @@ def icl_sequence_dist(
     ``sequence_limit`` is refused rather than approximated, so reduce the
     vocabulary size or the sequence length to stay exact.
     """
-    if length < 1:
-        raise ParameterError(f"sequence length must be >= 1, got {length}")
-    space = vocab.size**length
-    if space > sequence_limit:
-        raise ParameterError(
-            f"sequence space V^l = {vocab.size}^{length} = {space} exceeds the "
-            f"limit {sequence_limit}; use a smaller vocabulary or shorter length"
-        )
+    check_int("sequence length", length, 1)
+    check_int("sequence_limit", sequence_limit, 1)
+    space = sequence_space(vocab.size, length, sequence_limit)
     codes = encode_sequences(prompt.samples_for(context.id), vocab.size, length)
     return icl_counts_dist(np.bincount(codes, minlength=space), eta)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -36,7 +36,7 @@ class TrialResult:
         # number or boolean and the CSV prints a bare float.
         object.__setattr__(self, "sup_error", float(self.sup_error))
         object.__setattr__(self, "failed", bool(self.failed))
-        if self.sup_error < 0:
+        if not self.sup_error >= 0:  # NaN fails too; inf stays legal for a divergent fit
             raise ParameterError(f"sup_error must be non-negative, got {self.sup_error}")
 
 
@@ -53,11 +53,6 @@ class BoundReport:
     extras: dict = field(default_factory=dict)
 
 
-def confidence_halfwidth(rate: float, trials: int) -> float:
-    """Normal-approximation 95% half-width for a binomial frequency."""
-    return 1.96 * math.sqrt(rate * (1.0 - rate) / trials)
-
-
 def build_report(
     config: dict,
     trials: Sequence[TrialResult],
@@ -69,7 +64,7 @@ def build_report(
         raise ParameterError("a report needs at least one trial")
     failures = sum(1 for t in trials if t.failed)
     rate = failures / len(trials)
-    ci = confidence_halfwidth(rate, len(trials))
+    ci = 1.96 * math.sqrt(rate * (1.0 - rate) / len(trials))  # normal-approximation 95%
     return BoundReport(
         config=config,
         trials=trials,
@@ -82,24 +77,11 @@ def build_report(
 
 
 def report_to_dict(report: BoundReport) -> dict:
-    return {
-        "config": report.config,
-        "failure_rate": report.failure_rate,
-        "delta_target": report.delta_target,
-        "ci_halfwidth": report.ci_halfwidth,
-        "pass": report.passed,
-        "extras": report.extras,
-        "trials": [
-            {
-                "trial_index": t.trial_index,
-                "sup_error": t.sup_error,
-                "failed": t.failed,
-                "sweep_value": t.sweep_value,
-                "detail": t.detail,
-            }
-            for t in report.trials
-        ],
-    }
+    """The report's fields, with ``passed`` written as ``pass`` and the trials as a list."""
+    fields = asdict(report)
+    fields["pass"] = fields.pop("passed")
+    fields["trials"] = list(fields["trials"])
+    return fields
 
 
 def _finite_or_null(value):

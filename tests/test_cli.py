@@ -278,6 +278,29 @@ class TestVerify:
         assert key in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("length", [4000, 5000])
+    def test_oversized_sequence_space_is_one_error_line(self, capsys, tmp_path, length):
+        path = tmp_path / "bt.json"
+        params = {"epsilon": 0.2, "delta": 0.05, "vocab_size": 10, "output_len": length}
+        path.write_text(json.dumps({"kind": "bounded_textgen", "params": params, "trials": 2}))
+        code, out, err = run_cli(capsys, "verify", "bounded_textgen", "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: sequence space V^l = 10^{length} exceeds the limit 1000000; "
+            "use a smaller vocabulary or shorter length\n"
+        )
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+    @pytest.mark.parametrize(
+        "argv", [("verify", "textgen", "--config"), ("prompt", "build", "--pairs")]
+    )
+    def test_unreadable_json_file_is_parameter_error(self, capsys, tmp_path, argv, text):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and str(path) in err and err.count("\n") == 1
+
     def test_trials_override(self, capsys, tmp_path, config_path):
         out_path = tmp_path / "r.json"
         code, _, _ = run_cli(

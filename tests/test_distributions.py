@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from icl_lab import (
     random_distribution,
     sample_counts,
 )
+from icl_lab.distributions import PROB_SUM_TOLERANCE
 
 
 def dist(*probs):
@@ -66,6 +69,42 @@ class TestCategoricalDistribution:
     def test_rejects_negative(self):
         with pytest.raises(ParameterError):
             CategoricalDistribution(np.array([-0.1, 1.1]))
+
+    @settings(max_examples=500)
+    @given(st.data())
+    def test_rejects_exactly_what_the_four_entry_checks_reject(self, data):
+        def four_checks_reject(probs):
+            """Non-finite entries, entries outside [0, 1 + tol], then the sum."""
+            if not np.all(np.isfinite(probs)):
+                return True
+            if np.any(probs < 0.0) or np.any(probs > 1.0 + PROB_SUM_TOLERANCE):
+                return True
+            return abs(float(probs.sum()) - 1.0) > PROB_SUM_TOLERANCE
+
+        n = data.draw(st.integers(1, 6))
+        raw = np.array(data.draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+        off = data.draw(st.sampled_from([0.0, 5e-10, -5e-10, 2e-9, -2e-9, 1e-3]))
+        probs = raw / raw.sum() * (1.0 + off)
+        special = st.sampled_from(
+            [np.nan, np.inf, -np.inf, 1e308, -1e308, -1e-300, -0.5, 1.0 + 5e-10, 1.0 + 2e-9]
+        )
+        for _ in range(data.draw(st.integers(0, 2))):
+            probs[data.draw(st.integers(0, n - 1))] = data.draw(special | st.floats())
+        if n >= 2 and data.draw(st.booleans()):
+            # Move mass between two entries: the sum holds while one entry turns
+            # negative or rises above 1.
+            shift = data.draw(st.sampled_from([2e-9, 0.5, 1.0, 1e308]))
+            i, j = data.draw(st.permutations(range(n)))[:2]
+            with np.errstate(all="ignore"):  # only the constructor must stay warning-free
+                probs[i] += shift
+                probs[j] -= shift
+        try:
+            p = CategoricalDistribution(probs)
+        except ParameterError:
+            assert four_checks_reject(probs)
+        else:
+            assert not four_checks_reject(probs)
+            assert np.array_equal(p.probs, probs / probs.sum())
 
     def test_immutable(self):
         p = dist(0.5, 0.5)
@@ -168,6 +207,31 @@ class TestRandomDistribution:
     def test_large_concentration_approaches_uniform(self):
         d = random_distribution(8, 1e7, np.random.default_rng(0))
         assert np.max(np.abs(d.probs - 0.125)) < 0.005
+
+    def test_keeps_the_gamma_stream(self):
+        draws = np.random.default_rng(3).gamma(0.7, 1.0, size=5)
+        d = random_distribution(5, 0.7, np.random.default_rng(3))
+        assert np.array_equal(d.probs, draws / draws.sum())
+
+    @pytest.mark.parametrize("concentration", [1e-300, 5e-324, 1e308, 1.7976931348623157e308])
+    def test_extreme_concentration_terminates(self, concentration):
+        # Every gamma draw underflows to 0 at the small values; their sum overflows
+        # at the large ones.
+        out = []
+        worker = threading.Thread(
+            target=lambda: out.append(
+                random_distribution(20, concentration, np.random.default_rng(0))
+            ),
+            daemon=True,
+        )
+        worker.start()
+        worker.join(timeout=1.0)
+        assert not worker.is_alive() and len(out) == 1
+        probs = out[0].probs
+        if concentration < 1:
+            assert np.count_nonzero(probs) == 1 and probs.max() == 1.0
+        else:
+            assert np.allclose(probs, 1 / 20, rtol=1e-12)
 
     def test_rejects_non_positive_concentration(self):
         with pytest.raises(ParameterError):

@@ -84,6 +84,29 @@ class TestReports:
         assert lines[1] == "0,0.25,0"
         assert lines[2] == "1,0.5,1"
 
+    def test_report_dict_lists_every_field_once(self):
+        trials = [TrialResult(0, 0.25, False, 10), TrialResult(1, 0.5, True, 20, "note")]
+        report = build_report({"kind": "textgen"}, trials, 0.1, {"foo": 1})
+        assert report_to_dict(report) == {
+            "config": {"kind": "textgen"},
+            "failure_rate": 0.5,
+            "delta_target": 0.1,
+            "ci_halfwidth": report.ci_halfwidth,
+            "pass": True,
+            "extras": {"foo": 1},
+            "trials": [
+                {"trial_index": 0, "sup_error": 0.25, "failed": False, "sweep_value": 10,
+                 "detail": ""},
+                {"trial_index": 1, "sup_error": 0.5, "failed": True, "sweep_value": 20,
+                 "detail": "note"},
+            ],
+        }
+
+    def test_nan_sup_error_rejected(self):
+        with pytest.raises(ParameterError, match="sup_error"):
+            TrialResult(0, float("nan"), False)
+        assert TrialResult(0, float("inf"), True).sup_error == float("inf")
+
     def test_non_finite_floats_are_written_as_null(self, tmp_path):
         # A DivergenceError row carries sup_error=inf, and so can a per-size median.
         trials = [
@@ -329,6 +352,30 @@ class TestClassificationExperiments:
         )
         report = run_coreset_experiment(cfg)
         assert all(t.sup_error < 1e-6 for t in report.trials)
+
+    def test_coreset_full_size_reuses_the_full_fit(self, monkeypatch):
+        fits = []
+
+        def counting(data, cfg):
+            fits.append(data.num_points)
+            return train_logistic(data, cfg)
+
+        monkeypatch.setattr(experiments, "train_logistic", counting)
+        cfg = ExperimentConfig(
+            kind="coreset",
+            params=BoundParams(epsilon=0.25, delta=0.05, input_dim=3),
+            trials=3,
+            seed=5,
+            dataset_size=200,
+            coreset_sizes=(25, 100, 200),
+            coreset_strategy="sensitivity",
+            eval_points=500,
+            train=TrainConfig(max_iters=200, l2_reg=1e-3),
+        )
+        report = run_coreset_experiment(cfg)
+        # Per trial: the full fit, then one fit per coreset smaller than the data.
+        assert fits == [200, 25, 100] * 3
+        assert [t.sup_error for t in report.trials if t.sweep_value == 200] == [0.0] * 3
 
     def test_coreset_medians_shrink_with_size(self):
         cfg = ExperimentConfig(

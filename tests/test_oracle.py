@@ -21,6 +21,7 @@ from icl_lab import (
     mix_probability,
     mix_with_uniform,
 )
+from icl_lab.oracle import sequence_space
 
 
 class TestEtaModel:
@@ -101,6 +102,29 @@ class TestSequenceOracle:
         prompt = IclPromptSamples(per_context={0: [(0, 0)]})
         with pytest.raises(ParameterError):
             icl_sequence_dist(prompt, Context(0), Vocabulary.of_size(2), 2, sequence_limit=3)
+
+    def test_space_past_the_limit_is_refused_before_it_is_computed(self):
+        prompt = IclPromptSamples(per_context={0: [(0,) * 5000]})
+        with pytest.raises(ParameterError, match=r"V\^l = 10\^5000 exceeds the limit 1000000;"):
+            icl_sequence_dist(prompt, Context(0), Vocabulary.of_size(10), 5000)
+
+    @pytest.mark.parametrize("length, limit", [(0, 10), (2.0, 10), (2, 1e6), (2, 0)])
+    def test_non_integer_or_non_positive_length_and_limit_rejected(self, length, limit):
+        prompt = IclPromptSamples(per_context={0: [(0, 0)]})
+        vocab = Vocabulary.of_size(2)
+        with pytest.raises(ParameterError):
+            icl_sequence_dist(prompt, Context(0), vocab, length, sequence_limit=limit)
+
+    def test_sequence_space_refuses_exactly_the_spaces_past_the_limit(self):
+        for vocab_size in range(1, 6):
+            for length in range(1, 12):
+                for limit in range(1, 130):
+                    space = vocab_size**length
+                    if space <= limit:
+                        assert sequence_space(vocab_size, length, limit) == space
+                    else:
+                        with pytest.raises(ParameterError):
+                            sequence_space(vocab_size, length, limit)
 
     def test_first_coordinate_marginal_matches_textgen(self):
         rng = np.random.default_rng(3)
