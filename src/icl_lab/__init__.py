@@ -45,7 +45,6 @@ from .distributions import (
 from .errors import DivergenceError, ParameterError
 from .experiments import (
     ExperimentConfig,
-    cluster_dataset,
     planted_linear_dataset,
     run_bounded_textgen_experiment,
     run_coreset_experiment,

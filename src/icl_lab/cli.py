@@ -18,7 +18,6 @@ import dataclasses
 import json
 import sys
 from functools import partial
-from pathlib import Path
 
 from .bounds import (
     FORMULAS,
@@ -34,7 +33,7 @@ from .bounds import (
 from .errors import ParameterError, check_keys, from_object, load_json_object
 from .experiments import KINDS, ExperimentConfig, run_experiment
 from .prompts import ExamplePair, PromptConfig, build_prompt
-from .reports import report_to_dict
+from .reports import csv_sibling, report_to_dict
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -157,7 +156,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     summary.update(kind=cfg.kind, trials=len(report.trials))
     if cfg.output_path is not None:
         summary["output_json"] = cfg.output_path
-        summary["output_csv"] = str(Path(cfg.output_path).with_suffix(".csv"))
+        summary["output_csv"] = str(csv_sibling(cfg.output_path))
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK if report.passed else EXIT_FAILED_VERIFICATION
 

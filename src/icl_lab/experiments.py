@@ -28,7 +28,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -79,6 +78,7 @@ from .reports import (
     BoundReport,
     TrialResult,
     build_report,
+    csv_sibling,
     fit_log_log_slope,
     write_csv_report,
     write_json_report,
@@ -108,8 +108,6 @@ class ExperimentConfig:
     concentration: float = 1.0
     samples_override: int | None = None
     dataset_size: int = 2000
-    cluster_separation: float = 1.5
-    noise_scale: float = 1.0
     planted_norm: float = 2.0
     coreset_strategy: str = "uniform"
     coreset_sizes: tuple[int, ...] | None = None
@@ -126,21 +124,24 @@ class ExperimentConfig:
         for name in ("eval_points", "samples_override"):
             if getattr(self, name) is not None:
                 check_int(name, getattr(self, name), 1)
+        path = self.output_path
+        if path is not None:
+            if not isinstance(path, str):
+                raise ParameterError(f"output_path must be null or a string, got {path!r}")
+            csv_sibling(path)
         if self.seed >= 2**64:
             raise ParameterError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.mode not in MODES:
             raise ParameterError(f"unknown bound mode {self.mode!r}; expected one of {MODES}")
-        for name in ("concentration", "cluster_separation", "noise_scale", "planted_norm"):
+        for name in ("concentration", "planted_norm"):
             check_real(name, getattr(self, name))
-        if self.concentration <= 0:
-            raise ParameterError(f"concentration must be positive, got {self.concentration}")
-        if self.cluster_separation < 0 or self.noise_scale <= 0 or self.planted_norm <= 0:
-            raise ParameterError("cluster_separation must be >= 0; noise_scale, planted_norm > 0")
+            if getattr(self, name) <= 0:
+                raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
         if self.coreset_strategy not in ("uniform", "sensitivity"):
             raise ParameterError(f"unknown coreset_strategy {self.coreset_strategy!r}")
         for name in ("coreset_sizes", "knn_sizes", "subset_sizes"):
             sizes = getattr(self, name)
-            if sizes is None:
+            if sizes is None and name != "subset_sizes":  # null: the calculator's size
                 continue
             if not isinstance(sizes, (list, tuple)) or not sizes:
                 raise ParameterError(f"{name} must be a non-empty list of integers, got {sizes!r}")
@@ -172,14 +173,15 @@ class ExperimentConfig:
 
 
 def max_workers() -> int:
-    """Worker cap from ``ICL_LAB_THREADS``; 1 when unset."""
+    """Worker cap from ``ICL_LAB_THREADS``, an integer >= 1; 1 when unset."""
     raw = os.environ.get(THREADS_ENV_VAR, "").strip()
     if not raw:
         return 1
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError as exc:
         raise ParameterError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from exc
+    return check_int(THREADS_ENV_VAR, workers, 1)
 
 
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
@@ -245,9 +247,8 @@ def _run_sweep(
     echo = dict(cfg.to_dict(), output_path=None)
     report = build_report(echo, rows, cfg.params.delta, extras)
     if cfg.output_path is not None:
-        json_path = Path(cfg.output_path)
-        write_json_report(report, json_path)
-        write_csv_report(report, json_path.with_suffix(".csv"))
+        write_json_report(report, cfg.output_path)
+        write_csv_report(report, csv_sibling(cfg.output_path))
     return report
 
 
@@ -336,24 +337,6 @@ def nested_counts(dist: CategoricalDistribution, sizes, rng: np.random.Generator
         yield counts
 
 
-def cluster_dataset(
-    n: int, dim: int, separation: float, noise: float, rng: np.random.Generator
-) -> tuple[LabeledDataset, LinearModel]:
-    """Two symmetric Gaussian blobs at +/- separation along the first axis.
-
-    Labels mark the generating blob.  The posterior class-1 probability is
-    exactly logistic with weights ``2 * separation / noise^2`` on the first
-    coordinate, returned as the planted reference model.
-    """
-    labels = rng.integers(0, 2, size=n)
-    centers = np.zeros((n, dim))
-    centers[:, 0] = (2 * labels - 1) * separation
-    features = centers + noise * rng.standard_normal((n, dim))
-    planted_w = np.zeros(dim)
-    planted_w[0] = 2.0 * separation / noise**2
-    return LabeledDataset(features, labels), LinearModel(planted_w, 0.0)
-
-
 def planted_linear_dataset(
     n: int, dim: int, weight_norm: float, rng: np.random.Generator
 ) -> tuple[LabeledDataset, LinearModel]:
@@ -368,24 +351,20 @@ def planted_linear_dataset(
 
 
 def run_coreset_experiment(cfg: ExperimentConfig) -> BoundReport:
-    """Train on coresets of swept sizes and compare predicted probabilities
-    against the full-data model over a large evaluation cloud."""
+    """Train on coresets of swept sizes of knn's planted logistic task and compare
+    predicted probabilities against the full-data model over a large evaluation cloud."""
     _require_kind(cfg, "coreset")
     p = cfg.params
     sizes = _within_dataset(cfg, cfg.coreset_sizes or (coreset_size(p),))
     eval_draws = cfg.resolved_eval_points()
 
     def measure(rng):
-        data, _ = cluster_dataset(
-            cfg.dataset_size, p.input_dim, cfg.cluster_separation, cfg.noise_scale, rng
-        )
+        data, _ = planted_linear_dataset(cfg.dataset_size, p.input_dim, cfg.planted_norm, rng)
         # The pilot fit behind the scores draws nothing from rng.
         weights = sensitivity_scores(data) if cfg.coreset_strategy == "sensitivity" else None
         full_model = train_logistic(data, cfg.train)
-        eval_cloud, _ = cluster_dataset(
-            eval_draws, p.input_dim, cfg.cluster_separation, cfg.noise_scale, rng
-        )
-        eval_points = np.vstack([eval_cloud.features, data.features])
+        # The cloud follows the generator's own input law.
+        eval_points = np.vstack([rng.standard_normal((eval_draws, p.input_dim)), data.features])
         full_probs = predict_probs(full_model, eval_points)
         for size in sizes:
             core = select_coreset(data, size, weights, rng)

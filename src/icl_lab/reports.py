@@ -95,6 +95,21 @@ def _finite_or_null(value):
     return value
 
 
+def csv_sibling(json_path) -> Path:
+    """The CSV report's path: the JSON report's ``json_path`` with the suffix ``.csv``.
+
+    A path naming no file, or already ending in ``.csv``, is refused, so the CSV
+    never overwrites the JSON report.
+    """
+    path = Path(json_path)
+    if not path.name or path.suffix == ".csv":
+        raise ParameterError(
+            f"report path {str(json_path)!r} must name a file not ending in .csv; "
+            "the CSV report goes to its .csv sibling"
+        )
+    return path.with_suffix(".csv")
+
+
 def write_json_report(report: BoundReport, path) -> None:
     strict = _finite_or_null(report_to_dict(report))
     payload = json.dumps(strict, indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -223,6 +223,7 @@ class TestVerify:
             ("concentration", "1.0"),
             ("concentration", True),
             ("concentration", float("nan")),
+            # Not config fields: refused as unknown keys.
             ("cluster_separation", "1.5"),
             ("noise_scale", None),
             ("planted_norm", float("inf")),
@@ -230,6 +231,10 @@ class TestVerify:
             ("params", [1, 2]),
             ("train", 5),
             ("eta", "none"),
+            # A null subset_sizes crashed subset_penalty runs, and a non-string
+            # output_path every run after its trials, each with a TypeError traceback.
+            ("subset_sizes", None),
+            ("output_path", 5),
         ],
     )
     def test_non_integer_config_value_is_parameter_error(
@@ -242,7 +247,7 @@ class TestVerify:
             capsys, "verify", "textgen", "--config", str(config_path), "--output", str(out_path)
         )
         assert code == 1
-        assert key in err
+        assert key in err and err.startswith("error: ") and err.count("\n") == 1
         assert not out_path.exists()
 
     @pytest.mark.parametrize(
@@ -277,6 +282,16 @@ class TestVerify:
         assert code == 1
         assert key in err
         assert not out_path.exists()
+
+    def test_csv_output_path_is_parameter_error(self, capsys, tmp_path, config_path):
+        # The JSON report used to be written to r.csv and then overwritten by the CSV.
+        code, out, err = run_cli(
+            capsys, "verify", "textgen", "--config", str(config_path),
+            "--output", str(tmp_path / "r.csv"),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "r.csv" in err and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == [config_path.name]
 
     @pytest.mark.parametrize("length", [4000, 5000])
     def test_oversized_sequence_space_is_one_error_line(self, capsys, tmp_path, length):

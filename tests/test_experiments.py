@@ -15,7 +15,6 @@ from icl_lab import (
     TrainConfig,
     TrialResult,
     build_report,
-    cluster_dataset,
     fit_log_log_slope,
     icl_counts_dist,
     knn_select,
@@ -196,6 +195,13 @@ class TestConfig:
         with pytest.raises(ParameterError):
             textgen_config(kind="subset_penalty", subset_sizes=(0, 10))
 
+    def test_only_subset_sizes_refuses_null(self):
+        # null coreset_sizes or knn_sizes is the calculator's size; subset_penalty has none.
+        for name in ("coreset_sizes", "knn_sizes"):
+            assert getattr(textgen_config(**{name: None}), name) is None
+        with pytest.raises(ParameterError, match="subset_sizes"):
+            textgen_config(kind="subset_penalty", subset_sizes=None)
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_uint64_rejected(self, seed):
         payload = textgen_config().to_dict()
@@ -231,9 +237,10 @@ class TestTextgenExperiment:
         assert threaded == base
 
     def test_bad_thread_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("ICL_LAB_THREADS", "many")
-        with pytest.raises(ParameterError):
-            max_workers()
+        for raw in ("many", "0", "-3"):
+            monkeypatch.setenv("ICL_LAB_THREADS", raw)
+            with pytest.raises(ParameterError, match="ICL_LAB_THREADS"):
+                max_workers()
 
     def test_undersampling_fails_hard(self):
         cfg = textgen_config(
@@ -352,6 +359,29 @@ class TestClassificationExperiments:
         )
         report = run_coreset_experiment(cfg)
         assert all(t.sup_error < 1e-6 for t in report.trials)
+
+    def test_coreset_draws_the_planted_task(self, monkeypatch):
+        # The coreset task is knn's: one planted logistic dataset per trial.
+        calls = []
+
+        def drawing(n, dim, weight_norm, rng):
+            calls.append((n, dim, weight_norm))
+            return planted_linear_dataset(n, dim, weight_norm, rng)
+
+        monkeypatch.setattr(experiments, "planted_linear_dataset", drawing)
+        cfg = ExperimentConfig(
+            kind="coreset",
+            params=BoundParams(epsilon=0.25, delta=0.05, input_dim=3),
+            trials=3,
+            seed=5,
+            dataset_size=120,
+            planted_norm=3.5,
+            coreset_sizes=(30, 120),
+            eval_points=50,
+            train=TrainConfig(max_iters=200, l2_reg=1e-3),
+        )
+        run_coreset_experiment(cfg)
+        assert calls == [(120, 3, 3.5)] * 3
 
     def test_coreset_full_size_reuses_the_full_fit(self, monkeypatch):
         fits = []
@@ -514,18 +544,6 @@ class TestClassificationExperiments:
         )
         with pytest.raises(ParameterError):
             run_knn_experiment(cfg)
-
-    def test_cluster_dataset_planted_model_is_posterior(self):
-        rng = np.random.default_rng(0)
-        data, planted = cluster_dataset(20_000, 2, 1.0, 1.0, rng)
-        # Bin membership rates along the first axis should track the planted
-        # logistic posterior.
-        xs = data.features[:, 0]
-        for lo in (-1.5, -0.5, 0.5):
-            mask = (xs >= lo) & (xs < lo + 0.4)
-            rate = data.labels[mask].mean()
-            expected = predict_probs(planted, np.array([[lo + 0.2, 0.0]]))[0]
-            assert rate == pytest.approx(expected, abs=0.05)
 
 
 class TestSubsetPenaltyExperiment:
