@@ -344,12 +344,14 @@ def knn_order(data: LabeledDataset, query, k: int) -> np.ndarray:
     Exact distance ties are broken by dataset index, lowest first.
     """
     query = np.asarray(query, dtype=float)
-    if query.ndim != 1 or query.size != data.dim:
-        raise ParameterError(f"query must be a vector of dimension {data.dim}")
+    if query.ndim != 1 or query.size != data.dim or not np.all(np.isfinite(query)):
+        raise ParameterError(f"query must be a finite vector of dimension {data.dim}")
     if not 1 <= k <= data.num_points:
         raise ParameterError(f"k must be in [1, {data.num_points}], got {k}")
     sq_dists = ((data.features - query) ** 2).sum(axis=1)
-    return np.argsort(sq_dists, kind="stable")[:k]
+    # Points within the k-th smallest distance, ties included, sorted stably by distance.
+    near = np.flatnonzero(sq_dists <= np.partition(sq_dists, k - 1)[k - 1])
+    return near[np.argsort(sq_dists[near], kind="stable")[:k]]
 
 
 def knn_select(data: LabeledDataset, query, k: int) -> LabeledDataset:

@@ -41,6 +41,24 @@ class Vocabulary:
         return len(self.tokens)
 
 
+def normalized_rows(probs: np.ndarray) -> np.ndarray:
+    """``probs`` over its sums along the last axis; each must be within
+    ``PROB_SUM_TOLERANCE`` of 1, and no entry may be negative."""
+    # A non-finite entry or an overflowing sum fails the sum test; with no negative
+    # entry, a sum within tolerance bounds every entry by 1 + PROB_SUM_TOLERANCE.
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = probs.sum(axis=-1, keepdims=True)
+    off = ~(np.abs(totals - 1.0) <= PROB_SUM_TOLERANCE)
+    if off.any():
+        raise ParameterError(
+            f"probabilities sum to {float(totals[off][0])!r}, outside tolerance "
+            f"{PROB_SUM_TOLERANCE} of 1"
+        )
+    if probs.min() < 0.0:
+        raise ParameterError("probability entries must be non-negative")
+    return probs / totals
+
+
 @dataclass(frozen=True)
 class CategoricalDistribution:
     """Probability vector over a finite support.
@@ -56,17 +74,7 @@ class CategoricalDistribution:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1 or probs.size < 1:
             raise ParameterError("probability vector must be one-dimensional and non-empty")
-        # A non-finite entry or an overflowing sum fails the sum test; with no negative
-        # entry, a sum within tolerance bounds every entry by 1 + PROB_SUM_TOLERANCE.
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = float(probs.sum())
-        if not abs(total - 1.0) <= PROB_SUM_TOLERANCE:
-            raise ParameterError(
-                f"probabilities sum to {total!r}, outside tolerance {PROB_SUM_TOLERANCE} of 1"
-            )
-        if probs.min() < 0.0:
-            raise ParameterError("probability entries must be non-negative")
-        probs = probs / total
+        probs = normalized_rows(probs)
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
@@ -117,44 +125,71 @@ def empirical_distribution(samples, vocab: Vocabulary) -> CategoricalDistributio
 
 
 def sample_counts(dist: CategoricalDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Counts of ``n`` i.i.d. draws from ``dist``: one Multinomial(n, p) vector of length V.
+    """Counts of ``n`` i.i.d. draws from ``dist``: one Multinomial(n, p) vector of length V."""
+    return _draw_counts(dist.probs[None], n, rng)[0]
 
-    With ``n >= V`` it is one ``rng.multinomial`` call, O(V).  With ``n < V``
-    it counts ``n`` sorted uniforms placed on the CDF, O(n log n + V), which
-    beats multinomial's one binomial draw per outcome.  Scaling the uniforms by
-    the CDF's last entry keeps every index below V and off zero-probability outcomes.
+
+def nested_counts(probs: np.ndarray, sizes, rng: np.random.Generator):
+    """Yield the (rows, V) counts of nested i.i.d. samples of the sorted ``sizes`` from
+    the rows of the (rows, V) array ``probs``: each size after the first adds
+    ``Multinomial(n_k - n_{k-1}, p)`` draws, which gives the joint law of one token
+    stream's prefixes.
+
+    With ``n >= V`` a draw is one ``rng.multinomial`` call, equal bit for bit to one
+    call per row.  With ``n < V`` each row counts ``n`` sorted uniforms placed on its
+    CDF, O(n log n + V), which beats multinomial's one binomial draw per outcome;
+    scaling them by the CDF's last entry keeps every index below V and off
+    zero-probability outcomes.
     """
+    counts, drawn = None, 0
+    for size in sizes:
+        if size > drawn:
+            draw = _draw_counts(probs, size - drawn, rng)
+            counts = draw if counts is None else counts + draw
+            drawn = size
+        yield counts
+
+
+def _draw_counts(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """One :func:`nested_counts` draw: n i.i.d. draws from each row of ``probs``."""
     if n < 1:
         raise ParameterError(f"sample count must be >= 1, got {n}")
-    if n >= dist.size:
-        return rng.multinomial(n, dist.probs)
-    cdf = np.cumsum(dist.probs)
-    u = np.sort(rng.random(n)) * cdf[-1]
-    return np.bincount(np.searchsorted(cdf, u, side="right"), minlength=dist.size)
+    if n >= probs.shape[1]:
+        return rng.multinomial(n, probs)
+    rows = []
+    for p in probs:
+        cdf = np.cumsum(p)
+        u = np.sort(rng.random(n)) * cdf[-1]
+        rows.append(np.bincount(np.searchsorted(cdf, u, side="right"), minlength=p.size))
+    # One row is viewed, not copied: a copy per context doubles the page faults at V=50,000.
+    return np.stack(rows) if len(rows) > 1 else rows[0][None]
 
 
 def random_distribution(
     size: int, concentration: float, rng: np.random.Generator
 ) -> CategoricalDistribution:
-    """Symmetric Dirichlet-style draw via normalized Gamma variates.
+    """Symmetric Dirichlet draw: skewed at small ``concentration``, near uniform at large."""
+    draws = dirichlet_gammas(1, size, concentration, rng)[0]
+    return CategoricalDistribution(draws / draws.sum())
 
-    Small ``concentration`` gives skewed vectors (mass on few entries); large
-    values approach the uniform vector.
-    """
+
+def dirichlet_gammas(
+    rows: int, size: int, concentration: float, rng: np.random.Generator
+) -> np.ndarray:
+    """(rows, size) Gamma(concentration) variates whose normalized rows are symmetric
+    Dirichlet draws: one ``standard_gamma`` call, then a redraw of each row in turn
+    whose sum is 0 (every draw underflowed) or inf.  In law Gamma(a) =
+    Gamma(a + 1) * U**(1/a), whose log, scaled by min(a, 1), does neither."""
     if size < 1:
         raise ParameterError(f"support size must be >= 1, got {size}")
     if concentration <= 0:
         raise ParameterError(f"concentration must be positive, got {concentration}")
+    scale = min(concentration, 1.0)
     with np.errstate(over="ignore"):
-        draws = rng.gamma(concentration, 1.0, size=size)
-        total = draws.sum()
-        if 0.0 < total < np.inf:
-            return CategoricalDistribution(draws / total)
-        # Every draw underflowed to zero, or their sum overflowed.  In law Gamma(a) =
-        # Gamma(a + 1) * U**(1/a), whose log, scaled by min(a, 1), does neither.
-        scale = min(concentration, 1.0)
-        logs = scale * np.log(rng.gamma(concentration + 1.0, 1.0, size=size))
-        logs += scale / concentration * np.log1p(-rng.random(size))
-        weights = np.exp((logs - logs.max()) / scale)
-    return CategoricalDistribution(weights / weights.sum())
-
+        draws = rng.standard_gamma(concentration, size=(rows, size))
+        totals = draws.sum(axis=1)
+        for i in np.flatnonzero(~((0.0 < totals) & (totals < np.inf))):
+            logs = scale * np.log(rng.standard_gamma(concentration + 1.0, size=size))
+            logs += scale / concentration * np.log1p(-rng.random(size))
+            draws[i] = np.exp((logs - logs.max()) / scale)
+    return draws

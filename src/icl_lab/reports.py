@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -108,6 +109,26 @@ def csv_sibling(json_path) -> Path:
             "the CSV report goes to its .csv sibling"
         )
     return path.with_suffix(".csv")
+
+
+@contextmanager
+def report_files(json_path):
+    """Temporary paths for the JSON report ``json_path`` and its CSV sibling, created
+    before the body runs and moved onto the reports after it, so an unwritable path
+    fails before any work and a failed body leaves neither report."""
+    targets = (Path(json_path), csv_sibling(json_path))
+    temps = [target.with_name(f".{target.name}.tmp") for target in targets]
+    try:
+        for target, temp in zip(targets, temps):
+            if target.is_dir():
+                raise IsADirectoryError(f"report path {str(target)!r} is a directory")
+            temp.touch()
+        yield temps
+        for temp, target in zip(temps, targets):
+            temp.replace(target)
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
 
 
 def write_json_report(report: BoundReport, path) -> None:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from icl_lab import experiments
-from icl_lab.classify import fit_logistic_stack
+from icl_lab.classify import fit_logistic_stack, knn_order
 from icl_lab import (
     BoundParams,
     DivergenceError,
@@ -344,6 +344,24 @@ class TestKnnSelect:
         data = make_dataset([[1.0]], [0])
         with pytest.raises(ParameterError):
             knn_select(data, np.array([0.0]), 2)
+
+    def test_order_is_the_full_stable_argsort_prefix(self):
+        # Tripled points tie exactly; random points almost never do.
+        rng = np.random.default_rng(6)
+        base = rng.integers(-2, 3, size=(10, 2)).astype(float)
+        tied = LabeledDataset(np.vstack([base, base, base]), rng.integers(0, 2, 30))
+        spread = LabeledDataset(rng.standard_normal((40, 3)), rng.integers(0, 2, 40))
+        for data, query in ((tied, np.zeros(2)), (spread, rng.standard_normal(3))):
+            sq_dists = ((data.features - query) ** 2).sum(axis=1)
+            full = np.argsort(sq_dists, kind="stable")
+            for k in range(1, data.num_points + 1):
+                assert np.array_equal(knn_order(data, query, k), full[:k])
+
+    def test_non_finite_query_rejected(self):
+        data = make_dataset([[1.0], [2.0]], [0, 1])
+        for query in ([np.nan], [np.inf]):
+            with pytest.raises(ParameterError, match="finite"):
+                knn_order(data, np.array(query), 1)
 
 
 class TestDatasetTypes:

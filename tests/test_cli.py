@@ -8,7 +8,7 @@ import pytest
 
 import icl_lab
 
-from icl_lab import BoundParams, ExperimentConfig
+from icl_lab import BoundParams, ExperimentConfig, experiments
 from icl_lab.cli import main
 from icl_lab.experiments import KINDS
 
@@ -291,6 +291,45 @@ class TestVerify:
         )
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and "r.csv" in err and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == [config_path.name]
+
+    @pytest.mark.parametrize("directory", ["out.json", "out.csv"])
+    def test_report_path_naming_a_directory_runs_no_trial(
+        self, capsys, tmp_path, config_path, monkeypatch, directory
+    ):
+        # Either report path being a directory used to surface only after every trial.
+        (tmp_path / directory).mkdir()
+        monkeypatch.setattr(experiments, "trial_rng", pytest.fail)
+        code, out, err = run_cli(
+            capsys, "verify", "textgen", "--config", str(config_path),
+            "--output", str(tmp_path / "out.json"),
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("i/o error: ") and directory in err and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([config_path.name, directory])
+
+    def test_failed_csv_write_leaves_no_json(self, capsys, tmp_path, config_path, monkeypatch):
+        def refuse(report, path):
+            raise PermissionError(f"cannot write {path}")
+
+        monkeypatch.setattr(experiments, "write_csv_report", refuse)
+        code, _, err = run_cli(
+            capsys, "verify", "textgen", "--config", str(config_path),
+            "--output", str(tmp_path / "out.json"),
+        )
+        assert code == 3 and err.startswith("i/o error: cannot write")
+        assert [p.name for p in tmp_path.iterdir()] == [config_path.name]
+
+    def test_failed_trial_leaves_no_report(self, capsys, tmp_path, config_path, monkeypatch):
+        def broken(seed, i):
+            raise OSError("trial failed")
+
+        monkeypatch.setattr(experiments, "trial_rng", broken)
+        code, _, _ = run_cli(
+            capsys, "verify", "textgen", "--config", str(config_path),
+            "--output", str(tmp_path / "out.json"),
+        )
+        assert code == 3
         assert [p.name for p in tmp_path.iterdir()] == [config_path.name]
 
     @pytest.mark.parametrize("length", [4000, 5000])

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import threading
 import tracemalloc
 
 import numpy as np
@@ -37,6 +38,7 @@ from icl_lab import (
     write_csv_report,
     write_json_report,
 )
+from icl_lab.distributions import dirichlet_gammas, normalized_rows
 from icl_lab.experiments import KINDS, _median, max_workers, nested_counts
 
 
@@ -307,6 +309,81 @@ class TestTextgenExperiment:
         assert report.extras["failure_threshold"] == pytest.approx(0.2 + 0.5)
 
 
+def per_context_reference(cfg, support, contexts, sizes, rng, block):
+    """The worst error per size, context by context through the public primitives:
+    each block of ``block`` contexts draws its truths, then each size's counts."""
+    worst = [0.0] * len(sizes)
+    for start in range(0, contexts, block):
+        truths = [random_distribution(support, cfg.concentration, rng) for _ in range(block)]
+        counts, drawn = [0] * block, 0
+        for j, n in enumerate(sizes):
+            for r, truth in enumerate(truths):
+                counts[r] = counts[r] + sample_counts(truth, n - drawn, rng)
+                error = l1_distance(icl_counts_dist(counts[r], cfg.eta), truth)
+                worst[j] = max(worst[j], error)
+            drawn = n
+    return worst
+
+
+class TestCountsBlocks:
+    def measure(self, cfg, support, contexts, sizes, seed):
+        rng = trial_rng(seed, 0)
+        errors = [e for e, _ in experiments._counts_measure(cfg, support, contexts, sizes)(rng)]
+        return errors, rng
+
+    @pytest.mark.parametrize("eta", [EtaModel.none(), EtaModel.uniform_mix(0.1)])
+    def test_one_context_blocks_match_the_per_context_path(self, eta):
+        # Above 16,384 outcomes a block is one context: the stream of one context at a time.
+        cfg = textgen_config(eta=eta, concentration=0.5)
+        sizes = (300, 20_000, 60_000)  # CDF, then multinomial draws
+        errors, rng = self.measure(cfg, 40_000, 3, sizes, seed=4)
+        reference_rng = trial_rng(4, 0)
+        assert errors == per_context_reference(cfg, 40_000, 3, sizes, reference_rng, block=1)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    @pytest.mark.parametrize("sizes", [(44_936,), (5, 50)])
+    def test_multi_row_block_draws_truths_then_counts(self, sizes):
+        cfg = textgen_config(eta=EtaModel.uniform_mix(0.2))
+        errors, _ = self.measure(cfg, 20, 10, sizes, seed=3)
+        assert errors == per_context_reference(cfg, 20, 10, sizes, trial_rng(3, 0), block=10)
+
+    @pytest.mark.parametrize("concentration", [1e-300, 1e308])
+    def test_degenerate_gamma_blocks_give_valid_rows(self, concentration):
+        # Every Gamma draw underflows at 1e-300; every row sum overflows at 1e308.
+        out = []
+        rng = trial_rng(1, 0)
+        worker = threading.Thread(
+            target=lambda: out.append(dirichlet_gammas(10, 20, concentration, rng)), daemon=True
+        )
+        worker.start()
+        worker.join(timeout=1.0)
+        assert not worker.is_alive() and len(out) == 1
+        truths = normalized_rows(out[0] / out[0].sum(axis=1, keepdims=True))
+        if concentration < 1:
+            assert np.all(np.count_nonzero(truths, axis=1) == 1) and np.all(truths.max(1) == 1)
+        else:
+            assert np.allclose(truths, 1 / 20, rtol=1e-12)
+        cfg = textgen_config(concentration=concentration, trials=2)
+        for error, _ in experiments._counts_measure(cfg, 20, 10, (200,))(trial_rng(1, 0)):
+            assert 0.0 <= error <= 2.0
+
+    def test_block_memory_does_not_grow_with_contexts(self):
+        # At V = 2,000 a block holds 16 contexts; 200 contexts run as 13 blocks
+        # and stay within the memory of one.
+        def peak(contexts):
+            params = BoundParams(epsilon=0.2, delta=0.05, vocab_size=2_000, num_contexts=contexts)
+            cfg = textgen_config(params=params, samples_override=5_000, trials=1)
+            tracemalloc.start()
+            try:
+                run_textgen_experiment(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(16)  # warm-up, so one-off first-call allocations are not counted
+        assert peak(200) <= 1.5 * peak(16)
+
+
 class TestBoundedTextgenExperiment:
     def test_length_one_matches_textgen_on_shared_seed(self):
         params = BoundParams(epsilon=0.2, delta=0.05, vocab_size=7, num_contexts=3)
@@ -569,7 +646,7 @@ class TestSubsetPenaltyExperiment:
         sizes = (7, 50, 50, 400)
         rng = trial_rng(9, 0)
         truth = random_distribution(6, 1.0, rng)
-        vectors = list(nested_counts(truth, sizes, rng))
+        vectors = [v[0] for v in nested_counts(truth.probs[None], sizes, rng)]
         assert [int(v.sum()) for v in vectors] == list(sizes)
         for smaller, larger in zip(vectors, vectors[1:]):
             assert np.all(smaller <= larger)
@@ -578,7 +655,7 @@ class TestSubsetPenaltyExperiment:
         assert [t.sup_error for t in report.trials] == errors
         # One size: the counts are sample_counts' own draw from the same state.
         state = rng.bit_generator.state
-        (single,) = nested_counts(truth, (50,), rng)
+        ((single,),) = nested_counts(truth.probs[None], (50,), rng)
         rng.bit_generator.state = state
         drawn = sample_counts(truth, 50, rng)
         assert single.dtype == drawn.dtype == np.int64
