@@ -48,12 +48,11 @@ def normalized_rows(probs: np.ndarray) -> np.ndarray:
     # entry, a sum within tolerance bounds every entry by 1 + PROB_SUM_TOLERANCE.
     with np.errstate(over="ignore", invalid="ignore"):
         totals = probs.sum(axis=-1, keepdims=True)
-    off = ~(np.abs(totals - 1.0) <= PROB_SUM_TOLERANCE)
-    if off.any():
-        raise ParameterError(
-            f"probabilities sum to {float(totals[off][0])!r}, outside tolerance "
-            f"{PROB_SUM_TOLERANCE} of 1"
-        )
+        if not np.abs(totals - 1.0).max() <= PROB_SUM_TOLERANCE:
+            total = next(float(t) for t in totals.flat if not abs(t - 1.0) <= PROB_SUM_TOLERANCE)
+            raise ParameterError(
+                f"probabilities sum to {total!r}, outside tolerance {PROB_SUM_TOLERANCE} of 1"
+            )
     if probs.min() < 0.0:
         raise ParameterError("probability entries must be non-negative")
     return probs / totals
@@ -187,9 +186,9 @@ def dirichlet_gammas(
     scale = min(concentration, 1.0)
     with np.errstate(over="ignore"):
         draws = rng.standard_gamma(concentration, size=(rows, size))
-        totals = draws.sum(axis=1)
-        for i in np.flatnonzero(~((0.0 < totals) & (totals < np.inf))):
-            logs = scale * np.log(rng.standard_gamma(concentration + 1.0, size=size))
-            logs += scale / concentration * np.log1p(-rng.random(size))
-            draws[i] = np.exp((logs - logs.max()) / scale)
+        for i, total in enumerate(draws.sum(axis=1)):
+            if not 0.0 < total < np.inf:
+                logs = scale * np.log(rng.standard_gamma(concentration + 1.0, size=size))
+                logs += scale / concentration * np.log1p(-rng.random(size))
+                draws[i] = np.exp((logs - logs.max()) / scale)
     return draws

@@ -219,7 +219,7 @@ def _run_sweep(
             for j, (value, (error, detail)) in enumerate(pairs)
         ]
 
-    with report_files(cfg.output_path) if cfg.output_path else nullcontext() as temps:
+    with report_files(cfg.output_path) if cfg.output_path is not None else nullcontext() as temps:
         workers = max_workers()
         if workers == 1:
             nested = [one_trial(i) for i in range(cfg.trials)]
@@ -243,7 +243,7 @@ def _run_sweep(
         # so reports written to different paths stay byte-identical.
         echo = dict(cfg.to_dict(), output_path=None)
         report = build_report(echo, rows, cfg.params.delta, extras)
-        if temps:
+        if temps is not None:
             write_json_report(report, temps[0])
             write_csv_report(report, temps[1])
     return report

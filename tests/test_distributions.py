@@ -15,7 +15,7 @@ from icl_lab import (
     random_distribution,
     sample_counts,
 )
-from icl_lab.distributions import PROB_SUM_TOLERANCE
+from icl_lab.distributions import PROB_SUM_TOLERANCE, normalized_rows
 
 
 def dist(*probs):
@@ -105,6 +105,22 @@ class TestCategoricalDistribution:
         else:
             assert not four_checks_reject(probs)
             assert np.array_equal(p.probs, probs / probs.sum())
+
+    def test_rows_get_the_same_checks_and_division(self):
+        rng = np.random.default_rng(8)
+        rows = rng.random((5, 7))
+        rows /= rows.sum(axis=1, keepdims=True)
+        rows[2] *= 1.0 + 5e-10
+        out = normalized_rows(rows)
+        for row, normalized in zip(rows, out):
+            assert np.array_equal(normalized, CategoricalDistribution(row).probs)
+        bad_sum, negative = rows.copy(), rows.copy()
+        bad_sum[3] *= 1.5
+        negative[4, :2] += [-1.0, 1.0]
+        with pytest.raises(ParameterError, match="sum to 1.5"):
+            normalized_rows(bad_sum)
+        with pytest.raises(ParameterError, match="non-negative"):
+            normalized_rows(negative)
 
     def test_immutable(self):
         p = dist(0.5, 0.5)
