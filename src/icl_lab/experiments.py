@@ -24,7 +24,6 @@ caps the worker count (default 1).
 from __future__ import annotations
 
 import dataclasses
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -109,12 +108,11 @@ class ExperimentConfig:
     knn_sizes: tuple[int, ...] = (16, 64, 256, 1024)
     subset_sizes: tuple[int, ...] = (100, 1000, 10_000, 100_000)
     train: TrainConfig = TrainConfig()
-    sequence_limit: int = DEFAULT_SEQUENCE_LIMIT
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"unknown experiment kind {self.kind!r}; expected one of {KINDS}")
-        for name, low in (("trials", 1), ("seed", 0), ("dataset_size", 2), ("sequence_limit", 1)):
+        for name, low in (("trials", 1), ("seed", 0), ("dataset_size", 2)):
             check_int(name, getattr(self, name), low)
         for name in ("eval_points", "samples_override"):
             if getattr(self, name) is not None:
@@ -250,9 +248,8 @@ def _run_sweep(
 
 
 def _median(values: list[float]) -> float:
-    """``np.median`` of ``values``, without the ``numpy.ma`` import it costs."""
-    if any(math.isnan(v) for v in values):
-        return math.nan
+    """``np.median`` of ``values``, which hold no NaN (``TrialResult`` refuses one),
+    without the ``numpy.ma`` import it costs."""
     ordered = sorted(values)
     mid = len(ordered) // 2
     return float(ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2)
@@ -288,7 +285,7 @@ def run_bounded_textgen_experiment(cfg: ExperimentConfig) -> BoundReport:
     distribution of length-l sequences, estimated from whole-sequence samples."""
     _require_kind(cfg, "bounded_textgen")
     p = cfg.params
-    space = sequence_space(p.vocab_size, p.output_len, cfg.sequence_limit)
+    space = sequence_space(p.vocab_size, p.output_len, DEFAULT_SEQUENCE_LIMIT)
     n = cfg.samples_override or bounded_textgen_size(p)
     extras = {
         "samples_per_context": n,

@@ -122,7 +122,10 @@ def report_files(json_path):
         for target, temp in zip(targets, temps):
             if target.is_dir():
                 raise IsADirectoryError(f"report path {str(target)!r} is a directory")
-            temp.touch()
+            try:
+                temp.touch()
+            except OSError as exc:  # name the report, not its temporary
+                raise type(exc)(exc.errno, exc.strerror, str(target)) from exc
         yield temps
         for temp, target in zip(temps, targets):
             temp.replace(target)

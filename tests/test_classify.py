@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from icl_lab import experiments
-from icl_lab.classify import fit_logistic_stack, knn_order
 from icl_lab import (
     BoundParams,
     DivergenceError,
@@ -14,12 +13,16 @@ from icl_lab import (
     LinearModel,
     ParameterError,
     TrainConfig,
-    knn_select,
     logistic_gradient,
     logistic_loss,
+    run_knn_experiment,
+)
+from icl_lab.classify import (
+    fit_logistic_stack,
+    knn_order,
+    knn_select,
     predict_prob,
     predict_probs,
-    run_knn_experiment,
     select_coreset,
     sensitivity_scores,
     sigmoid,

@@ -217,7 +217,6 @@ class TestVerify:
             ("eval_points", 2.0),
             ("samples_override", 400.0),
             ("dataset_size", 100.0),
-            ("sequence_limit", "10"),
             ("knn_sizes", [16, 1.5]),
             ("subset_sizes", [True]),
             ("concentration", "1.0"),
@@ -225,6 +224,7 @@ class TestVerify:
             ("concentration", float("nan")),
             # Not config fields: refused as unknown keys.
             ("cluster_separation", "1.5"),
+            ("sequence_limit", "10"),
             ("noise_scale", None),
             ("planted_norm", float("inf")),
             ("coreset_strategy", "grid"),
@@ -307,6 +307,26 @@ class TestVerify:
         assert (code, out) == (3, "")
         assert err.startswith("i/o error: ") and directory in err and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted([config_path.name, directory])
+
+    @pytest.mark.parametrize("report", ["out.json", "out.csv"])
+    def test_missing_report_directory_names_the_report(
+        self, capsys, tmp_path, config_path, monkeypatch, report
+    ):
+        # The error names the report path that was given, not its temporary.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(experiments, "trial_rng", pytest.fail)
+        if report == "out.csv":  # a dangling link as the CSV's temporary: only it fails
+            Path(".out.csv.tmp").symlink_to(tmp_path / "nodir" / "out.csv")
+            output = "out.json"
+        else:
+            output = "nodir/out.json"
+        code, out, err = run_cli(
+            capsys, "verify", "textgen", "--config", str(config_path), "--output", output
+        )
+        assert (code, out) == (3, "")
+        missing = str(Path(output).with_name(report))
+        assert err == f"i/o error: [Errno 2] No such file or directory: {missing!r}\n"
+        assert [p.name for p in tmp_path.iterdir()] == [config_path.name]
 
     def test_failed_csv_write_leaves_no_json(self, capsys, tmp_path, config_path, monkeypatch):
         def refuse(report, path):

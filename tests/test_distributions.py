@@ -5,17 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icl_lab import (
+from icl_lab import ParameterError, Vocabulary
+from icl_lab.distributions import (
+    PROB_SUM_TOLERANCE,
     CategoricalDistribution,
-    ParameterError,
-    Vocabulary,
     empirical_distribution,
-    icl_counts_dist,
     l1_distance,
+    normalized_rows,
     random_distribution,
     sample_counts,
 )
-from icl_lab.distributions import PROB_SUM_TOLERANCE, normalized_rows
+from icl_lab.oracle import icl_counts_dist
 
 
 def dist(*probs):

@@ -14,32 +14,38 @@ from icl_lab import (
     LinearModel,
     ParameterError,
     TrainConfig,
-    TrialResult,
-    build_report,
-    fit_log_log_slope,
-    icl_counts_dist,
-    knn_select,
-    l1_distance,
-    mix_probability,
-    planted_linear_dataset,
-    predict_prob,
-    predict_probs,
-    random_distribution,
-    report_to_dict,
     run_bounded_textgen_experiment,
     run_coreset_experiment,
     run_experiment,
     run_knn_experiment,
     run_subset_penalty_experiment,
     run_textgen_experiment,
+)
+from icl_lab.classify import knn_select, predict_prob, predict_probs, train_logistic
+from icl_lab.distributions import (
+    dirichlet_gammas,
+    l1_distance,
+    normalized_rows,
+    random_distribution,
     sample_counts,
-    train_logistic,
+)
+from icl_lab.experiments import (
+    KINDS,
+    _median,
+    max_workers,
+    nested_counts,
+    planted_linear_dataset,
     trial_rng,
+)
+from icl_lab.oracle import icl_counts_dist, mix_probability
+from icl_lab.reports import (
+    TrialResult,
+    build_report,
+    fit_log_log_slope,
+    report_to_dict,
     write_csv_report,
     write_json_report,
 )
-from icl_lab.distributions import dirichlet_gammas, normalized_rows
-from icl_lab.experiments import KINDS, _median, max_workers, nested_counts
 
 
 def textgen_config(**overrides):
@@ -153,12 +159,11 @@ class TestMedian:
             [0.1 + 0.2, 0.7, 1e-300, 0.3, 0.3, 5.0],
             [float("inf"), 0.2, 0.25, 0.1],
             [2.0, float("inf"), 0.1],
-            [float("nan"), 0.1, 0.2],
+            [float("inf"), 0.3, float("inf"), 0.1],
         ],
     )
     def test_equals_numpy_median(self, values):
-        expected = np.median(values)
-        assert _median(values) == expected or (np.isnan(expected) and np.isnan(_median(values)))
+        assert _median(values) == np.median(values)
         assert type(_median(values)) is float
 
     def test_random_lists_odd_and_even(self):
@@ -411,14 +416,15 @@ class TestBoundedTextgenExperiment:
         )
         assert run_bounded_textgen_experiment(cfg).failure_rate >= 0.95
 
-    def test_sequence_space_limit(self):
+    def test_sequence_space_limit(self, monkeypatch):
+        # V^l = 1001^2 = 1,002,001 is just past the fixed 10^6 cap; no trial runs.
         cfg = ExperimentConfig(
             kind="bounded_textgen",
-            params=BoundParams(epsilon=0.2, delta=0.05, vocab_size=10, output_len=3),
+            params=BoundParams(epsilon=0.2, delta=0.05, vocab_size=1001, output_len=2),
             trials=2,
-            sequence_limit=100,
         )
-        with pytest.raises(ParameterError):
+        monkeypatch.setattr(experiments, "trial_rng", pytest.fail)
+        with pytest.raises(ParameterError, match=r"1001\^2 exceeds the limit 1000000"):
             run_bounded_textgen_experiment(cfg)
 
 

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icl_lab import (
-    CategoricalDistribution,
     Context,
     EtaModel,
     IclPromptSamples,
@@ -12,16 +11,17 @@ from icl_lab import (
     ParameterError,
     TrainConfig,
     Vocabulary,
-    empirical_distribution,
-    encode_sequences,
-    icl_counts_dist,
     icl_sequence_dist,
     icl_textgen_dist,
-    l1_distance,
+)
+from icl_lab.distributions import CategoricalDistribution, empirical_distribution, l1_distance
+from icl_lab.oracle import (
+    encode_sequences,
+    icl_counts_dist,
     mix_probability,
     mix_with_uniform,
+    sequence_space,
 )
-from icl_lab.oracle import sequence_space
 
 
 class TestEtaModel:

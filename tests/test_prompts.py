@@ -2,13 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icl_lab import (
-    ExamplePair,
-    ParameterError,
-    PromptConfig,
-    SeparatorCollisionWarning,
-    build_prompt,
-)
+from icl_lab import ExamplePair, ParameterError, build_prompt
+from icl_lab.prompts import PromptConfig, SeparatorCollisionWarning
 
 SENTIMENT_PAIRS = [
     ExamplePair("Great movie!", "positive"),
