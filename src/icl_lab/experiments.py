@@ -2,13 +2,17 @@
 
 The five runners share one sweep skeleton, :func:`_run_sweep`.  A runner
 checks its kind, resolves its sweep (subset sizes, values of ``k``, or
-``(None,)`` for the two textgen kinds) and supplies ``measure(rng)``, which
-yields one ``(error, detail)`` pair per swept value.  The skeleton owns the
-rest:
+``(None,)`` for the two textgen kinds) and supplies ``measure(rngs)``: given
+the streams of a batch of consecutive trials, it yields per trial one
+``(error, detail)`` pair per swept value.  knn and the three counts kinds
+measure one trial at a time, in batches of one (:func:`_per_trial`); coreset
+takes as many trials as one stack of its largest fitted coreset holds, so that
+it fits each swept size across the batch as one stacked solve.  The skeleton
+owns the rest:
 
 * trial ``i`` draws all of its randomness from ``trial_rng(seed, i)``, so
-  results do not depend on execution order and the whole run is a pure
-  function of the config;
+  results depend neither on batching nor on execution order, and the whole
+  run is a pure function of the config;
 * row ``j`` of trial ``i`` is numbered ``i * len(sweep) + j`` and fails when
   its error exceeds the allowed error, ``epsilon + 2 * eta`` unless the
   runner gives one per swept value;
@@ -17,7 +21,7 @@ rest:
 The three counts kinds (textgen, bounded_textgen, subset_penalty) share
 :func:`_counts_measure`; subset_penalty is its one-context case over a size grid.
 
-Trials may execute in parallel; the ``ICL_LAB_THREADS`` environment variable
+Batches may execute in parallel; the ``ICL_LAB_THREADS`` environment variable
 caps the worker count (default 1).
 """
 
@@ -28,6 +32,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -75,7 +80,7 @@ from .reports import (
 )
 
 # Largest stacked float64 array: a counts block's (contexts, support) rows, or
-# one stacked knn fit's (fits, k, d + 1) design tensor.
+# one stacked logistic fit's (fits, points, d + 1) design tensor.
 STACK_BYTES = 256 * 1024
 
 KINDS = ("textgen", "bounded_textgen", "coreset", "knn", "subset_penalty")
@@ -191,14 +196,16 @@ def _run_sweep(
     allowed=None,
     medians_key: str | None = None,
     slope: bool = False,
+    batch: int = 1,
 ) -> BoundReport:
     """Run every trial of ``cfg``; build its report and write it to ``output_path``.
 
-    ``measure(rng)`` yields one ``(error, detail)`` pair per value of
-    ``sweep``, drawing only from the trial's stream.  Row ``j`` of trial ``i``
-    is numbered ``i * len(sweep) + j`` and fails when its error exceeds
-    ``allowed(value)``; by default that is ``epsilon + 2 * eta``, echoed as
-    ``extras["failure_threshold"]``.  With ``medians_key`` the median error
+    The trials run in batches of ``batch`` consecutive ones.  ``measure(rngs)``
+    yields, per stream of ``rngs``, one ``(error, detail)`` pair per value of
+    ``sweep``, and each trial draws only from its own stream.  Row ``j`` of
+    trial ``i`` is numbered ``i * len(sweep) + j`` and fails when its error
+    exceeds ``allowed(value)``; by default that is ``epsilon + 2 * eta``, echoed
+    as ``extras["failure_threshold"]``.  With ``medians_key`` the median error
     per swept value lands in that extras key, and with ``slope`` their log-log
     slope lands in ``extras["log_log_slope"]``.
     """
@@ -210,21 +217,24 @@ def _run_sweep(
         def allowed(value):
             return threshold
 
-    def one_trial(i: int) -> list[TrialResult]:
-        pairs = zip(sweep, measure(trial_rng(cfg.seed, i)), strict=True)
+    def one_batch(start: int) -> list[TrialResult]:
+        indices = range(start, min(start + batch, cfg.trials))
+        per_trial = measure([trial_rng(cfg.seed, i) for i in indices])
         return [
             TrialResult(i * len(sweep) + j, error, error > allowed(value), value, detail)
-            for j, (value, (error, detail)) in enumerate(pairs)
+            for i, pairs in zip(indices, per_trial, strict=True)
+            for j, (value, (error, detail)) in enumerate(zip(sweep, pairs, strict=True))
         ]
 
     with report_files(cfg.output_path) if cfg.output_path is not None else nullcontext() as temps:
         workers = max_workers()
+        starts = range(0, cfg.trials, batch)
         if workers == 1:
-            nested = [one_trial(i) for i in range(cfg.trials)]
+            nested = [one_batch(start) for start in starts]
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                nested = list(pool.map(one_trial, range(cfg.trials)))
-        rows = [row for trial_rows in nested for row in trial_rows]
+                nested = list(pool.map(one_batch, starts))
+        rows = [row for batch_rows in nested for row in batch_rows]
 
         if medians_key is not None:
             grouped: dict[int, list[float]] = {}
@@ -245,6 +255,11 @@ def _run_sweep(
             write_json_report(report, temps[0])
             write_csv_report(report, temps[1])
     return report
+
+
+def _per_trial(measure):
+    """The batch ``measure(rngs)`` of a runner whose ``measure(rng)`` takes one trial."""
+    return partial(map, measure)
 
 
 def _median(values: list[float]) -> float:
@@ -277,7 +292,8 @@ def run_textgen_experiment(cfg: ExperimentConfig) -> BoundReport:
         "bound_formula": bound.formula_text,
         "bound_mode": cfg.mode,
     }
-    return _run_sweep(cfg, _counts_measure(cfg, p.vocab_size, p.num_contexts, (n,)), extras)
+    measure = _counts_measure(cfg, p.vocab_size, p.num_contexts, (n,))
+    return _run_sweep(cfg, _per_trial(measure), extras)
 
 
 def run_bounded_textgen_experiment(cfg: ExperimentConfig) -> BoundReport:
@@ -292,7 +308,8 @@ def run_bounded_textgen_experiment(cfg: ExperimentConfig) -> BoundReport:
         "sequence_space": space,
         "constant": p.constant,
     }
-    return _run_sweep(cfg, _counts_measure(cfg, space, p.num_contexts, (n,)), extras)
+    measure = _counts_measure(cfg, space, p.num_contexts, (n,))
+    return _run_sweep(cfg, _per_trial(measure), extras)
 
 
 def _counts_measure(cfg: ExperimentConfig, support: int, contexts: int, sizes: tuple[int, ...]):
@@ -346,49 +363,89 @@ def planted_linear_dataset(
 
 def run_coreset_experiment(cfg: ExperimentConfig) -> BoundReport:
     """Train on coresets of swept sizes of knn's planted logistic task and compare
-    predicted probabilities against the full-data model over a large evaluation cloud."""
+    predicted probabilities against the full-data model over a large evaluation cloud.
+
+    Each trial draws its dataset, weights it (the pilot fit draws nothing), fits
+    the full model alone and selects every coreset; each size below
+    ``dataset_size`` is then fitted across the batch as one stack.  Last, each
+    trial draws its evaluation cloud and is scored, so one cloud is alive at a time.
+    """
     _require_kind(cfg, "coreset")
     p = cfg.params
     sizes = _within_dataset(cfg, cfg.coreset_sizes or (coreset_size(p),))
     eval_draws = cfg.resolved_eval_points()
+    # A batch is as many trials as one stack of the largest fitted size holds.
+    fitted = [size for size in sizes if size < cfg.dataset_size]
+    batch = _stack_rows(max(fitted), p.input_dim) if fitted else 1
 
-    def measure(rng):
+    def draw(rng):
         data, _ = planted_linear_dataset(cfg.dataset_size, p.input_dim, cfg.planted_norm, rng)
-        # The pilot fit behind the scores draws nothing from rng.
         weights = sensitivity_scores(data) if cfg.coreset_strategy == "sensitivity" else None
         full_model = train_logistic(data, cfg.train)
+        return data, full_model, [select_coreset(data, size, weights, rng) for size in sizes]
+
+    def score(rng, data, full_model, cores, models):
         # The cloud follows the generator's own input law.
         eval_points = np.vstack([rng.standard_normal((eval_draws, p.input_dim)), data.features])
         full_probs = predict_probs(full_model, eval_points)
-        for size in sizes:
-            core = select_coreset(data, size, weights, rng)
-            try:
-                local_model = full_model if core is data else train_logistic(core, cfg.train)
-            except DivergenceError as exc:
-                yield float("inf"), str(exc)
+        for core, model in zip(cores, models):
+            if isinstance(model, DivergenceError):
+                yield float("inf"), str(model)
                 continue
-            local_probs = mix_probability(predict_probs(local_model, eval_points), cfg.eta)
+            probs = full_probs if model is full_model else predict_probs(model, eval_points)
+            local_probs = mix_probability(probs, cfg.eta)
             detail = "single-class subset; guarantee vacuous" if core.is_single_class() else ""
             yield float(np.max(np.abs(local_probs - full_probs))), detail
+
+    def measure(rngs):
+        drawn = [draw(rng) for rng in rngs]
+        # Per swept size, one model per trial; the whole dataset's is the full model.
+        by_size = [
+            _fit_cores([cores[j] for _, _, cores in drawn], cfg.train)
+            if size < cfg.dataset_size
+            else [full_model for _, full_model, _ in drawn]
+            for j, size in enumerate(sizes)
+        ]
+        for rng, trial, models in zip(rngs, drawn, zip(*by_size)):
+            yield score(rng, *trial, models)
 
     extras = {
         "sizes": list(sizes),
         "strategy": cfg.coreset_strategy,
         "eval_points": eval_draws + cfg.dataset_size,
     }
-    return _run_sweep(cfg, measure, extras, sizes, medians_key="median_sup_error_by_size")
+    return _run_sweep(
+        cfg, measure, extras, sizes, medians_key="median_sup_error_by_size", batch=batch
+    )
 
 
+def _fit_cores(cores: list[LabeledDataset], train: TrainConfig) -> list:
+    """Per same-sized core, its fitted :class:`LinearModel` or its fit's
+    :class:`DivergenceError`.  The cores are fitted as one stack; when the stack
+    diverges, each is refitted alone, so each gets exactly its lone outcome."""
+    features = np.stack([core.features for core in cores])
+    try:
+        thetas = fit_logistic_stack(features, np.stack([core.labels for core in cores]), train)
+    except DivergenceError as exc:
+        if len(cores) == 1:
+            return [exc]
+        return [model for core in cores for model in _fit_cores([core], train)]
+    return [LinearModel(theta[:-1], theta[-1]) for theta in thetas]
+
+
+def _stack_rows(points: int, dim: int) -> int:
+    """Fits per stack: as many ``(points, dim + 1)`` design matrices as fit in
+    :data:`STACK_BYTES`, and at least one."""
+    return max(1, STACK_BYTES // (8 * points * (dim + 1)))
 
 
 def _fit_neighbourhoods(data: LabeledDataset, neighbours: np.ndarray, train: TrainConfig):
     """The (queries, d + 1) ``theta = (w, b)`` array of one logistic fit per row
-    of the (queries, k) index array ``neighbours``.
-
-    The fits run as stacks of at most :data:`STACK_BYTES` of design tensor.
+    of the (queries, k) index array ``neighbours``, run in stacks of
+    :func:`_stack_rows` fits.
     """
     num, k = neighbours.shape
-    per_stack = max(1, STACK_BYTES // (8 * k * (data.dim + 1)))
+    per_stack = _stack_rows(k, data.dim)
     stacks = (neighbours[i : i + per_stack] for i in range(0, num, per_stack))
     return np.concatenate(
         [fit_logistic_stack(data.features[s], data.labels[s], train) for s in stacks]
@@ -422,7 +479,9 @@ def run_knn_experiment(cfg: ExperimentConfig) -> BoundReport:
             yield float(np.max(errors)), detail
 
     extras = {"k_values": list(ks), "queries_per_trial": queries_per_trial}
-    return _run_sweep(cfg, measure, extras, ks, medians_key="median_sup_error_by_k", slope=True)
+    return _run_sweep(
+        cfg, _per_trial(measure), extras, ks, medians_key="median_sup_error_by_k", slope=True
+    )
 
 
 def run_subset_penalty_experiment(cfg: ExperimentConfig) -> BoundReport:
@@ -435,7 +494,7 @@ def run_subset_penalty_experiment(cfg: ExperimentConfig) -> BoundReport:
     def allowed(n: int) -> float:
         return subset_penalty(n, p.constant) + 2.0 * cfg.eta.eta
 
-    measure = _counts_measure(cfg, p.vocab_size, 1, sizes)
+    measure = _per_trial(_counts_measure(cfg, p.vocab_size, 1, sizes))
     extras = {"subset_sizes": list(sizes), "penalty_constant": p.constant}
     return _run_sweep(
         cfg, measure, extras, sizes, allowed, medians_key="median_l1_by_size", slope=True

@@ -165,6 +165,22 @@ class TestVerify:
         assert out_path.exists()
         assert (tmp_path / "report.csv").exists()
 
+    def test_summary_is_the_reports_verdict_fields(self, capsys, tmp_path, config_path):
+        out_path = tmp_path / "report.json"
+        _, out, _ = run_cli(
+            capsys, "verify", "textgen", "--config", str(config_path), "--output", str(out_path)
+        )
+        report = json.loads(out_path.read_text())
+        verdict = ("ci_halfwidth", "delta_target", "failure_rate", "pass")
+        expected = {key: report[key] for key in verdict}
+        expected.update(
+            kind="textgen",
+            trials=len(report["trials"]),
+            output_json=str(out_path),
+            output_csv=str(tmp_path / "report.csv"),
+        )
+        assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
     def test_reports_are_byte_identical_across_runs(self, capsys, tmp_path, config_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run_cli(capsys, "verify", "textgen", "--config", str(config_path), "--output", str(a))

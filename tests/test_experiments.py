@@ -9,6 +9,7 @@ import pytest
 from icl_lab import experiments
 from icl_lab import (
     BoundParams,
+    DivergenceError,
     EtaModel,
     ExperimentConfig,
     LinearModel,
@@ -467,13 +468,19 @@ class TestClassificationExperiments:
         assert calls == [(120, 3, 3.5)] * 3
 
     def test_coreset_full_size_reuses_the_full_fit(self, monkeypatch):
-        fits = []
+        full_fits, stacked_rows = [], []
+        real_fit = experiments.fit_logistic_stack
 
         def counting(data, cfg):
-            fits.append(data.num_points)
+            full_fits.append(data.num_points)
             return train_logistic(data, cfg)
 
+        def stacking(features, labels, train):
+            stacked_rows.extend(len(x) for x in features)
+            return real_fit(features, labels, train)
+
         monkeypatch.setattr(experiments, "train_logistic", counting)
+        monkeypatch.setattr(experiments, "fit_logistic_stack", stacking)
         cfg = ExperimentConfig(
             kind="coreset",
             params=BoundParams(epsilon=0.25, delta=0.05, input_dim=3),
@@ -486,9 +493,84 @@ class TestClassificationExperiments:
             train=TrainConfig(max_iters=200, l2_reg=1e-3),
         )
         report = run_coreset_experiment(cfg)
-        # Per trial: the full fit, then one fit per coreset smaller than the data.
-        assert fits == [200, 25, 100] * 3
+        # One lone full fit per trial, one stacked row per trial and smaller coreset,
+        # and no fit of the whole dataset as a coreset.
+        assert full_fits == [200] * 3
+        assert sorted(stacked_rows) == [25] * 3 + [100] * 3
         assert [t.sup_error for t in report.trials if t.sweep_value == 200] == [0.0] * 3
+
+    CORESET = ExperimentConfig(
+        kind="coreset",
+        params=BoundParams(epsilon=0.25, delta=0.05, input_dim=3),
+        trials=7,
+        seed=9,
+        dataset_size=120,
+        coreset_sizes=(60, 15, 120),
+        coreset_strategy="sensitivity",
+        eval_points=200,
+        train=TrainConfig(max_iters=200, l2_reg=1e-3),
+    )
+
+    def test_coreset_reports_do_not_depend_on_batches_or_threads(self, tmp_path, monkeypatch):
+        # Criterion 10's check for coreset. A batch holds STACK_BYTES // (8 * 4 * 60)
+        # trials: all 7 by default, one at 1 byte, three (3 + 3 + 1) at 5,760 bytes.
+        stacks = []
+        real_fit = experiments.fit_logistic_stack
+
+        def recording(features, labels, train):
+            stacks.append(len(features))
+            return real_fit(features, labels, train)
+
+        monkeypatch.setattr(experiments, "fit_logistic_stack", recording)
+
+        def render(threads: str, stack_bytes: int):
+            monkeypatch.setenv("ICL_LAB_THREADS", threads)
+            monkeypatch.setattr(experiments, "STACK_BYTES", stack_bytes)
+            stacks.clear()
+            report = run_coreset_experiment(self.CORESET)
+            json_path, csv_path = tmp_path / "r.json", tmp_path / "r.csv"
+            write_json_report(report, json_path)
+            write_csv_report(report, csv_path)
+            return (json_path.read_bytes(), csv_path.read_bytes()), sorted(stacks)
+
+        default = experiments.STACK_BYTES
+        whole, whole_stacks = render("1", default)
+        assert whole_stacks == [7, 7]  # one stack per size below 120
+        for threads, stack_bytes, expected in [
+            ("3", default, [7, 7]),
+            ("1", 1, [1] * 14),
+            ("3", 1, [1] * 14),
+            ("3", 5760, [1, 1, 3, 3, 3, 3]),
+        ]:
+            assert render(threads, stack_bytes) == (whole, expected)
+
+    def test_coreset_divergent_stack_refits_its_rows_alone(self, monkeypatch):
+        real_fit = experiments.fit_logistic_stack
+        monkeypatch.setattr(experiments, "STACK_BYTES", 1)
+        lone = run_coreset_experiment(self.CORESET).trials
+        monkeypatch.undo()
+
+        stacks = []
+
+        def recording(features, labels, train):
+            stacks.append(features)
+            return real_fit(features, labels, train)
+
+        monkeypatch.setattr(experiments, "fit_logistic_stack", recording)
+        run_coreset_experiment(self.CORESET)
+        marked = next(x for x in stacks if x.shape[1] == 15)[2]  # trial 2's 15-point coreset
+
+        def diverging(features, labels, train):
+            if any(np.array_equal(x, marked) for x in features):
+                raise DivergenceError(7)
+            return real_fit(features, labels, train)
+
+        monkeypatch.setattr(experiments, "fit_logistic_stack", diverging)
+        rows = run_coreset_experiment(self.CORESET).trials
+        marked_row = rows[2 * 3 + 1]
+        assert marked_row.sup_error == float("inf") and marked_row.failed
+        assert marked_row.detail == "non-finite training loss at iteration 7"
+        assert rows[: 2 * 3 + 1] + rows[2 * 3 + 2 :] == lone[: 2 * 3 + 1] + lone[2 * 3 + 2 :]
 
     def test_coreset_medians_shrink_with_size(self):
         cfg = ExperimentConfig(
