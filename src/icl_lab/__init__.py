@@ -7,7 +7,8 @@ in-context responder), and a Monte Carlo harness
 (:mod:`icl_lab.experiments`) that stress-tests each rule's (epsilon, delta)
 promise with seeded, reproducible trials.
 
-The package exports the calculators, the experiment runners and what the
+The package exports the calculators, the one experiment runner
+(:func:`run_experiment`, which runs a config of any kind) and what the
 acceptance criteria build their inputs from.  The other primitives are
 imported from their modules: :mod:`icl_lab.distributions`,
 :mod:`icl_lab.classify`, :mod:`icl_lab.oracle` and :mod:`icl_lab.reports`.
@@ -27,15 +28,7 @@ from .bounds import (
 from .classify import LabeledDataset, LinearModel, TrainConfig, logistic_gradient, logistic_loss
 from .distributions import Context, Vocabulary
 from .errors import DivergenceError, ParameterError
-from .experiments import (
-    ExperimentConfig,
-    run_bounded_textgen_experiment,
-    run_coreset_experiment,
-    run_experiment,
-    run_knn_experiment,
-    run_subset_penalty_experiment,
-    run_textgen_experiment,
-)
+from .experiments import ExperimentConfig, run_experiment
 from .oracle import EtaModel, IclPromptSamples, icl_sequence_dist, icl_textgen_dist
 from .prompts import ExamplePair, build_prompt
 

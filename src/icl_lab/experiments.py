@@ -1,14 +1,14 @@
 """Monte Carlo verification runs for every sample-size rule.
 
-The five runners share one sweep skeleton, :func:`_run_sweep`.  A runner
-checks its kind, resolves its sweep (subset sizes, values of ``k``, or
-``(None,)`` for the two textgen kinds) and supplies ``measure(rngs)``: given
-the streams of a batch of consecutive trials, it yields per trial one
-``(error, detail)`` pair per swept value.  knn and the three counts kinds
-measure one trial at a time, in batches of one (:func:`_per_trial`); coreset
-takes as many trials as one stack of its largest fitted coreset holds, so that
-it fits each swept size across the batch as one stacked solve.  The skeleton
-owns the rest:
+:func:`run_experiment` runs a config with its kind's entry of ``_RUNNERS``,
+and those five runners share one sweep skeleton, :func:`_run_sweep`.  A runner
+resolves its sweep (subset sizes, values of ``k``, or ``(None,)`` for the two
+textgen kinds) and supplies ``measure(rngs)``: given the streams of a batch of
+consecutive trials, it yields per trial one ``(error, detail)`` pair per swept
+value.  knn and the three counts kinds measure one trial at a time, in batches
+of one (:func:`_per_trial`); coreset takes as many trials as one stack of its
+largest fitted coreset holds, so that it fits each swept size across the batch
+as one stacked solve.  The skeleton owns the rest:
 
 * trial ``i`` draws all of its randomness from ``trial_rng(seed, i)``, so
   results depend neither on batching nor on execution order, and the whole
@@ -83,7 +83,6 @@ from .reports import (
 # one stacked logistic fit's (fits, points, d + 1) design tensor.
 STACK_BYTES = 256 * 1024
 
-KINDS = ("textgen", "bounded_textgen", "coreset", "knn", "subset_penalty")
 THREADS_ENV_VAR = "ICL_LAB_THREADS"
 
 # Evaluation-set sizes used when the config leaves eval_points unset:
@@ -143,7 +142,13 @@ class ExperimentConfig:
                 continue
             if not isinstance(sizes, (list, tuple)) or not sizes:
                 raise ParameterError(f"{name} must be a non-empty list of integers, got {sizes!r}")
-            object.__setattr__(self, name, tuple(check_int(f"{name} entries", v, 1) for v in sizes))
+            sizes = tuple(check_int(f"{name} entries", v, 1) for v in sizes)
+            if len(set(sizes)) < len(sizes):
+                raise ParameterError(f"{name} must not repeat a size, got {list(sizes)}")
+            object.__setattr__(self, name, sizes)
+        counts_kind = self.kind in ("textgen", "bounded_textgen", "subset_penalty")
+        if counts_kind and self.params.vocab_size < 2:
+            raise ParameterError(f"{self.kind} needs vocab_size >= 2, got {self.params.vocab_size}")
 
     def resolved_eval_points(self) -> int:
         if self.eval_points is not None:
@@ -151,11 +156,7 @@ class ExperimentConfig:
         return DEFAULT_EVAL_POINTS[self.kind]
 
     def to_dict(self) -> dict:
-        raw = dataclasses.asdict(self)
-        for key in ("coreset_sizes", "knn_sizes", "subset_sizes"):
-            if raw[key] is not None:
-                raw[key] = list(raw[key])
-        return raw
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -277,13 +278,10 @@ def _within_dataset(cfg: ExperimentConfig, sizes: tuple[int, ...]) -> tuple[int,
     return sizes
 
 
-def run_textgen_experiment(cfg: ExperimentConfig) -> BoundReport:
+def _run_textgen(cfg: ExperimentConfig) -> BoundReport:
     """Estimate every context's next-token distribution from samples; check the
     worst-context L1 error against epsilon with the promised failure rate."""
-    _require_kind(cfg, "textgen")
     p = cfg.params
-    if p.vocab_size < 2:
-        raise ParameterError(f"textgen needs vocab_size >= 2, got {p.vocab_size}")
     bound = textgen_samples_per_context(p, cfg.mode)
     n = cfg.samples_override or bound.per_context
     extras = {
@@ -296,10 +294,9 @@ def run_textgen_experiment(cfg: ExperimentConfig) -> BoundReport:
     return _run_sweep(cfg, _per_trial(measure), extras)
 
 
-def run_bounded_textgen_experiment(cfg: ExperimentConfig) -> BoundReport:
-    """Same check as :func:`run_textgen_experiment` but over the joint
-    distribution of length-l sequences, estimated from whole-sequence samples."""
-    _require_kind(cfg, "bounded_textgen")
+def _run_bounded_textgen(cfg: ExperimentConfig) -> BoundReport:
+    """Same check as :func:`_run_textgen` but over the joint distribution of
+    length-l sequences, estimated from whole-sequence samples."""
     p = cfg.params
     space = sequence_space(p.vocab_size, p.output_len, DEFAULT_SEQUENCE_LIMIT)
     n = cfg.samples_override or bounded_textgen_size(p)
@@ -361,7 +358,7 @@ def planted_linear_dataset(
     return LabeledDataset(features, labels), planted
 
 
-def run_coreset_experiment(cfg: ExperimentConfig) -> BoundReport:
+def _run_coreset(cfg: ExperimentConfig) -> BoundReport:
     """Train on coresets of swept sizes of knn's planted logistic task and compare
     predicted probabilities against the full-data model over a large evaluation cloud.
 
@@ -370,7 +367,6 @@ def run_coreset_experiment(cfg: ExperimentConfig) -> BoundReport:
     ``dataset_size`` is then fitted across the batch as one stack.  Last, each
     trial draws its evaluation cloud and is scored, so one cloud is alive at a time.
     """
-    _require_kind(cfg, "coreset")
     p = cfg.params
     sizes = _within_dataset(cfg, cfg.coreset_sizes or (coreset_size(p),))
     eval_draws = cfg.resolved_eval_points()
@@ -452,10 +448,9 @@ def _fit_neighbourhoods(data: LabeledDataset, neighbours: np.ndarray, train: Tra
     )
 
 
-def run_knn_experiment(cfg: ExperimentConfig) -> BoundReport:
+def _run_knn(cfg: ExperimentConfig) -> BoundReport:
     """Per-query local models on k nearest neighbors, compared to the planted
     model; sweeps k and fits the error-decay slope."""
-    _require_kind(cfg, "knn")
     p = cfg.params
     ks = _within_dataset(cfg, cfg.knn_sizes or (knn_context_size(p),))
     queries_per_trial = cfg.resolved_eval_points()
@@ -484,10 +479,9 @@ def run_knn_experiment(cfg: ExperimentConfig) -> BoundReport:
     )
 
 
-def run_subset_penalty_experiment(cfg: ExperimentConfig) -> BoundReport:
+def _run_subset_penalty(cfg: ExperimentConfig) -> BoundReport:
     """Textgen's measure with one context over a size grid: error versus sample
     count, and its log-log decay slope (about -1/2 for i.i.d. sampling)."""
-    _require_kind(cfg, "subset_penalty")
     p = cfg.params
     sizes = tuple(sorted(cfg.subset_sizes))
 
@@ -502,19 +496,16 @@ def run_subset_penalty_experiment(cfg: ExperimentConfig) -> BoundReport:
 
 
 _RUNNERS = {
-    "textgen": run_textgen_experiment,
-    "bounded_textgen": run_bounded_textgen_experiment,
-    "coreset": run_coreset_experiment,
-    "knn": run_knn_experiment,
-    "subset_penalty": run_subset_penalty_experiment,
+    "textgen": _run_textgen,
+    "bounded_textgen": _run_bounded_textgen,
+    "coreset": _run_coreset,
+    "knn": _run_knn,
+    "subset_penalty": _run_subset_penalty,
 }
+KINDS = tuple(_RUNNERS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> BoundReport:
-    """Dispatch to the runner matching ``cfg.kind``."""
+    """Run ``cfg`` with its kind's runner; build its report and write it to
+    ``cfg.output_path`` when that is set."""
     return _RUNNERS[cfg.kind](cfg)
-
-
-def _require_kind(cfg: ExperimentConfig, kind: str):
-    if cfg.kind != kind:
-        raise ParameterError(f"config kind is {cfg.kind!r}, expected {kind!r}")

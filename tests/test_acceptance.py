@@ -28,11 +28,7 @@ from icl_lab import (
     knn_context_size,
     logistic_gradient,
     logistic_loss,
-    run_bounded_textgen_experiment,
-    run_coreset_experiment,
-    run_knn_experiment,
-    run_subset_penalty_experiment,
-    run_textgen_experiment,
+    run_experiment,
     textgen_samples_per_context,
 )
 from icl_lab.distributions import Context
@@ -76,7 +72,7 @@ def test_criterion_3_textgen_failure_rate():
         seed=20260810,
         mode="exact",
     )
-    report = run_textgen_experiment(cfg)
+    report = run_experiment(cfg)
     threshold = _rate_threshold(0.05, 500)
     ok = report.failure_rate <= threshold
     _report(3, "exact-mode next-token guarantee over 500 trials", ok,
@@ -98,7 +94,7 @@ def test_criterion_4_bounded_textgen_calibrated_constant():
         cfg = dataclasses.replace(
             base, params=dataclasses.replace(base.params, constant=constant)
         )
-        if run_bounded_textgen_experiment(cfg).passed:
+        if run_experiment(cfg).passed:
             chosen = constant
             break
     assert chosen is not None, "no power-of-two constant passed the pilot"
@@ -108,7 +104,7 @@ def test_criterion_4_bounded_textgen_calibrated_constant():
         trials=300,
         seed=424242,
     )
-    report = run_bounded_textgen_experiment(fresh)
+    report = run_experiment(fresh)
     threshold = _rate_threshold(0.05, 300)
     ok = report.failure_rate <= threshold
     _report(4, "length-2 sequence guarantee with pilot-calibrated constant", ok,
@@ -127,7 +123,7 @@ def test_criterion_5_coreset_medians_shrink():
         coreset_sizes=(25, 100, 400, 2000),
         train=TrainConfig(learning_rate=0.5, max_iters=300, grad_tolerance=1e-8, l2_reg=1e-2),
     )
-    report = run_coreset_experiment(cfg)
+    report = run_experiment(cfg)
     medians = report.extras["median_sup_error_by_size"]
     full_size_errors = [t.sup_error for t in report.trials if t.sweep_value == 2000]
     monotone = medians["25"] > medians["100"] > medians["400"]
@@ -149,7 +145,7 @@ def test_criterion_6_knn_error_decay_slope():
         dataset_size=4096,
         train=TrainConfig(learning_rate=0.5, max_iters=300, grad_tolerance=1e-8, l2_reg=1e-3),
     )
-    report = run_knn_experiment(cfg)
+    report = run_experiment(cfg)
     slope = report.extras["log_log_slope"]
     ok = -0.8 <= slope <= -0.2
     _report(6, "k-NN local-model error decays like a power law in k", ok,
@@ -166,7 +162,7 @@ def test_criterion_7_subset_penalty_slope():
         seed=3,
         subset_sizes=(100, 1000, 10_000, 100_000),
     )
-    report = run_subset_penalty_experiment(cfg)
+    report = run_experiment(cfg)
     slope = report.extras["log_log_slope"]
     ok = -0.65 <= slope <= -0.35
     _report(7, "estimation error vs subset size has slope near -1/2", ok,
@@ -263,7 +259,7 @@ def test_criterion_10_byte_identical_reports(tmp_path, monkeypatch):
 
     def render(threads: str):
         monkeypatch.setenv("ICL_LAB_THREADS", threads)
-        report = run_textgen_experiment(cfg)
+        report = run_experiment(cfg)
         json_path = tmp_path / f"t{threads}.json"
         csv_path = tmp_path / f"t{threads}.csv"
         write_json_report(report, json_path)

@@ -15,7 +15,7 @@ from icl_lab import (
     TrainConfig,
     logistic_gradient,
     logistic_loss,
-    run_knn_experiment,
+    run_experiment,
 )
 from icl_lab.classify import (
     fit_logistic_stack,
@@ -102,7 +102,7 @@ class TestTrainLogistic:
             return thetas
 
         monkeypatch.setattr(experiments, "fit_logistic_stack", recording)
-        run_knn_experiment(
+        run_experiment(
             ExperimentConfig(
                 kind="knn",
                 params=BoundParams(epsilon=0.2, delta=0.05, input_dim=5),

@@ -299,6 +299,35 @@ class TestVerify:
         assert key in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            # A repeated size used to alias: its rows were one draw counted twice.
+            ("knn", "knn_sizes", [8, 8]),
+            ("coreset", "coreset_sizes", [10, 40, 10]),
+            ("subset_penalty", "subset_sizes", [100, 100, 400]),
+            # One outcome: bounded_textgen and subset_penalty used to run every
+            # trial at error 0.0 and pass.
+            ("textgen", "vocab_size", 1),
+            ("bounded_textgen", "vocab_size", 1),
+            ("subset_penalty", "vocab_size", 1),
+        ],
+    )
+    def test_aliased_sweep_or_single_outcome_runs_no_trial(
+        self, capsys, tmp_path, tiny_config, monkeypatch, kind, key, value
+    ):
+        payload = tiny_config(kind).to_dict()
+        (payload["params"] if key == "vocab_size" else payload)[key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload))
+        monkeypatch.setattr(experiments, "trial_rng", pytest.fail)
+        code, out, err = run_cli(
+            capsys, "verify", kind, "--config", str(path), "--output", str(tmp_path / "r.json")
+        )
+        assert (code, out) == (1, "")
+        assert key in err and err.startswith("error: ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
     def test_csv_output_path_is_parameter_error(self, capsys, tmp_path, config_path):
         # The JSON report used to be written to r.csv and then overwritten by the CSV.
         code, out, err = run_cli(

@@ -7,15 +7,13 @@ import icl_lab
 
 # The package's names: what the acceptance suite and conftest.py import, the
 # paper's rule calculators with their modes and result, the two errors, the
-# generic runner and the context type.
+# one runner, which runs a config of any kind, and the context type.
 EXPORTS = {
     "BoundParams", "BoundResult", "MODE_BIG_O", "MODE_EXACT", "bounded_textgen_size",
     "coreset_size", "knn_context_size", "subset_penalty", "textgen_samples_per_context",
     "LabeledDataset", "LinearModel", "TrainConfig", "logistic_gradient", "logistic_loss",
     "Context", "Vocabulary", "DivergenceError", "ParameterError",
-    "ExperimentConfig", "run_experiment", "run_textgen_experiment",
-    "run_bounded_textgen_experiment", "run_coreset_experiment", "run_knn_experiment",
-    "run_subset_penalty_experiment",
+    "ExperimentConfig", "run_experiment",
     "EtaModel", "IclPromptSamples", "icl_sequence_dist", "icl_textgen_dist",
     "ExamplePair", "build_prompt",
 }
@@ -56,6 +54,9 @@ def test_package_exports_what_its_callers_use():
             for alias in node.names
         }
         assert imported and imported <= EXPORTS, caller
+    # One public runner: a config's kind picks its private runner.
+    experiments = importlib.import_module("icl_lab.experiments")
+    assert {name for name in vars(experiments) if name.startswith("run_")} == {"run_experiment"}
     for module, names in MODULE_ONLY.items():
         home = importlib.import_module(f"icl_lab.{module}")
         for name in names:
