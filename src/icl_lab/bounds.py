@@ -59,7 +59,7 @@ class BoundParams:
 
     def __post_init__(self):
         for name in ("epsilon", "delta", "constant"):
-            check_real(name, getattr(self, name))
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
         if not 0.0 < self.epsilon <= 2.0:
             raise ParameterError(f"epsilon must be in (0, 2], got {self.epsilon}")
         if not 0.0 < self.delta < 1.0:

@@ -104,7 +104,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("learning_rate", "grad_tolerance", "l2_reg"):
-            check_real(name, getattr(self, name))
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
         if self.learning_rate <= 0:
             raise ParameterError(f"learning_rate must be positive, got {self.learning_rate}")
         # max_iters = 0 is allowed: training then returns the all-zeros init.
@@ -302,20 +302,15 @@ def predict_probs(model: LinearModel, features) -> np.ndarray:
     return sigmoid(features @ model.weights + model.bias)
 
 
-# Short deterministic pilot fit used only to score points for sensitivity
-# sampling; kept fixed so selection depends only on (data, seed).
-_PILOT_CONFIG = TrainConfig(max_iters=100, grad_tolerance=1e-6, l2_reg=1e-3)
+def sensitivity_scores(data: LabeledDataset, pilot: LinearModel) -> np.ndarray:
+    """Importance score per point: 1 + ||x|| * proximity to ``pilot``'s decision boundary.
 
-
-def sensitivity_scores(data: LabeledDataset) -> np.ndarray:
-    """Importance score per point: 1 + ||x|| * proximity to the decision boundary.
-
-    Proximity is ``1 - 2 |p - 1/2|`` under a pilot logistic fit, so points the
-    pilot finds ambiguous (p near 1/2) score high, scaled by their norm.
+    Proximity is ``1 - 2 |p - 1/2|`` under ``pilot``'s class-1 probability, so
+    points it finds ambiguous (p near 1/2) score high, scaled by their norm.
+    The coreset runner passes the trial's full-data model, fitted with the
+    run's ``train`` settings; nothing is fitted here.
     """
-    pilot = train_logistic(data, _PILOT_CONFIG)
-    p = predict_probs(pilot, data.features)
-    proximity = 1.0 - 2.0 * np.abs(p - 0.5)
+    proximity = 1.0 - 2.0 * np.abs(predict_probs(pilot, data.features) - 0.5)
     return 1.0 + np.linalg.norm(data.features, axis=1) * proximity
 
 

@@ -81,14 +81,6 @@ class CategoricalDistribution:
     def size(self) -> int:
         return int(self.probs.size)
 
-    @classmethod
-    def point_mass(cls, index: int, size: int) -> "CategoricalDistribution":
-        if not 0 <= index < size:
-            raise ParameterError(f"point-mass index {index} out of range for size {size}")
-        probs = np.zeros(size)
-        probs[index] = 1.0
-        return cls(probs)
-
 
 @dataclass(frozen=True)
 class Context:

@@ -18,10 +18,13 @@ class DivergenceError(RuntimeError):
         super().__init__(message or f"non-finite training loss at iteration {iteration}")
 
 
-def check_real(name: str, value) -> None:
-    """Reject ``value`` unless it is a finite real number; bools are rejected too."""
+def check_real(name: str, value) -> float | int:
+    """``value`` as a Python float, or an int when it is an integer, so that a
+    numpy scalar echoes into a report as the plain number would; anything but a
+    finite real number is rejected, bools included."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise ParameterError(f"{name} must be a finite real number, got {value!r}")
+    return int(value) if isinstance(value, numbers.Integral) else float(value)
 
 
 def check_int(name: str, value, low: int) -> int:

@@ -117,10 +117,10 @@ class ExperimentConfig:
         if self.kind not in KINDS:
             raise ParameterError(f"unknown experiment kind {self.kind!r}; expected one of {KINDS}")
         for name, low in (("trials", 1), ("seed", 0), ("dataset_size", 2)):
-            check_int(name, getattr(self, name), low)
+            object.__setattr__(self, name, check_int(name, getattr(self, name), low))
         for name in ("eval_points", "samples_override"):
             if getattr(self, name) is not None:
-                check_int(name, getattr(self, name), 1)
+                object.__setattr__(self, name, check_int(name, getattr(self, name), 1))
         path = self.output_path
         if path is not None:
             if not isinstance(path, str):
@@ -131,7 +131,7 @@ class ExperimentConfig:
         if self.mode not in MODES:
             raise ParameterError(f"unknown bound mode {self.mode!r}; expected one of {MODES}")
         for name in ("concentration", "planted_norm"):
-            check_real(name, getattr(self, name))
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
             if getattr(self, name) <= 0:
                 raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
         if self.coreset_strategy not in ("uniform", "sensitivity"):
@@ -362,8 +362,9 @@ def _run_coreset(cfg: ExperimentConfig) -> BoundReport:
     """Train on coresets of swept sizes of knn's planted logistic task and compare
     predicted probabilities against the full-data model over a large evaluation cloud.
 
-    Each trial draws its dataset, weights it (the pilot fit draws nothing), fits
-    the full model alone and selects every coreset; each size below
+    Each trial draws its dataset, fits the full model alone with the run's
+    ``train`` settings (a fit draws nothing), weights the points by that model
+    under the sensitivity strategy and selects every coreset; each size below
     ``dataset_size`` is then fitted across the batch as one stack.  Last, each
     trial draws its evaluation cloud and is scored, so one cloud is alive at a time.
     """
@@ -376,8 +377,9 @@ def _run_coreset(cfg: ExperimentConfig) -> BoundReport:
 
     def draw(rng):
         data, _ = planted_linear_dataset(cfg.dataset_size, p.input_dim, cfg.planted_norm, rng)
-        weights = sensitivity_scores(data) if cfg.coreset_strategy == "sensitivity" else None
         full_model = train_logistic(data, cfg.train)
+        sensitive = cfg.coreset_strategy == "sensitivity"
+        weights = sensitivity_scores(data, full_model) if sensitive else None
         return data, full_model, [select_coreset(data, size, weights, rng) for size in sizes]
 
     def score(rng, data, full_model, cores, models):

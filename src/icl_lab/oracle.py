@@ -34,7 +34,7 @@ class EtaModel:
     kind: str = ETA_NONE
 
     def __post_init__(self):
-        check_real("eta", self.eta)
+        object.__setattr__(self, "eta", check_real("eta", self.eta))
         if self.kind not in (ETA_NONE, ETA_UNIFORM_MIX):
             raise ParameterError(f"unknown eta kind {self.kind!r}")
         if self.kind == ETA_NONE and self.eta != 0.0:

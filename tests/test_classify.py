@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from icl_lab import experiments
+from icl_lab import classify, experiments
 from icl_lab import (
     BoundParams,
     DivergenceError,
@@ -279,7 +279,7 @@ class TestSelectCoreset:
         )
 
     def test_full_size_returns_dataset(self):
-        for weights in (None, sensitivity_scores(self.data)):
+        for weights in (None, sensitivity_scores(self.data, train_logistic(self.data))):
             out = select_coreset(self.data, 30, weights, np.random.default_rng(0))
             assert np.array_equal(out.features, self.data.features)
             assert np.array_equal(out.labels, self.data.labels)
@@ -290,7 +290,7 @@ class TestSelectCoreset:
         assert np.array_equal(a.features, b.features)
 
     def test_sensitivity_deterministic_given_seed(self):
-        weights = sensitivity_scores(self.data)
+        weights = sensitivity_scores(self.data, train_logistic(self.data))
         a = select_coreset(self.data, 10, weights, np.random.default_rng(4))
         b = select_coreset(self.data, 10, weights, np.random.default_rng(4))
         assert np.array_equal(a.features, b.features)
@@ -298,6 +298,20 @@ class TestSelectCoreset:
     def test_oversized_rejected(self):
         with pytest.raises(ParameterError):
             select_coreset(self.data, 31, None, np.random.default_rng(0))
+
+    def test_sensitivity_scores_follow_the_formula(self, monkeypatch):
+        # 1 + ||x|| * (1 - 2 |p - 1/2|) under the given model, which is not refitted.
+        monkeypatch.setattr(classify, "fit_logistic_stack", pytest.fail)
+        norms = np.linalg.norm(self.data.features, axis=1)
+        zeros = LinearModel(np.zeros(2), 0.0)
+        assert np.array_equal(sensitivity_scores(self.data, zeros), 1.0 + norms)
+        model = LinearModel(np.array([1.0, 0.0]), -0.5)
+        data = make_dataset([[0.5, 3.0], [40.0, 0.0], [1.5, -2.0]], [0, 1, 1])
+        scores = sensitivity_scores(data, model)
+        assert scores[0] == 1.0 + math.hypot(0.5, 3.0)  # on the boundary
+        assert scores[1] == pytest.approx(1.0, abs=1e-12)  # far from it
+        proximity = 1.0 - 2.0 * abs(1.0 / (1.0 + math.exp(-1.0)) - 0.5)
+        assert scores[2] == pytest.approx(1.0 + math.hypot(1.5, 2.0) * proximity)
 
     def test_unknown_strategy(self, tiny_config):
         # The strategy picks select_coreset's weights; the config rejects

@@ -127,10 +127,6 @@ class TestCategoricalDistribution:
         with pytest.raises(ValueError):
             p.probs[0] = 0.9
 
-    def test_point_mass(self):
-        p = CategoricalDistribution.point_mass(2, 4)
-        assert list(p.probs) == [0.0, 0.0, 1.0, 0.0]
-
 
 class TestVocabulary:
     def test_of_size(self):

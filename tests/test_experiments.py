@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from icl_lab import experiments
+from icl_lab import classify, experiments
 from icl_lab import (
     BoundParams,
     DivergenceError,
@@ -211,6 +211,51 @@ class TestConfig:
         payload["seed"] = seed
         with pytest.raises(ParameterError, match="seed"):
             ExperimentConfig.from_dict(payload)
+
+
+# Every scalar of the config is set, to a value a float32 or int64 holds exactly.
+SCALARS_CONFIG = ExperimentConfig(
+    kind="textgen",
+    params=BoundParams(epsilon=0.5, delta=0.25, vocab_size=4, num_contexts=2, constant=2.0),
+    trials=2,
+    seed=3,
+    eta=EtaModel.uniform_mix(0.125),
+    eval_points=8,
+    concentration=1.0,
+    samples_override=30,
+    dataset_size=40,
+    planted_norm=2.0,
+    train=TrainConfig(learning_rate=0.5, max_iters=20, grad_tolerance=2.0**-20, l2_reg=0.125),
+)
+
+
+def with_numpy_scalar(cfg, path: str):
+    """``cfg`` rebuilt with the field at ``path`` ("seed", "params.epsilon") as a numpy scalar."""
+    *section, name = path.split(".")
+    owner = getattr(cfg, section[0]) if section else cfg
+    value = getattr(owner, name)
+    scalar = np.int64(value) if isinstance(value, int) else np.float32(value)
+    assert scalar == value
+    owner = dataclasses.replace(owner, **{name: scalar})
+    return dataclasses.replace(cfg, **{section[0]: owner}) if section else owner
+
+
+@pytest.mark.parametrize(
+    "path",
+    [f"params.{f.name}" for f in dataclasses.fields(BoundParams)]
+    + ["trials", "seed", "eval_points", "concentration", "samples_override", "dataset_size"]
+    + ["planted_norm", "eta.eta"]
+    + [f"train.{f.name}" for f in dataclasses.fields(TrainConfig)],
+)
+def test_numpy_scalars_write_the_plain_report(tmp_path, path):
+    # Each checked scalar is stored as the Python number, which JSON can write.
+    def written(cfg, name):
+        run_experiment(dataclasses.replace(cfg, output_path=str(tmp_path / f"{name}.json")))
+        return [(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("json", "csv")]
+
+    assert written(with_numpy_scalar(SCALARS_CONFIG, path), "numpy") == written(
+        SCALARS_CONFIG, "plain"
+    )
 
 
 class TestTrialRng:
@@ -534,6 +579,31 @@ class TestClassificationExperiments:
             ("3", 5760, [1, 1, 3, 3, 3, 3]),
         ]:
             assert render(threads, stack_bytes) == (whole, expected)
+
+    def test_sensitivity_weights_come_from_the_full_fit(self, monkeypatch):
+        # The trial's full-data model is the sensitivity pilot: each dataset is fitted once.
+        lone, full, pilots = [], [], []
+        real_lone, real_scores = classify.train_logistic, experiments.sensitivity_scores
+
+        def lone_fit(data, cfg):
+            lone.append(data.num_points)
+            return real_lone(data, cfg)
+
+        def full_fit(data, cfg):
+            full.append(real_lone(data, cfg))
+            return full[-1]
+
+        def scores(data, pilot):
+            pilots.append(pilot)
+            return real_scores(data, pilot)
+
+        monkeypatch.setattr(classify, "train_logistic", lone_fit)
+        monkeypatch.setattr(experiments, "train_logistic", full_fit)
+        monkeypatch.setattr(experiments, "sensitivity_scores", scores)
+        run_experiment(self.CORESET)
+        assert lone == []
+        assert len(full) == len(pilots) == self.CORESET.trials
+        assert all(pilot is model for pilot, model in zip(pilots, full))
 
     def test_coreset_divergent_stack_refits_its_rows_alone(self, monkeypatch):
         real_fit = experiments.fit_logistic_stack

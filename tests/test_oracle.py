@@ -164,6 +164,6 @@ def test_oracle_outputs_valid_and_close_to_empirical(vocab_size, raw_samples, et
 
 
 def test_mix_with_uniform_on_point_mass():
-    point = CategoricalDistribution.point_mass(0, 4)
+    point = CategoricalDistribution(np.array([1.0, 0.0, 0.0, 0.0]))
     mixed = mix_with_uniform(point, EtaModel.uniform_mix(0.4))
     assert mixed.probs == pytest.approx([0.7, 0.1, 0.1, 0.1])
