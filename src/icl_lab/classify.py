@@ -25,11 +25,10 @@ _TINY = float(np.finfo(float).tiny)
 
 
 def sigmoid(z):
-    """Numerically stable logistic function; handles scalars and arrays."""
+    """Numerically stable logistic function, elementwise over an array."""
     arr = np.asarray(z, dtype=float)
     e = np.exp(-np.abs(arr))  # in (0, 1], so neither branch overflows
-    out = np.where(arr >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return float(out) if np.ndim(z) == 0 else out
+    return np.where(arr >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass(frozen=True)
@@ -284,17 +283,9 @@ def _check_dim(model: LinearModel, dim: int):
         raise ParameterError(f"model dimension {model.dim} does not match input dimension {dim}")
 
 
-def predict_prob(model: LinearModel, x) -> float:
-    """Class-1 probability at a single point: sigmoid(w.x + b)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ParameterError("query must be a single vector")
-    _check_dim(model, x.size)
-    return float(sigmoid(model.weights @ x + model.bias))
-
-
 def predict_probs(model: LinearModel, features) -> np.ndarray:
-    """Vectorized :func:`predict_prob` over rows of ``features``."""
+    """Class-1 probability ``sigmoid(w.x + b)`` at each row ``x`` of the (N, d)
+    array ``features``; one point is a one-row array."""
     features = np.asarray(features, dtype=float)
     if features.ndim != 2:
         raise ParameterError("features must be an (N, d) array")

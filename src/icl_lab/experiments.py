@@ -67,7 +67,7 @@ from .errors import (
     from_object,
     load_json_object,
 )
-from .oracle import DEFAULT_SEQUENCE_LIMIT, ETA_NONE, EtaModel, mix_probability, sequence_space
+from .oracle import EtaModel, icl_counts_rows, mix_with_uniform, sequence_space
 from .reports import (
     BoundReport,
     TrialResult,
@@ -298,7 +298,7 @@ def _run_bounded_textgen(cfg: ExperimentConfig) -> BoundReport:
     """Same check as :func:`_run_textgen` but over the joint distribution of
     length-l sequences, estimated from whole-sequence samples."""
     p = cfg.params
-    space = sequence_space(p.vocab_size, p.output_len, DEFAULT_SEQUENCE_LIMIT)
+    space = sequence_space(p.vocab_size, p.output_len)
     n = cfg.samples_override or bounded_textgen_size(p)
     extras = {
         "samples_per_context": n,
@@ -319,13 +319,12 @@ def _counts_measure(cfg: ExperimentConfig, support: int, contexts: int, sizes: t
     so a trial holds O(block) memory, not O(contexts * support).  A block draws all
     of its truths, then its counts.
     """
-    rows = max(1, STACK_BYTES // (8 * support))
+    rows = _stack_rows(support)
 
     def block_error(truths, counts):
-        """Worst row of ``l1_distance(icl_counts_dist(counts, eta), truth)``, same arithmetic."""
-        diff = normalized_rows(counts / counts.sum(axis=1, keepdims=True))
-        if cfg.eta.kind != ETA_NONE:
-            diff = normalized_rows((1.0 - cfg.eta.eta) * diff + cfg.eta.eta / support)
+        """Worst row of ``l1_distance(icl_counts_dist(counts, eta), truth)``: the
+        responder's rows, renormalized once as the distribution is, bit for bit."""
+        diff = normalized_rows(icl_counts_rows(counts, cfg.eta))
         diff -= truths
         return np.abs(diff, out=diff).sum(axis=1).max()
 
@@ -373,7 +372,7 @@ def _run_coreset(cfg: ExperimentConfig) -> BoundReport:
     eval_draws = cfg.resolved_eval_points()
     # A batch is as many trials as one stack of the largest fitted size holds.
     fitted = [size for size in sizes if size < cfg.dataset_size]
-    batch = _stack_rows(max(fitted), p.input_dim) if fitted else 1
+    batch = _stack_rows(max(fitted) * (p.input_dim + 1)) if fitted else 1
 
     def draw(rng):
         data, _ = planted_linear_dataset(cfg.dataset_size, p.input_dim, cfg.planted_norm, rng)
@@ -391,7 +390,7 @@ def _run_coreset(cfg: ExperimentConfig) -> BoundReport:
                 yield float("inf"), str(model)
                 continue
             probs = full_probs if model is full_model else predict_probs(model, eval_points)
-            local_probs = mix_probability(probs, cfg.eta)
+            local_probs = mix_with_uniform(probs, cfg.eta, 2)
             detail = "single-class subset; guarantee vacuous" if core.is_single_class() else ""
             yield float(np.max(np.abs(local_probs - full_probs))), detail
 
@@ -431,10 +430,10 @@ def _fit_cores(cores: list[LabeledDataset], train: TrainConfig) -> list:
     return [LinearModel(theta[:-1], theta[-1]) for theta in thetas]
 
 
-def _stack_rows(points: int, dim: int) -> int:
-    """Fits per stack: as many ``(points, dim + 1)`` design matrices as fit in
+def _stack_rows(floats: int) -> int:
+    """Rows per stacked array: as many rows of ``floats`` float64 values as fit in
     :data:`STACK_BYTES`, and at least one."""
-    return max(1, STACK_BYTES // (8 * points * (dim + 1)))
+    return max(1, STACK_BYTES // (8 * floats))
 
 
 def _fit_neighbourhoods(data: LabeledDataset, neighbours: np.ndarray, train: TrainConfig):
@@ -443,7 +442,7 @@ def _fit_neighbourhoods(data: LabeledDataset, neighbours: np.ndarray, train: Tra
     :func:`_stack_rows` fits.
     """
     num, k = neighbours.shape
-    per_stack = _stack_rows(k, data.dim)
+    per_stack = _stack_rows(k * (data.dim + 1))
     stacks = (neighbours[i : i + per_stack] for i in range(0, num, per_stack))
     return np.concatenate(
         [fit_logistic_stack(data.features[s], data.labels[s], train) for s in stacks]
@@ -469,7 +468,7 @@ def _run_knn(cfg: ExperimentConfig) -> BoundReport:
             thetas = _fit_neighbourhoods(data, ranked[:, :k], cfg.train)
             # A batched matmul, unlike einsum, gives each query's w.x bit for bit.
             logits = (thetas[:, None, :-1] @ queries[:, :, None])[:, 0, 0] + thetas[:, -1]
-            errors = np.abs(mix_probability(sigmoid(logits), cfg.eta) - truth)
+            errors = np.abs(mix_with_uniform(sigmoid(logits), cfg.eta, 2) - truth)
             labels = data.labels[ranked[:, :k]]
             degenerate = int(np.count_nonzero(np.all(labels == labels[:, :1], axis=1)))
             detail = f"{degenerate} single-class neighborhoods" if degenerate else ""

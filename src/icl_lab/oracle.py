@@ -3,10 +3,12 @@
 Given prompt samples, the responder returns exactly the behavior the
 verification experiments assume: the empirical distribution of the samples,
 computed from their per-outcome counts (a sufficient statistic), for single
-tokens or whole sequences.  An injectable error knob degrades the output by
-mixing toward uniform, which lets experiments chart how guarantees decay as
-responder fidelity drops; :func:`mix_probability` applies the same knob to a
-classifier's class-1 probability.
+tokens or whole sequences.  :func:`icl_counts_rows` is that answer for a block
+of count vectors; the harness scores it directly, and the single-distribution
+functions here are one-row calls of it.  An injectable error knob degrades the
+output by mixing toward uniform (:func:`mix_with_uniform`), which lets
+experiments chart how guarantees decay as responder fidelity drops; the
+classification runners mix a class-1 probability the same way, over 2 outcomes.
 """
 
 from __future__ import annotations
@@ -16,14 +18,15 @@ from typing import Mapping
 
 import numpy as np
 
-from .distributions import CategoricalDistribution, Context, Vocabulary, token_counts
+from .distributions import CategoricalDistribution, Context, Vocabulary
+from .distributions import normalized_rows, token_counts
 from .errors import ParameterError, check_int, check_real
 
 ETA_NONE = "none"
 ETA_UNIFORM_MIX = "uniform_mix"
 
 # Dense sequence distributions refuse to materialize beyond this many outcomes.
-DEFAULT_SEQUENCE_LIMIT = 10**6
+SEQUENCE_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -63,34 +66,35 @@ class IclPromptSamples:
         return self.per_context[context_id]
 
 
-def mix_with_uniform(
-    dist: CategoricalDistribution, eta_model: EtaModel
-) -> CategoricalDistribution:
-    """(1 - eta) * dist + eta * uniform; identity when the knob is off."""
+def mix_with_uniform(probs, eta_model: EtaModel, support: int):
+    """(1 - eta) * probs + eta / support: ``probs`` mixed toward the uniform
+    distribution on ``support`` outcomes; ``probs`` itself when the knob is off."""
     if eta_model.kind == ETA_NONE:
-        return dist
-    eta = eta_model.eta
-    return CategoricalDistribution((1.0 - eta) * dist.probs + eta / dist.size)
+        return probs
+    return (1.0 - eta_model.eta) * probs + eta_model.eta / support
 
 
-def mix_probability(p, eta_model: EtaModel):
-    """Scalar/array counterpart of :func:`mix_with_uniform`: mixes toward 1/2."""
-    if eta_model.kind == ETA_NONE:
-        return p
-    return (1.0 - eta_model.eta) * p + eta_model.eta * 0.5
+def icl_counts_rows(counts, eta: EtaModel = EtaModel.none()) -> np.ndarray:
+    """The responder's answer for each row of the (rows, V) per-outcome prompt counts:
+    ``counts / totals`` with the error knob off, and its uniform mix with it on.
+
+    A row with fewer than one sample is refused.  The mixed rows are not renormalized
+    again; callers apply :func:`normalized_rows` once (as
+    :class:`CategoricalDistribution` does).
+    """
+    counts = np.asarray(counts)
+    totals = counts.sum(axis=-1, keepdims=True)
+    if totals.min() < 1:
+        raise ParameterError("cannot estimate a distribution from zero samples")
+    if eta.kind == ETA_NONE:
+        return counts / totals
+    return mix_with_uniform(normalized_rows(counts / totals), eta, counts.shape[-1])
 
 
 def icl_counts_dist(counts, eta: EtaModel = EtaModel.none()) -> CategoricalDistribution:
-    """Output distribution the responder produces from per-outcome prompt counts.
-
-    With the error knob off this is exactly the empirical distribution
-    ``counts / counts.sum()``.
-    """
-    counts = np.asarray(counts)
-    total = counts.sum()
-    if total < 1:
-        raise ParameterError("cannot estimate a distribution from zero samples")
-    return mix_with_uniform(CategoricalDistribution(counts / total), eta)
+    """The responder's distribution from one vector of per-outcome prompt counts: one
+    row of :func:`icl_counts_rows`, exactly ``counts / counts.sum()`` with the knob off."""
+    return CategoricalDistribution(icl_counts_rows(counts, eta))
 
 
 def icl_textgen_dist(
@@ -114,16 +118,16 @@ def encode_sequences(sequences, vocab_size: int, length: int) -> np.ndarray:
     return arr @ weights
 
 
-def sequence_space(vocab_size: int, length: int, limit: int) -> int:
+def sequence_space(vocab_size: int, length: int) -> int:
     """The number ``vocab_size ** length`` of length-``length`` sequences, refused past
-    ``limit``.  With V >= 2 any ``length >= limit.bit_length()`` has V^l >= 2^l > limit,
-    so it is refused before V^l is computed."""
-    if vocab_size < 2 or length < limit.bit_length():
+    :data:`SEQUENCE_LIMIT`.  With V >= 2 any ``length >= SEQUENCE_LIMIT.bit_length()``
+    has V^l >= 2^l > SEQUENCE_LIMIT, so it is refused before V^l is computed."""
+    if vocab_size < 2 or length < SEQUENCE_LIMIT.bit_length():
         space = vocab_size**length
-        if space <= limit:
+        if space <= SEQUENCE_LIMIT:
             return space
     raise ParameterError(
-        f"sequence space V^l = {vocab_size}^{length} exceeds the limit {limit}; "
+        f"sequence space V^l = {vocab_size}^{length} exceeds the limit {SEQUENCE_LIMIT}; "
         "use a smaller vocabulary or shorter length"
     )
 
@@ -134,16 +138,14 @@ def icl_sequence_dist(
     vocab: Vocabulary,
     length: int,
     eta: EtaModel = EtaModel.none(),
-    sequence_limit: int = DEFAULT_SEQUENCE_LIMIT,
 ) -> CategoricalDistribution:
     """Joint distribution over all length-``length`` sequences, stored densely.
 
     The support has ``vocab.size ** length`` outcomes; anything past
-    ``sequence_limit`` is refused rather than approximated, so reduce the
+    :data:`SEQUENCE_LIMIT` is refused rather than approximated, so reduce the
     vocabulary size or the sequence length to stay exact.
     """
     check_int("sequence length", length, 1)
-    check_int("sequence_limit", sequence_limit, 1)
-    space = sequence_space(vocab.size, length, sequence_limit)
+    space = sequence_space(vocab.size, length)
     codes = encode_sequences(prompt.samples_for(context.id), vocab.size, length)
     return icl_counts_dist(np.bincount(codes, minlength=space), eta)

@@ -21,7 +21,6 @@ from icl_lab.classify import (
     fit_logistic_stack,
     knn_order,
     knn_select,
-    predict_prob,
     predict_probs,
     select_coreset,
     sensitivity_scores,
@@ -37,30 +36,31 @@ def make_dataset(features, labels):
 class TestSigmoidAndPredict:
     def test_zero_model(self):
         model = LinearModel(np.zeros(3), 0.0)
-        assert predict_prob(model, np.zeros(3)) == 0.5
+        assert predict_probs(model, np.zeros((1, 3))).tolist() == [0.5]
 
     def test_log_three(self):
         model = LinearModel(np.array([1.0]), 0.0)
-        assert predict_prob(model, np.array([math.log(3)])) == pytest.approx(0.75)
+        assert predict_probs(model, [[math.log(3)]]) == pytest.approx([0.75])
 
     def test_saturation_no_overflow(self):
         model = LinearModel(np.array([1.0]), 0.0)
         with np.errstate(over="raise"):
-            assert predict_prob(model, np.array([1000.0])) == pytest.approx(1.0)
-            assert predict_prob(model, np.array([-1000.0])) == pytest.approx(0.0)
+            assert predict_probs(model, [[1000.0], [-1000.0]]) == pytest.approx([1.0, 0.0])
 
     def test_dimension_mismatch(self):
         model = LinearModel(np.zeros(3), 0.0)
         with pytest.raises(ParameterError):
-            predict_prob(model, np.zeros(2))
+            predict_probs(model, np.zeros((1, 2)))
+        with pytest.raises(ParameterError):
+            predict_probs(model, np.zeros(3))  # one point is a one-row array
 
 
 class TestTrainLogistic:
     def test_separable_points_classified(self):
         data = make_dataset([[-1.0], [1.0]], [0, 1])
         model = train_logistic(data, TrainConfig(max_iters=500, l2_reg=1e-4))
-        assert predict_prob(model, np.array([-1.0])) < 0.5
-        assert predict_prob(model, np.array([1.0])) > 0.5
+        low, high = predict_probs(model, [[-1.0], [1.0]])
+        assert low < 0.5 < high
 
     def test_label_symmetry_gives_zero_bias(self):
         # Dataset invariant under (x, y) -> (-x, 1-y): the bias gradient
@@ -143,7 +143,7 @@ class TestTrainLogistic:
         data = make_dataset([[1.0, 2.0]], [1])
         model = train_logistic(data, TrainConfig(l2_reg=l2_reg))
         assert model.weights == pytest.approx(model.bias * np.array([1.0, 2.0]))
-        assert predict_prob(model, np.array([1.0, 2.0])) > 1 - 1e-6
+        assert predict_probs(model, [[1.0, 2.0]])[0] > 1 - 1e-6
 
     def test_divergence_error_names_iteration(self):
         data = make_dataset([[1e12], [1e307]], [1, 0])
@@ -395,8 +395,9 @@ class TestDatasetTypes:
         model = LinearModel(rng.standard_normal(4), 0.5)
         pts = rng.standard_normal((20, 4))
         vec = predict_probs(model, pts)
-        assert vec == pytest.approx([predict_prob(model, p) for p in pts])
+        assert vec == pytest.approx([predict_probs(model, p[None])[0] for p in pts])
 
     def test_sigmoid_scalar_and_array(self):
-        assert sigmoid(0.0) == 0.5
+        # Elementwise: a scalar comes back as a 0-d array.
+        assert sigmoid(0.0).shape == () and sigmoid(0.0) == 0.5
         assert np.allclose(sigmoid(np.array([0.0, 1000.0])), [0.5, 1.0])

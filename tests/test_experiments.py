@@ -17,7 +17,7 @@ from icl_lab import (
     TrainConfig,
     run_experiment,
 )
-from icl_lab.classify import knn_select, predict_prob, predict_probs, train_logistic
+from icl_lab.classify import knn_select, predict_probs, train_logistic
 from icl_lab.distributions import (
     dirichlet_gammas,
     l1_distance,
@@ -33,7 +33,7 @@ from icl_lab.experiments import (
     planted_linear_dataset,
     trial_rng,
 )
-from icl_lab.oracle import icl_counts_dist, mix_probability
+from icl_lab.oracle import icl_counts_dist, mix_with_uniform
 from icl_lab.reports import (
     TrialResult,
     build_report,
@@ -389,6 +389,23 @@ class TestCountsBlocks:
         errors, _ = self.measure(cfg, 20, 10, sizes, seed=3)
         assert errors == per_context_reference(cfg, 20, 10, sizes, trial_rng(3, 0), block=10)
 
+    def test_eta_run_scores_the_responder_once_per_block_and_size(self, monkeypatch):
+        # At V = 2,000 a block holds 16 contexts: 40 contexts are blocks of 16, 16 and 8.
+        params = BoundParams(epsilon=0.2, delta=0.05, vocab_size=2_000, num_contexts=40)
+        cfg = textgen_config(params=params, eta=EtaModel.uniform_mix(0.1), trials=2)
+        plain = report_to_dict(run_experiment(cfg))
+        calls = []
+        real_rows = experiments.icl_counts_rows
+
+        def recording(counts, eta):
+            calls.append((counts.shape, set(counts.sum(axis=1).tolist()), eta))
+            return real_rows(counts, eta)
+
+        monkeypatch.setattr(experiments, "icl_counts_rows", recording)
+        assert report_to_dict(run_experiment(cfg)) == plain
+        shapes = [(16, 2_000), (16, 2_000), (8, 2_000)] * cfg.trials
+        assert calls == [(shape, {cfg.samples_override}, cfg.eta) for shape in shapes]
+
     @pytest.mark.parametrize("concentration", [1e-300, 1e308])
     def test_degenerate_gamma_blocks_give_valid_rows(self, concentration):
         # Every Gamma draw underflows at 1e-300; every row sum overflows at 1e308.
@@ -680,7 +697,8 @@ class TestClassificationExperiments:
             queries = rng.standard_normal((6, 3))
             model = train_logistic(data, cfg.train)
             manual = max(
-                abs(predict_prob(model, q) - predict_prob(planted, q)) for q in queries
+                abs(predict_probs(model, q[None])[0] - predict_probs(planted, q[None])[0])
+                for q in queries
             )
             assert report.trials[i].sup_error == pytest.approx(manual, abs=1e-12)
 
@@ -707,12 +725,13 @@ class TestClassificationExperiments:
                 errors = []
                 for q, t in zip(queries, truth):
                     model = train_logistic(knn_select(data, q, k), cfg.train)
-                    errors.append(abs(mix_probability(predict_prob(model, q), cfg.eta) - t))
+                    prob = predict_probs(model, q[None])[0]
+                    errors.append(abs(mix_with_uniform(prob, cfg.eta, 2) - t))
                 assert report.trials[i * 3 + j].sup_error == max(errors)
 
     def test_knn_scores_each_query_as_predict_prob(self, monkeypatch):
-        # The runner scores all queries as arrays; each probability must equal
-        # predict_prob of that query's own fitted model, bit for bit.
+        # The runner scores all queries as arrays; each probability must equal the
+        # one-row predict_probs of that query's own fitted model, bit for bit.
         fitted, scored = [], []
         real_fit, real_sigmoid = experiments.fit_logistic_stack, experiments.sigmoid
 
@@ -743,7 +762,8 @@ class TestClassificationExperiments:
         assert len(fitted) == len(scored) == 2  # one stack per k at this size
         for thetas, probs in zip(fitted, scored):
             models = [LinearModel(t[:-1], t[-1]) for t in thetas]
-            assert probs.tolist() == [predict_prob(m, q) for m, q in zip(models, queries)]
+            one_row = [predict_probs(m, q[None])[0] for m, q in zip(models, queries)]
+            assert probs.tolist() == one_row
 
     def test_knn_eta_shifts_errors_by_at_most_half_eta(self):
         base = ExperimentConfig(

@@ -14,11 +14,11 @@ from icl_lab import (
     icl_sequence_dist,
     icl_textgen_dist,
 )
-from icl_lab.distributions import CategoricalDistribution, empirical_distribution, l1_distance
+from icl_lab.distributions import empirical_distribution, l1_distance, normalized_rows
 from icl_lab.oracle import (
     encode_sequences,
     icl_counts_dist,
-    mix_probability,
+    icl_counts_rows,
     mix_with_uniform,
     sequence_space,
 )
@@ -38,8 +38,12 @@ class TestEtaModel:
             EtaModel(eta=0.1, kind="dirichlet")
 
     def test_mixture_arithmetic(self):
-        assert mix_probability(1.0, EtaModel.uniform_mix(0.2)) == pytest.approx(0.9)
-        assert mix_probability(0.5, EtaModel.uniform_mix(0.7)) == pytest.approx(0.5)
+        # A class-1 probability is mixed toward 1/2, over a support of 2.
+        assert mix_with_uniform(1.0, EtaModel.uniform_mix(0.2), 2) == pytest.approx(0.9)
+        assert mix_with_uniform(0.5, EtaModel.uniform_mix(0.7), 2) == pytest.approx(0.5)
+        # With the knob off the mix is the identity.
+        probs = np.random.default_rng(2).random(1000)
+        assert np.array_equal(mix_with_uniform(probs, EtaModel.none(), 2), probs)
 
 
 class TestTextgenOracle:
@@ -62,6 +66,21 @@ class TestTextgenOracle:
     def test_zero_counts_rejected(self):
         with pytest.raises(ParameterError):
             icl_counts_dist(np.zeros(3, dtype=np.int64))
+
+    @pytest.mark.parametrize("eta", [EtaModel.none(), EtaModel.uniform_mix(0.3)])
+    def test_counts_rows_renormalized_are_the_per_vector_answer(self, eta):
+        rng = np.random.default_rng(5)
+        counts = rng.integers(0, 50, size=(12, 9))
+        counts[:, 0] += 1  # no row is empty
+        rows = normalized_rows(icl_counts_rows(counts, eta))
+        assert rows.shape == counts.shape
+        for row, vector in zip(rows, counts):
+            assert np.array_equal(row, icl_counts_dist(vector, eta).probs)
+        for r in range(len(counts)):
+            holed = counts.copy()
+            holed[r] = 0
+            with pytest.raises(ParameterError, match="zero samples"):
+                icl_counts_rows(holed, eta)
 
     def test_missing_context(self):
         prompt = IclPromptSamples(per_context={0: [0]})
@@ -99,32 +118,34 @@ class TestSequenceOracle:
         assert out.probs == pytest.approx([0.0, 0.0, 1.0, 0.0])
 
     def test_explosion_limit(self):
-        prompt = IclPromptSamples(per_context={0: [(0, 0)]})
-        with pytest.raises(ParameterError):
-            icl_sequence_dist(prompt, Context(0), Vocabulary.of_size(2), 2, sequence_limit=3)
+        # The fixed cap is 10^6 outcomes: 1001^2, 10^7 and 2^20 are past it.
+        for vocab_size, length in [(1001, 2), (10, 7), (2, 20)]:
+            prompt = IclPromptSamples(per_context={0: [(0,) * length]})
+            with pytest.raises(ParameterError, match="exceeds the limit 1000000"):
+                icl_sequence_dist(prompt, Context(0), Vocabulary.of_size(vocab_size), length)
+        for vocab_size, length in [(1000, 2), (10, 6), (2, 19)]:
+            prompt = IclPromptSamples(per_context={0: [(1,) * length]})
+            out = icl_sequence_dist(prompt, Context(0), Vocabulary.of_size(vocab_size), length)
+            assert out.size == vocab_size**length
 
     def test_space_past_the_limit_is_refused_before_it_is_computed(self):
         prompt = IclPromptSamples(per_context={0: [(0,) * 5000]})
         with pytest.raises(ParameterError, match=r"V\^l = 10\^5000 exceeds the limit 1000000;"):
             icl_sequence_dist(prompt, Context(0), Vocabulary.of_size(10), 5000)
 
-    @pytest.mark.parametrize("length, limit", [(0, 10), (2.0, 10), (2, 1e6), (2, 0)])
-    def test_non_integer_or_non_positive_length_and_limit_rejected(self, length, limit):
+    @pytest.mark.parametrize("length", [0, 2.0])
+    def test_non_integer_or_non_positive_length_rejected(self, length):
         prompt = IclPromptSamples(per_context={0: [(0, 0)]})
         vocab = Vocabulary.of_size(2)
         with pytest.raises(ParameterError):
-            icl_sequence_dist(prompt, Context(0), vocab, length, sequence_limit=limit)
+            icl_sequence_dist(prompt, Context(0), vocab, length)
 
     def test_sequence_space_refuses_exactly_the_spaces_past_the_limit(self):
-        for vocab_size in range(1, 6):
-            for length in range(1, 12):
-                for limit in range(1, 130):
-                    space = vocab_size**length
-                    if space <= limit:
-                        assert sequence_space(vocab_size, length, limit) == space
-                    else:
-                        with pytest.raises(ParameterError):
-                            sequence_space(vocab_size, length, limit)
+        for vocab_size, length in [(1000, 2), (10, 6), (2, 19), (1, 10**9)]:
+            assert sequence_space(vocab_size, length) == vocab_size**length
+        for vocab_size, length in [(1001, 2), (10, 7), (2, 20)]:
+            with pytest.raises(ParameterError):
+                sequence_space(vocab_size, length)
 
     def test_first_coordinate_marginal_matches_textgen(self):
         rng = np.random.default_rng(3)
@@ -164,6 +185,5 @@ def test_oracle_outputs_valid_and_close_to_empirical(vocab_size, raw_samples, et
 
 
 def test_mix_with_uniform_on_point_mass():
-    point = CategoricalDistribution(np.array([1.0, 0.0, 0.0, 0.0]))
-    mixed = mix_with_uniform(point, EtaModel.uniform_mix(0.4))
-    assert mixed.probs == pytest.approx([0.7, 0.1, 0.1, 0.1])
+    mixed = mix_with_uniform(np.array([1.0, 0.0, 0.0, 0.0]), EtaModel.uniform_mix(0.4), 4)
+    assert mixed == pytest.approx([0.7, 0.1, 0.1, 0.1])

@@ -21,7 +21,7 @@ EXPORTS = {
 # Primitives that are imported from their own modules only.
 MODULE_ONLY = {
     "classify": [
-        "knn_select", "predict_prob", "predict_probs", "select_coreset",
+        "knn_select", "predict_probs", "select_coreset",
         "sensitivity_scores", "sigmoid", "train_logistic",
     ],
     "distributions": [
@@ -29,7 +29,7 @@ MODULE_ONLY = {
         "random_distribution", "sample_counts",
     ],
     "experiments": ["planted_linear_dataset", "trial_rng"],
-    "oracle": ["encode_sequences", "icl_counts_dist", "mix_probability", "mix_with_uniform"],
+    "oracle": ["encode_sequences", "icl_counts_dist", "icl_counts_rows", "mix_with_uniform"],
     "prompts": ["PromptConfig", "SeparatorCollisionWarning"],
     "reports": [
         "BoundReport", "TrialResult", "build_report", "fit_log_log_slope",
@@ -61,3 +61,6 @@ def test_package_exports_what_its_callers_use():
         home = importlib.import_module(f"icl_lab.{module}")
         for name in names:
             assert not hasattr(icl_lab, name) and hasattr(home, name), name
+    # One implementation per primitive: the twins of predict_probs and mix_with_uniform are gone.
+    for module, name in (("classify", "predict_prob"), ("oracle", "mix_probability")):
+        assert not hasattr(importlib.import_module(f"icl_lab.{module}"), name), name
