@@ -41,9 +41,10 @@ class Vocabulary:
         return len(self.tokens)
 
 
-def normalized_rows(probs: np.ndarray) -> np.ndarray:
-    """``probs`` over its sums along the last axis; each must be within
-    ``PROB_SUM_TOLERANCE`` of 1, and no entry may be negative."""
+def normalized_rows(probs: np.ndarray, out=None) -> np.ndarray:
+    """``probs`` over its sums along the last axis, written to ``out`` when given
+    (``probs`` itself included); each sum must be within ``PROB_SUM_TOLERANCE`` of 1,
+    and no entry may be negative."""
     # A non-finite entry or an overflowing sum fails the sum test; with no negative
     # entry, a sum within tolerance bounds every entry by 1 + PROB_SUM_TOLERANCE.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -55,7 +56,7 @@ def normalized_rows(probs: np.ndarray) -> np.ndarray:
             )
     if probs.min() < 0.0:
         raise ParameterError("probability entries must be non-negative")
-    return probs / totals
+    return np.divide(probs, totals, out=out)
 
 
 @dataclass(frozen=True)
@@ -117,41 +118,62 @@ def empirical_distribution(samples, vocab: Vocabulary) -> CategoricalDistributio
 
 def sample_counts(dist: CategoricalDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
     """Counts of ``n`` i.i.d. draws from ``dist``: one Multinomial(n, p) vector of length V."""
-    return _draw_counts(dist.probs[None], n, rng)[0]
+    return next(nested_counts(dist.probs[None], (n,), rng))[0]
 
 
-def nested_counts(probs: np.ndarray, sizes, rng: np.random.Generator):
-    """Yield the (rows, V) counts of nested i.i.d. samples of the sorted ``sizes`` from
-    the rows of the (rows, V) array ``probs``: each size after the first adds
-    ``Multinomial(n_k - n_{k-1}, p)`` draws, which gives the joint law of one token
-    stream's prefixes.
+def nested_counts(probs: np.ndarray, sizes, rng: np.random.Generator, out=None):
+    """The (rows, V) counts of nested i.i.d. samples of the strictly increasing
+    ``sizes`` (each at least 1) from the rows of the (rows, V) array ``probs``, one
+    yield per size: each size after the first adds ``Multinomial(n_k - n_{k-1}, p)``
+    draws, which gives the joint law of one token stream's prefixes.
 
     With ``n >= V`` a draw is one ``rng.multinomial`` call, equal bit for bit to one
     call per row.  With ``n < V`` each row counts ``n`` sorted uniforms placed on its
     CDF, O(n log n + V), which beats multinomial's one binomial draw per outcome;
     scaling them by the CDF's last entry keeps every index below V and off
-    zero-probability outcomes.
+    zero-probability outcomes.  The CDF rows are computed once, at the first such
+    draw.  ``out`` is an optional ``(cdf, uniforms)`` pair of float64 workspaces for
+    that path: a (rows, V) array and a vector of at least its largest ``n`` (V
+    floats always suffice).
     """
-    counts, drawn = None, 0
+    sizes = tuple(sizes)
+    if any(low >= high for low, high in zip((0,) + sizes, sizes)):
+        raise ParameterError(f"sizes must be strictly increasing and >= 1, got {list(sizes)}")
+    return _nested_counts(probs, sizes, rng, out)
+
+
+def _nested_counts(probs, sizes, rng, out):
+    """:func:`nested_counts` past its checks."""
+    counts, drawn, cdf = None, 0, None
     for size in sizes:
-        if size > drawn:
-            draw = _draw_counts(probs, size - drawn, rng)
-            counts = draw if counts is None else counts + draw
-            drawn = size
+        n = size - drawn
+        if n >= probs.shape[1]:
+            draw = rng.multinomial(n, probs)
+        else:
+            if cdf is None:
+                cdf, uniforms = out or (np.empty(probs.shape), np.empty(probs.shape[1]))
+                np.cumsum(probs, axis=1, out=cdf)
+                # Searched as uint64, the CDF gives the float indices with cheaper
+                # compares: non-negative doubles order like their bit patterns.  A CDF
+                # never decreases, so a -0.0, whose pattern sorts last, can only lead;
+                # adding 0.0 makes it +0.0 and leaves every other entry as it is.
+                cdf[cdf[:, 0] == 0.0] += 0.0
+            draw = _cdf_counts(cdf, uniforms[:n], rng)
+        counts = draw if counts is None else counts + draw
+        drawn = size
         yield counts
 
 
-def _draw_counts(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """One :func:`nested_counts` draw: n i.i.d. draws from each row of ``probs``."""
-    if n < 1:
-        raise ParameterError(f"sample count must be >= 1, got {n}")
-    if n >= probs.shape[1]:
-        return rng.multinomial(n, probs)
+def _cdf_counts(cdf, uniforms, rng) -> np.ndarray:
+    """``len(uniforms)`` i.i.d. draws from each row whose CDF is a row of ``cdf``,
+    searched as uint64, through the workspace ``uniforms``."""
     rows = []
-    for p in probs:
-        cdf = np.cumsum(p)
-        u = np.sort(rng.random(n)) * cdf[-1]
-        rows.append(np.bincount(np.searchsorted(cdf, u, side="right"), minlength=p.size))
+    for c, k in zip(cdf, cdf.view(np.uint64)):
+        rng.random(out=uniforms)
+        uniforms.sort()
+        uniforms *= c[-1]
+        index = np.searchsorted(k, uniforms.view(np.uint64), side="right")
+        rows.append(np.bincount(index, minlength=c.size))
     # One row is viewed, not copied: a copy per context doubles the page faults at V=50,000.
     return np.stack(rows) if len(rows) > 1 else rows[0][None]
 
@@ -165,19 +187,20 @@ def random_distribution(
 
 
 def dirichlet_gammas(
-    rows: int, size: int, concentration: float, rng: np.random.Generator
+    rows: int, size: int, concentration: float, rng: np.random.Generator, out=None
 ) -> np.ndarray:
     """(rows, size) Gamma(concentration) variates whose normalized rows are symmetric
-    Dirichlet draws: one ``standard_gamma`` call, then a redraw of each row in turn
-    whose sum is 0 (every draw underflowed) or inf.  In law Gamma(a) =
-    Gamma(a + 1) * U**(1/a), whose log, scaled by min(a, 1), does neither."""
+    Dirichlet draws, written to the C-contiguous float64 ``out`` when given: one
+    ``standard_gamma`` call, then a redraw of each row in turn whose sum is 0 (every
+    draw underflowed) or inf.  In law Gamma(a) = Gamma(a + 1) * U**(1/a), whose log,
+    scaled by min(a, 1), does neither."""
     if size < 1:
         raise ParameterError(f"support size must be >= 1, got {size}")
     if concentration <= 0:
         raise ParameterError(f"concentration must be positive, got {concentration}")
     scale = min(concentration, 1.0)
     with np.errstate(over="ignore"):
-        draws = rng.standard_gamma(concentration, size=(rows, size))
+        draws = rng.standard_gamma(concentration, size=(rows, size), out=out)
         for i, total in enumerate(draws.sum(axis=1)):
             if not 0.0 < total < np.inf:
                 logs = scale * np.log(rng.standard_gamma(concentration + 1.0, size=size))

@@ -62,10 +62,13 @@ def from_object(cls, value, where: str):
 
 
 def load_json_object(path, what: str) -> dict:
-    """The JSON object in the file at ``path``; anything else is refused, naming ``what``."""
+    """The JSON object in the UTF-8 file at ``path``; anything else is refused, naming
+    ``what``."""
     with open(path, encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
+        except UnicodeDecodeError as exc:
+            raise ParameterError(f"{what} {path} is not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ParameterError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):

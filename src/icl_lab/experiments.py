@@ -79,8 +79,8 @@ from .reports import (
     write_json_report,
 )
 
-# Largest stacked float64 array: a counts block's (contexts, support) rows, or
-# one stacked logistic fit's (fits, points, d + 1) design tensor.
+# Largest stacked float64 array: one (block, support) array of a counts trial's
+# workspace, or one stacked logistic fit's (fits, points, d + 1) design tensor.
 STACK_BYTES = 256 * 1024
 
 THREADS_ENV_VAR = "ICL_LAB_THREADS"
@@ -310,34 +310,48 @@ def _run_bounded_textgen(cfg: ExperimentConfig) -> BoundReport:
 
 
 def _counts_measure(cfg: ExperimentConfig, support: int, contexts: int, sizes: tuple[int, ...]):
-    """``measure(rng)`` of the three counts kinds: per sorted size n, the worst L1
-    error over ``contexts`` random truths on ``support`` outcomes, each estimated
-    from the counts of n i.i.d. draws.
+    """``measure(rng)`` of the three counts kinds: per strictly increasing size n, the
+    worst L1 error over ``contexts`` random truths on ``support`` outcomes, each
+    estimated from the counts of n i.i.d. draws.
 
     Contexts run in blocks of as many as fit in :data:`STACK_BYTES` per
-    (contexts, support) array, and at least one (one once support exceeds 16,384),
-    so a trial holds O(block) memory, not O(contexts * support).  A block draws all
-    of its truths, then its counts.
+    (contexts, support) array, and at least one (one once support exceeds 16,384).
+    A trial allocates one workspace of (block, support) float64 arrays and fills it
+    block after block, the last block through views of its leading rows: the Gamma
+    rows, normalized in place into the truths; the responder's rows, whose buffer
+    also holds the uniforms of :func:`nested_counts`' n < V path; and, when a draw
+    takes that path, its CDF rows.  So a trial holds O(block) memory, not
+    O(contexts * support), and the heap is not trimmed and regrown every block.  A
+    block draws all of its truths, then its counts.
     """
-    rows = _stack_rows(support)
+    rows = min(_stack_rows(support), contexts)
+    # The largest draw that takes the n < V path of nested_counts, 0 when none does.
+    sampled = max((b - a for a, b in zip((0,) + sizes, sizes) if b - a < support), default=0)
 
-    def block_error(truths, counts):
+    def block_error(truths, counts, responder):
         """Worst row of ``l1_distance(icl_counts_dist(counts, eta), truth)``: the
         responder's rows, renormalized once as the distribution is, bit for bit."""
-        diff = normalized_rows(icl_counts_rows(counts, cfg.eta))
+        diff = normalized_rows(icl_counts_rows(counts, cfg.eta, out=responder), out=responder)
         diff -= truths
         return np.abs(diff, out=diff).sum(axis=1).max()
 
     def measure(rng):
         worst = np.zeros(len(sizes))  # L1 errors are non-negative
+        gammas, responder = np.empty((rows, support)), np.empty((rows, support))
+        if sampled:
+            # The uniforms live in the responder's buffer, which is idle while a
+            # draw runs: a block scores each size's counts only after drawing them.
+            cdf, uniforms = np.empty((rows, support)), responder.reshape(-1)[:sampled]
         for start in range(0, contexts, rows):
-            draws = dirichlet_gammas(min(rows, contexts - start), support, cfg.concentration, rng)
-            truths = normalized_rows(draws / draws.sum(axis=1, keepdims=True))
-            # The draws and the last block's truths go only once the new truths exist:
-            # freed earlier, the heap top is trimmed and regrown every block (3x the
-            # page faults at V=50,000).
-            del draws
-            errors = [block_error(truths, c) for c in nested_counts(truths, sizes, rng)]
+            block = min(rows, contexts - start)
+            truths = dirichlet_gammas(block, support, cfg.concentration, rng, out=gammas[:block])
+            np.divide(truths, truths.sum(axis=1, keepdims=True), out=truths)
+            normalized_rows(truths, out=truths)
+            workspace = (cdf[:block], uniforms) if sampled else None
+            errors = [
+                block_error(truths, counts, responder[:block])
+                for counts in nested_counts(truths, sizes, rng, workspace)
+            ]
             worst = np.maximum(worst, errors)
         yield from ((float(error), "") for error in worst)
 

@@ -66,17 +66,21 @@ class IclPromptSamples:
         return self.per_context[context_id]
 
 
-def mix_with_uniform(probs, eta_model: EtaModel, support: int):
+def mix_with_uniform(probs, eta_model: EtaModel, support: int, out=None):
     """(1 - eta) * probs + eta / support: ``probs`` mixed toward the uniform
-    distribution on ``support`` outcomes; ``probs`` itself when the knob is off."""
+    distribution on ``support`` outcomes, written to ``out`` when given (``probs``
+    itself included); ``probs`` itself when the knob is off."""
     if eta_model.kind == ETA_NONE:
         return probs
-    return (1.0 - eta_model.eta) * probs + eta_model.eta / support
+    mixed = np.multiply(probs, 1.0 - eta_model.eta, out=out)
+    mixed += eta_model.eta / support
+    return mixed
 
 
-def icl_counts_rows(counts, eta: EtaModel = EtaModel.none()) -> np.ndarray:
+def icl_counts_rows(counts, eta: EtaModel = EtaModel.none(), out=None) -> np.ndarray:
     """The responder's answer for each row of the (rows, V) per-outcome prompt counts:
-    ``counts / totals`` with the error knob off, and its uniform mix with it on.
+    ``counts / totals`` with the error knob off, and its uniform mix with it on;
+    written to the float64 array ``out`` when given, with the same arithmetic.
 
     A row with fewer than one sample is refused.  The mixed rows are not renormalized
     again; callers apply :func:`normalized_rows` once (as
@@ -86,9 +90,10 @@ def icl_counts_rows(counts, eta: EtaModel = EtaModel.none()) -> np.ndarray:
     totals = counts.sum(axis=-1, keepdims=True)
     if totals.min() < 1:
         raise ParameterError("cannot estimate a distribution from zero samples")
+    rows = np.divide(counts, totals, out=out)
     if eta.kind == ETA_NONE:
-        return counts / totals
-    return mix_with_uniform(normalized_rows(counts / totals), eta, counts.shape[-1])
+        return rows
+    return mix_with_uniform(normalized_rows(rows, out=rows), eta, counts.shape[-1], out=rows)
 
 
 def icl_counts_dist(counts, eta: EtaModel = EtaModel.none()) -> CategoricalDistribution:

@@ -420,6 +420,17 @@ class TestVerify:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and str(path) in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv", [("verify", "textgen", "--config"), ("prompt", "build", "--pairs")]
+    )
+    def test_non_utf8_file_is_parameter_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff{}")
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {argv[-1][2:]} file {path} is not UTF-8 text: ")
+        assert err.count("\n") == 1
+
     def test_trials_override(self, capsys, tmp_path, config_path):
         out_path = tmp_path / "r.json"
         code, _, _ = run_cli(

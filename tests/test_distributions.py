@@ -11,6 +11,7 @@ from icl_lab.distributions import (
     CategoricalDistribution,
     empirical_distribution,
     l1_distance,
+    nested_counts,
     normalized_rows,
     random_distribution,
     sample_counts,
@@ -213,6 +214,47 @@ class TestSampleCounts:
             ]
             medians.append(np.median(errs))
         assert medians[0] > medians[1] > medians[2]
+
+
+def float_key_counts(probs, n, rng):
+    """The n < V sampler searching float keys, one CDF per row and draw: the
+    reference that the uint64-key search must match bit for bit."""
+    rows = []
+    for p in probs:
+        cdf = np.cumsum(p)
+        u = np.sort(rng.random(n)) * cdf[-1]
+        rows.append(np.bincount(np.searchsorted(cdf, u, side="right"), minlength=p.size))
+    return np.stack(rows)
+
+
+class TestNestedCounts:
+    @pytest.mark.parametrize("sizes", [(0,), (-3, 5), (5, 3), (7, 50, 50)])
+    def test_rejects_sizes_not_strictly_increasing_from_one(self, sizes):
+        with pytest.raises(ParameterError, match="strictly increasing"):
+            nested_counts(np.full((1, 4), 0.25), sizes, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("workspace", [False, True])
+    @pytest.mark.parametrize(
+        "rows, size, sizes",
+        [(1, 13, (2,)), (3, 50, (20, 45)), (4, 2_000, (500, 1_500)), (1, 50_000, (20_000,))],
+    )
+    def test_integer_keys_match_the_float_key_search(self, rows, size, sizes, workspace):
+        probs = np.random.default_rng(size).dirichlet(np.full(size, 0.5), size=rows)
+        probs[:, [0, size // 2, size - 1]] = 0.0  # zeros at the start, middle and end
+        probs /= probs.sum(axis=1, keepdims=True)
+        probs[-1, :3] = -0.0  # a leading -0.0 run, whose bits sort above every +x
+        probs[-1] /= probs[-1].sum()
+        assert np.signbit(probs[-1, 0])
+        out = (np.empty((rows, size)), np.empty(size)) if workspace else None
+        rng, reference_rng = np.random.default_rng(5), np.random.default_rng(5)
+        expected, drawn = 0, 0
+        for counts, n in zip(nested_counts(probs, sizes, rng, out), sizes):
+            expected = expected + float_key_counts(probs, n - drawn, reference_rng)
+            drawn = n
+            assert counts.dtype == np.int64
+            assert np.array_equal(counts, expected)
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
+        assert not expected[:, [0, size // 2, size - 1]].any()
 
 
 class TestRandomDistribution:
