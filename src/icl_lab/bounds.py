@@ -15,6 +15,7 @@ so experiments can compare them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,6 +90,22 @@ def _checked_log(argument: float, description: str) -> float:
     return math.log(argument)
 
 
+def _finite_size(calculator):
+    """``calculator`` refusing a size that is not a finite number: at a tiny epsilon
+    (or delta) ``eps**2`` underflows to 0, or the size overflows before ``ceil``."""
+
+    @functools.wraps(calculator)
+    def checked(params: BoundParams, *args):
+        try:
+            return calculator(params, *args)
+        except (ZeroDivisionError, OverflowError):
+            message = f"the sample size at epsilon = {params.epsilon!r} is not a finite number"
+            raise ParameterError(f"{message}; epsilon (or delta) is too small") from None
+
+    return checked
+
+
+@_finite_size
 def textgen_samples_per_context(params: BoundParams, mode: str = MODE_BIG_O) -> BoundResult:
     """Per-context sample count for matching every next-token distribution in L1.
 
@@ -111,17 +128,20 @@ def textgen_samples_per_context(params: BoundParams, mode: str = MODE_BIG_O) -> 
     )
 
 
+@_finite_size
 def coreset_size(params: BoundParams) -> int:
     """Subset size for training a near-equivalent linear classifier: c * d / eps."""
     return math.ceil(params.constant * params.input_dim / params.epsilon)
 
 
+@_finite_size
 def knn_context_size(params: BoundParams) -> int:
     """Per-query neighborhood size for local classification: c * ln(1/delta) / eps^2."""
     log_term = _checked_log(1.0 / params.delta, "1/delta")
     return math.ceil(params.constant * (1.0 / params.epsilon**2) * log_term)
 
 
+@_finite_size
 def bounded_textgen_size(params: BoundParams) -> int:
     """Per-context sample count for length-l sequence distributions.
 

@@ -193,14 +193,19 @@ def dirichlet_gammas(
     Dirichlet draws, written to the C-contiguous float64 ``out`` when given: one
     ``standard_gamma`` call, then a redraw of each row in turn whose sum is 0 (every
     draw underflowed) or inf.  In law Gamma(a) = Gamma(a + 1) * U**(1/a), whose log,
-    scaled by min(a, 1), does neither."""
+    scaled by min(a, 1), does neither.  At a = 1 the call is ``standard_exponential``,
+    whose variates numpy's ``standard_gamma(1.0)`` returns bit for bit, drawn as one
+    fill instead of one function call per variate."""
     if size < 1:
         raise ParameterError(f"support size must be >= 1, got {size}")
     if concentration <= 0:
         raise ParameterError(f"concentration must be positive, got {concentration}")
     scale = min(concentration, 1.0)
     with np.errstate(over="ignore"):
-        draws = rng.standard_gamma(concentration, size=(rows, size), out=out)
+        if concentration == 1.0:
+            draws = rng.standard_exponential(size=(rows, size), out=out)
+        else:
+            draws = rng.standard_gamma(concentration, size=(rows, size), out=out)
         for i, total in enumerate(draws.sum(axis=1)):
             if not 0.0 < total < np.inf:
                 logs = scale * np.log(rng.standard_gamma(concentration + 1.0, size=size))

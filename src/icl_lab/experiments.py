@@ -5,10 +5,12 @@ and those five runners share one sweep skeleton, :func:`_run_sweep`.  A runner
 resolves its sweep (subset sizes, values of ``k``, or ``(None,)`` for the two
 textgen kinds) and supplies ``measure(rngs)``: given the streams of a batch of
 consecutive trials, it yields per trial one ``(error, detail)`` pair per swept
-value.  knn and the three counts kinds measure one trial at a time, in batches
-of one (:func:`_per_trial`); coreset takes as many trials as one stack of its
-largest fitted coreset holds, so that it fits each swept size across the batch
-as one stacked solve.  The skeleton owns the rest:
+value.  knn measures one trial at a time, in batches of one; coreset takes as
+many trials as one stack of its largest fitted coreset holds, so that it fits
+each swept size across the batch as one stacked solve; the three counts kinds
+take as many whole trials as one block of their rows holds
+(:func:`_counts_batch`), so that a batch of small trials is drawn and scored as
+one block.  The skeleton owns the rest:
 
 * trial ``i`` draws all of its randomness from ``trial_rng(seed, i)``, so
   results depend neither on batching nor on execution order, and the whole
@@ -32,7 +34,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -79,7 +80,7 @@ from .reports import (
     write_json_report,
 )
 
-# Largest stacked float64 array: one (block, support) array of a counts trial's
+# Largest stacked float64 array: one (block, support) array of a counts batch's
 # workspace, or one stacked logistic fit's (fits, points, d + 1) design tensor.
 STACK_BYTES = 256 * 1024
 
@@ -258,11 +259,6 @@ def _run_sweep(
     return report
 
 
-def _per_trial(measure):
-    """The batch ``measure(rngs)`` of a runner whose ``measure(rng)`` takes one trial."""
-    return partial(map, measure)
-
-
 def _median(values: list[float]) -> float:
     """``np.median`` of ``values``, which hold no NaN (``TrialResult`` refuses one),
     without the ``numpy.ma`` import it costs."""
@@ -291,7 +287,7 @@ def _run_textgen(cfg: ExperimentConfig) -> BoundReport:
         "bound_mode": cfg.mode,
     }
     measure = _counts_measure(cfg, p.vocab_size, p.num_contexts, (n,))
-    return _run_sweep(cfg, _per_trial(measure), extras)
+    return _run_sweep(cfg, measure, extras, batch=_counts_batch(p.vocab_size, p.num_contexts))
 
 
 def _run_bounded_textgen(cfg: ExperimentConfig) -> BoundReport:
@@ -306,54 +302,73 @@ def _run_bounded_textgen(cfg: ExperimentConfig) -> BoundReport:
         "constant": p.constant,
     }
     measure = _counts_measure(cfg, space, p.num_contexts, (n,))
-    return _run_sweep(cfg, _per_trial(measure), extras)
+    return _run_sweep(cfg, measure, extras, batch=_counts_batch(space, p.num_contexts))
+
+
+def _counts_batch(support: int, contexts: int) -> int:
+    """Trials per batch of a counts kind: as many whole trials as one block of
+    :func:`_stack_rows` rows of ``support`` floats holds, and at least one."""
+    return max(1, _stack_rows(support) // contexts)
 
 
 def _counts_measure(cfg: ExperimentConfig, support: int, contexts: int, sizes: tuple[int, ...]):
-    """``measure(rng)`` of the three counts kinds: per strictly increasing size n, the
-    worst L1 error over ``contexts`` random truths on ``support`` outcomes, each
-    estimated from the counts of n i.i.d. draws.
+    """``measure(rngs)`` of the three counts kinds: per trial and per strictly
+    increasing size n, the worst L1 error over ``contexts`` random truths on
+    ``support`` outcomes, each estimated from the counts of n i.i.d. draws.
 
-    Contexts run in blocks of as many as fit in :data:`STACK_BYTES` per
-    (contexts, support) array, and at least one (one once support exceeds 16,384).
-    A trial allocates one workspace of (block, support) float64 arrays and fills it
-    block after block, the last block through views of its leading rows: the Gamma
-    rows, normalized in place into the truths; the responder's rows, whose buffer
-    also holds the uniforms of :func:`nested_counts`' n < V path; and, when a draw
-    takes that path, its CDF rows.  So a trial holds O(block) memory, not
-    O(contexts * support), and the heap is not trimmed and regrown every block.  A
-    block draws all of its truths, then its counts.
+    A trial's contexts run in blocks of :func:`_stack_rows` of them, at least one,
+    and a block of the batch holds that many contexts of each of its trials, each
+    trial owning consecutive rows.  The batch sizes of :func:`_counts_batch` keep
+    a block within :func:`_stack_rows` rows: many whole trials, or one trial's
+    part.  The batch allocates one workspace of (rows, support) float64 arrays,
+    sized to its first (largest) block, and fills it block after block, a short
+    block through views of its leading rows: the Gamma rows, normalized in place
+    into the truths; the responder's rows, whose buffer also holds the uniforms of
+    :func:`nested_counts`' n < V path; and, when a draw takes that path, its CDF
+    rows.  A block draws, trial after trial and each from its own stream, all of
+    its truths, then per size its counts; its responder and L1 errors run row-wise
+    once per size.  So every stream sees the draws of its trial run alone, and a
+    batch holds O(block) memory, not O(contexts * support).
     """
-    rows = min(_stack_rows(support), contexts)
+    per_block = _stack_rows(support)
+    heights = [min(per_block, contexts - start) for start in range(0, contexts, per_block)]
     # The largest draw that takes the n < V path of nested_counts, 0 when none does.
     sampled = max((b - a for a, b in zip((0,) + sizes, sizes) if b - a < support), default=0)
 
-    def block_error(truths, counts, responder):
-        """Worst row of ``l1_distance(icl_counts_dist(counts, eta), truth)``: the
-        responder's rows, renormalized once as the distribution is, bit for bit."""
+    def block_errors(truths, counts, responder):
+        """Per row, ``l1_distance(icl_counts_dist(counts, eta), truth)`` over the rows
+        of the trials' ``counts`` in turn: the responder's rows, renormalized once as
+        the distribution is, bit for bit."""
+        counts = counts[0] if len(counts) == 1 else np.concatenate(counts)
+        responder = responder[: len(truths)]
         diff = normalized_rows(icl_counts_rows(counts, cfg.eta, out=responder), out=responder)
         diff -= truths
-        return np.abs(diff, out=diff).sum(axis=1).max()
+        return np.abs(diff, out=diff).sum(axis=1)
 
-    def measure(rng):
-        worst = np.zeros(len(sizes))  # L1 errors are non-negative
+    def measure(rngs):
+        rows = len(rngs) * heights[0]
+        worst = np.zeros((len(rngs), len(sizes)))  # L1 errors are non-negative
         gammas, responder = np.empty((rows, support)), np.empty((rows, support))
         if sampled:
             # The uniforms live in the responder's buffer, which is idle while a
             # draw runs: a block scores each size's counts only after drawing them.
             cdf, uniforms = np.empty((rows, support)), responder.reshape(-1)[:sampled]
-        for start in range(0, contexts, rows):
-            block = min(rows, contexts - start)
-            truths = dirichlet_gammas(block, support, cfg.concentration, rng, out=gammas[:block])
+        for height in heights:
+            truths = gammas[: len(rngs) * height]
+            owned = [slice(k * height, (k + 1) * height) for k in range(len(rngs))]
+            for rng, own in zip(rngs, owned):
+                dirichlet_gammas(height, support, cfg.concentration, rng, out=truths[own])
             np.divide(truths, truths.sum(axis=1, keepdims=True), out=truths)
             normalized_rows(truths, out=truths)
-            workspace = (cdf[:block], uniforms) if sampled else None
-            errors = [
-                block_error(truths, counts, responder[:block])
-                for counts in nested_counts(truths, sizes, rng, workspace)
+            draws = [
+                nested_counts(truths[own], sizes, rng, (cdf[own], uniforms) if sampled else None)
+                for rng, own in zip(rngs, owned)
             ]
-            worst = np.maximum(worst, errors)
-        yield from ((float(error), "") for error in worst)
+            errors = [block_errors(truths, counts, responder) for counts in zip(*draws)]
+            per_trial = np.reshape(errors, (len(sizes), len(rngs), height)).max(axis=2)
+            worst = np.maximum(worst, per_trial.T)
+        for trial in worst:
+            yield [(float(error), "") for error in trial]
 
     return measure
 
@@ -470,7 +485,7 @@ def _run_knn(cfg: ExperimentConfig) -> BoundReport:
     ks = _within_dataset(cfg, cfg.knn_sizes or (knn_context_size(p),))
     queries_per_trial = cfg.resolved_eval_points()
 
-    def measure(rng):
+    def trial(rng):
         data, planted = planted_linear_dataset(
             cfg.dataset_size, p.input_dim, cfg.planted_norm, rng
         )
@@ -488,10 +503,11 @@ def _run_knn(cfg: ExperimentConfig) -> BoundReport:
             detail = f"{degenerate} single-class neighborhoods" if degenerate else ""
             yield float(np.max(errors)), detail
 
+    def measure(rngs):  # batches of one trial
+        return map(trial, rngs)
+
     extras = {"k_values": list(ks), "queries_per_trial": queries_per_trial}
-    return _run_sweep(
-        cfg, _per_trial(measure), extras, ks, medians_key="median_sup_error_by_k", slope=True
-    )
+    return _run_sweep(cfg, measure, extras, ks, medians_key="median_sup_error_by_k", slope=True)
 
 
 def _run_subset_penalty(cfg: ExperimentConfig) -> BoundReport:
@@ -503,10 +519,17 @@ def _run_subset_penalty(cfg: ExperimentConfig) -> BoundReport:
     def allowed(n: int) -> float:
         return subset_penalty(n, p.constant) + 2.0 * cfg.eta.eta
 
-    measure = _per_trial(_counts_measure(cfg, p.vocab_size, 1, sizes))
+    measure = _counts_measure(cfg, p.vocab_size, 1, sizes)
     extras = {"subset_sizes": list(sizes), "penalty_constant": p.constant}
     return _run_sweep(
-        cfg, measure, extras, sizes, allowed, medians_key="median_l1_by_size", slope=True
+        cfg,
+        measure,
+        extras,
+        sizes,
+        allowed,
+        medians_key="median_l1_by_size",
+        slope=True,
+        batch=_counts_batch(p.vocab_size, 1),
     )
 
 

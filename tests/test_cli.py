@@ -138,6 +138,24 @@ class TestBoundsCalc:
         assert code == 1
         assert "epsilon" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # eps**2 underflows to 0: the rules divided by zero.
+            "--kind textgen --V 20 --m 10 --epsilon 1e-200 --delta 0.05",
+            "--kind textgen --V 20 --m 10 --epsilon 1e-200 --delta 0.05 --mode exact",
+            "--kind knn --epsilon 1e-200 --delta 0.05",
+            "--kind bounded_textgen --V 5 --l 2 --epsilon 1e-200 --delta 0.05",
+            # The size overflows to inf: ceil raised OverflowError.
+            "--kind coreset --d 5 --epsilon 1e-320",
+            "--kind textgen --V 20 --m 10 --epsilon 1e-160 --delta 0.05",
+        ],
+    )
+    def test_tiny_epsilon_is_one_error_line(self, capsys, flags):
+        code, out, err = run_cli(capsys, "bounds", "calc", *flags.split())
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "epsilon" in err and err.count("\n") == 1
+
 
 class TestVerify:
     @pytest.fixture
@@ -396,6 +414,32 @@ class TestVerify:
         )
         assert code == 3
         assert [p.name for p in tmp_path.iterdir()] == [config_path.name]
+
+    @pytest.mark.parametrize(
+        "kind, key, epsilon",
+        [
+            ("textgen", "samples_override", 1e-200),
+            ("bounded_textgen", "samples_override", 1e-200),
+            ("coreset", "coreset_sizes", 1e-320),
+            ("knn", "knn_sizes", 1e-200),
+        ],
+    )
+    def test_calculator_size_at_tiny_epsilon_runs_no_trial(
+        self, capsys, tmp_path, tiny_config, monkeypatch, kind, key, epsilon
+    ):
+        # A null size is the calculator's, which is not a finite number here.
+        payload = tiny_config(kind).to_dict()
+        payload[key] = None
+        payload["params"]["epsilon"] = epsilon
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload))
+        monkeypatch.setattr(experiments, "trial_rng", pytest.fail)
+        code, out, err = run_cli(
+            capsys, "verify", kind, "--config", str(path), "--output", str(tmp_path / "r.json")
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "epsilon" in err and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     @pytest.mark.parametrize("length", [4000, 5000])
     def test_oversized_sequence_space_is_one_error_line(self, capsys, tmp_path, length):

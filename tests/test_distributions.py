@@ -9,6 +9,7 @@ from icl_lab import ParameterError, Vocabulary
 from icl_lab.distributions import (
     PROB_SUM_TOLERANCE,
     CategoricalDistribution,
+    dirichlet_gammas,
     empirical_distribution,
     l1_distance,
     nested_counts,
@@ -266,6 +267,20 @@ class TestRandomDistribution:
         draws = np.random.default_rng(3).gamma(0.7, 1.0, size=5)
         d = random_distribution(5, 0.7, np.random.default_rng(3))
         assert np.array_equal(d.probs, draws / draws.sum())
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("rows, size", [(1, 20), (7, 20), (1, 50_000), (7, 50_000)])
+    def test_dirichlet_one_is_the_gamma_stream(self, seed, rows, size):
+        # At concentration 1 the rows are one exponential fill: the same variates,
+        # and the same generator state after, as standard_gamma(1.0).
+        reference_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = reference_rng.standard_gamma(1.0, size=(rows, size))
+        out = np.empty((rows, size))
+        assert dirichlet_gammas(rows, size, 1.0, rng, out=out) is out
+        assert np.array_equal(out, expected)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        fresh = dirichlet_gammas(rows, size, 1.0, rng)  # and without out=
+        assert np.array_equal(fresh, reference_rng.standard_gamma(1.0, size=(rows, size)))
 
     @pytest.mark.parametrize("concentration", [1e-300, 5e-324, 1e308, 1.7976931348623157e308])
     def test_extreme_concentration_terminates(self, concentration):

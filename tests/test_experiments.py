@@ -371,8 +371,8 @@ def per_context_reference(cfg, support, contexts, sizes, rng, block):
 class TestCountsBlocks:
     def measure(self, cfg, support, contexts, sizes, seed):
         rng = trial_rng(seed, 0)
-        errors = [e for e, _ in experiments._counts_measure(cfg, support, contexts, sizes)(rng)]
-        return errors, rng
+        (pairs,) = experiments._counts_measure(cfg, support, contexts, sizes)([rng])
+        return [e for e, _ in pairs], rng
 
     @pytest.mark.parametrize("eta", [EtaModel.none(), EtaModel.uniform_mix(0.1)])
     def test_one_context_blocks_match_the_per_context_path(self, eta):
@@ -389,6 +389,21 @@ class TestCountsBlocks:
         cfg = textgen_config(eta=EtaModel.uniform_mix(0.2))
         errors, _ = self.measure(cfg, 20, 10, sizes, seed=3)
         assert errors == per_context_reference(cfg, 20, 10, sizes, trial_rng(3, 0), block=10)
+
+    @pytest.mark.parametrize("eta", [EtaModel.none(), EtaModel.uniform_mix(0.2)])
+    def test_shared_block_matches_each_trial_alone(self, eta):
+        # At V = 20 a block holds 1,638 rows, so 4 trials of 10 contexts share one
+        # block; n = 5 < V takes the CDF path and the next 45 >= V draws multinomial.
+        cfg = textgen_config(eta=eta, concentration=0.5)
+        sizes = (5, 50)
+        rngs = [trial_rng(8, i) for i in range(4)]
+        per_trial = list(experiments._counts_measure(cfg, 20, 10, sizes)(rngs))
+        assert len(per_trial) == 4
+        for i, (pairs, rng) in enumerate(zip(per_trial, rngs)):
+            reference_rng = trial_rng(8, i)
+            reference = per_context_reference(cfg, 20, 10, sizes, reference_rng, block=10)
+            assert [e for e, _ in pairs] == reference
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     def test_eta_run_scores_the_responder_once_per_block_and_size(self, monkeypatch):
         # At V = 2,000 a block holds 16 contexts: 40 contexts are blocks of 16, 16 and 8.
@@ -434,7 +449,8 @@ class TestCountsBlocks:
         else:
             assert np.allclose(truths, 1 / 20, rtol=1e-12)
         cfg = textgen_config(concentration=concentration, trials=2)
-        for error, _ in experiments._counts_measure(cfg, 20, 10, (200,))(trial_rng(1, 0)):
+        (pairs,) = experiments._counts_measure(cfg, 20, 10, (200,))([trial_rng(1, 0)])
+        for error, _ in pairs:
             assert 0.0 <= error <= 2.0
 
     def test_block_memory_does_not_grow_with_contexts(self):
@@ -881,6 +897,62 @@ def test_reports_do_not_depend_on_threads(tiny_config, tmp_path, monkeypatch, ki
         return out.read_bytes(), out.with_suffix(".csv").read_bytes()
 
     assert render("1") == render("3")
+
+
+@pytest.mark.parametrize("kind", ["textgen", "bounded_textgen", "subset_penalty"])
+def test_counts_reports_do_not_depend_on_batches_or_threads(
+    tiny_config, tmp_path, monkeypatch, kind
+):
+    # Criterion 10's check for the counts kinds. A block holds STACK_BYTES // (8 *
+    # support) rows, and a batch as many whole trials of `contexts` rows as fit: 7
+    # trials run as one block by default, one trial's bytes give one trial per batch,
+    # and three trials' bytes batches of 3, 3 and 1.  (Fewer bytes than one trial's
+    # split its contexts into blocks, which changes its draw order.)
+    cfg = {
+        # n < V: the CDF path.
+        "textgen": dataclasses.replace(tiny_config("textgen"), samples_override=4),
+        # n >= V^l: the multinomial path.
+        "bounded_textgen": tiny_config("bounded_textgen"),
+        # Draws of 5 and 25 take the CDF path, the last 370 the multinomial one.
+        "subset_penalty": dataclasses.replace(
+            tiny_config("subset_penalty"),
+            params=BoundParams(epsilon=1.0, delta=0.05, vocab_size=50, constant=2.0),
+            subset_sizes=(400, 5, 30),
+        ),
+    }[kind]
+    cfg = dataclasses.replace(cfg, trials=7, eta=EtaModel.uniform_mix(0.1))
+    support = cfg.params.vocab_size**cfg.params.output_len
+    contexts = cfg.params.num_contexts
+    scored = len(cfg.subset_sizes) if kind == "subset_penalty" else 1  # sizes per block
+    blocks = []
+    real_rows = experiments.icl_counts_rows
+
+    def recording(counts, eta, out):
+        blocks.append(len(counts))
+        return real_rows(counts, eta, out=out)
+
+    monkeypatch.setattr(experiments, "icl_counts_rows", recording)
+
+    def render(threads: str, stack_bytes: int):
+        monkeypatch.setenv("ICL_LAB_THREADS", threads)
+        monkeypatch.setattr(experiments, "STACK_BYTES", stack_bytes)
+        blocks.clear()
+        report = run_experiment(cfg)
+        json_path, csv_path = tmp_path / "r.json", tmp_path / "r.csv"
+        write_json_report(report, json_path)
+        write_csv_report(report, csv_path)
+        return (json_path.read_bytes(), csv_path.read_bytes()), sorted(blocks)
+
+    default, trial_bytes = experiments.STACK_BYTES, 8 * support * contexts
+    whole, whole_blocks = render("1", default)
+    assert whole_blocks == [7 * contexts] * scored
+    for threads in ("1", "3"):
+        for stack_bytes, rows in [
+            (default, [7 * contexts]),
+            (trial_bytes, [contexts] * 7),
+            (3 * trial_bytes, [contexts, 3 * contexts, 3 * contexts]),
+        ]:
+            assert render(threads, stack_bytes) == (whole, sorted(rows * scored))
 
 
 @pytest.mark.parametrize("kind", KINDS)
