@@ -141,16 +141,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = ExperimentConfig.from_json_file(args.config)
     if cfg.kind != args.kind:
         raise ParameterError(f"config kind {cfg.kind!r} does not match subcommand {args.kind!r}")
-    overrides = {}
-    if args.output is not None:
-        overrides["output_path"] = args.output
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    report = run_experiment(cfg)
+    overrides = {"trials": args.trials, "seed": args.seed}
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    report = run_experiment(cfg, args.output)
     summary = {
         "kind": cfg.kind,
         "trials": len(report.trials),
@@ -159,9 +152,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "ci_halfwidth": report.ci_halfwidth,
         "pass": report.passed,
     }
-    if cfg.output_path is not None:
-        summary["output_json"] = cfg.output_path
-        summary["output_csv"] = str(csv_sibling(cfg.output_path))
+    if args.output is not None:
+        summary["output_json"] = args.output
+        summary["output_csv"] = str(csv_sibling(args.output))
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK if report.passed else EXIT_FAILED_VERIFICATION
 

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import numbers
+from collections import Counter
 
 
 class ParameterError(ValueError):
@@ -62,11 +63,20 @@ def from_object(cls, value, where: str):
 
 
 def load_json_object(path, what: str) -> dict:
-    """The JSON object in the UTF-8 file at ``path``; anything else is refused, naming
-    ``what``."""
+    """The JSON object in the UTF-8 file at ``path``; anything else, or an object at
+    any depth that repeats a key, is refused, naming ``what``."""
+
+    def unique_keys(pairs: list) -> dict:
+        payload = dict(pairs)
+        if len(payload) < len(pairs):
+            counts = Counter(key for key, _ in pairs)
+            repeated = sorted(key for key, count in counts.items() if count > 1)
+            raise ParameterError(f"{what} {path} repeats keys {repeated}")
+        return payload
+
     with open(path, encoding="utf-8") as handle:
         try:
-            payload = json.load(handle)
+            payload = json.load(handle, object_pairs_hook=unique_keys)
         except UnicodeDecodeError as exc:
             raise ParameterError(f"{what} {path} is not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:

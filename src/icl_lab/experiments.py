@@ -8,9 +8,8 @@ consecutive trials, it yields per trial one ``(error, detail)`` pair per swept
 value.  knn measures one trial at a time, in batches of one; coreset takes as
 many trials as one stack of its largest fitted coreset holds, so that it fits
 each swept size across the batch as one stacked solve; the three counts kinds
-take as many whole trials as one block of their rows holds
-(:func:`_counts_batch`), so that a batch of small trials is drawn and scored as
-one block.  The skeleton owns the rest:
+take as many whole trials as one block of their rows holds, so that a batch
+of small trials is drawn and scored as one block.  The skeleton owns the rest:
 
 * trial ``i`` draws all of its randomness from ``trial_rng(seed, i)``, so
   results depend neither on batching nor on execution order, and the whole
@@ -32,7 +31,6 @@ from __future__ import annotations
 import dataclasses
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,7 +71,6 @@ from .reports import (
     BoundReport,
     TrialResult,
     build_report,
-    csv_sibling,
     fit_log_log_slope,
     report_files,
     write_csv_report,
@@ -82,6 +79,8 @@ from .reports import (
 
 # Largest stacked float64 array: one (block, support) array of a counts batch's
 # workspace, or one stacked logistic fit's (fits, points, d + 1) design tensor.
+# A counts trial whose contexts span blocks takes its draw order from the block
+# height, so changing this changes those reports (textgen at V=50,000, m=100).
 STACK_BYTES = 256 * 1024
 
 THREADS_ENV_VAR = "ICL_LAB_THREADS"
@@ -102,7 +101,6 @@ class ExperimentConfig:
     seed: int = 0
     eta: EtaModel = EtaModel.none()
     eval_points: int | None = None
-    output_path: str | None = None
     mode: str = MODE_EXACT
     concentration: float = 1.0
     samples_override: int | None = None
@@ -122,11 +120,6 @@ class ExperimentConfig:
         for name in ("eval_points", "samples_override"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, check_int(name, getattr(self, name), 1))
-        path = self.output_path
-        if path is not None:
-            if not isinstance(path, str):
-                raise ParameterError(f"output_path must be null or a string, got {path!r}")
-            csv_sibling(path)
         if self.seed >= 2**64:
             raise ParameterError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.mode not in MODES:
@@ -200,7 +193,7 @@ def _run_sweep(
     slope: bool = False,
     batch: int = 1,
 ) -> BoundReport:
-    """Run every trial of ``cfg``; build its report and write it to ``output_path``.
+    """Run every trial of ``cfg`` and build its report.
 
     The trials run in batches of ``batch`` consecutive ones.  ``measure(rngs)``
     yields, per stream of ``rngs``, one ``(error, detail)`` pair per value of
@@ -228,35 +221,26 @@ def _run_sweep(
             for j, (value, (error, detail)) in enumerate(zip(sweep, pairs, strict=True))
         ]
 
-    with report_files(cfg.output_path) if cfg.output_path is not None else nullcontext() as temps:
-        workers = max_workers()
-        starts = range(0, cfg.trials, batch)
-        if workers == 1:
-            nested = [one_batch(start) for start in starts]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                nested = list(pool.map(one_batch, starts))
-        rows = [row for batch_rows in nested for row in batch_rows]
+    workers = max_workers()
+    starts = range(0, cfg.trials, batch)
+    if workers == 1:
+        nested = [one_batch(start) for start in starts]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            nested = list(pool.map(one_batch, starts))
+    rows = [row for batch_rows in nested for row in batch_rows]
 
-        if medians_key is not None:
-            grouped: dict[int, list[float]] = {}
-            for row in rows:
-                grouped.setdefault(row.sweep_value, []).append(row.sup_error)
-            medians = {value: _median(errs) for value, errs in sorted(grouped.items())}
-            extras[medians_key] = {str(k): v for k, v in medians.items()}
-            if slope:
-                points = [(k, v) for k, v in medians.items() if v > 0]
-                fit = fit_log_log_slope(*zip(*points)) if len(points) >= 2 else None
-                extras["log_log_slope"] = fit
-
-        # The echoed config describes the experiment, not the delivery location,
-        # so reports written to different paths stay byte-identical.
-        echo = dict(cfg.to_dict(), output_path=None)
-        report = build_report(echo, rows, cfg.params.delta, extras)
-        if temps is not None:
-            write_json_report(report, temps[0])
-            write_csv_report(report, temps[1])
-    return report
+    if medians_key is not None:
+        grouped: dict[int, list[float]] = {}
+        for row in rows:
+            grouped.setdefault(row.sweep_value, []).append(row.sup_error)
+        medians = {value: _median(errs) for value, errs in sorted(grouped.items())}
+        extras[medians_key] = {str(k): v for k, v in medians.items()}
+        if slope:
+            points = [(k, v) for k, v in medians.items() if v > 0]
+            fit = fit_log_log_slope(*zip(*points)) if len(points) >= 2 else None
+            extras["log_log_slope"] = fit
+    return build_report(cfg.to_dict(), rows, cfg.params.delta, extras)
 
 
 def _median(values: list[float]) -> float:
@@ -287,7 +271,7 @@ def _run_textgen(cfg: ExperimentConfig) -> BoundReport:
         "bound_mode": cfg.mode,
     }
     measure = _counts_measure(cfg, p.vocab_size, p.num_contexts, (n,))
-    return _run_sweep(cfg, measure, extras, batch=_counts_batch(p.vocab_size, p.num_contexts))
+    return _run_sweep(cfg, measure, extras, batch=_stack_rows(p.vocab_size * p.num_contexts))
 
 
 def _run_bounded_textgen(cfg: ExperimentConfig) -> BoundReport:
@@ -302,13 +286,7 @@ def _run_bounded_textgen(cfg: ExperimentConfig) -> BoundReport:
         "constant": p.constant,
     }
     measure = _counts_measure(cfg, space, p.num_contexts, (n,))
-    return _run_sweep(cfg, measure, extras, batch=_counts_batch(space, p.num_contexts))
-
-
-def _counts_batch(support: int, contexts: int) -> int:
-    """Trials per batch of a counts kind: as many whole trials as one block of
-    :func:`_stack_rows` rows of ``support`` floats holds, and at least one."""
-    return max(1, _stack_rows(support) // contexts)
+    return _run_sweep(cfg, measure, extras, batch=_stack_rows(space * p.num_contexts))
 
 
 def _counts_measure(cfg: ExperimentConfig, support: int, contexts: int, sizes: tuple[int, ...]):
@@ -318,17 +296,17 @@ def _counts_measure(cfg: ExperimentConfig, support: int, contexts: int, sizes: t
 
     A trial's contexts run in blocks of :func:`_stack_rows` of them, at least one,
     and a block of the batch holds that many contexts of each of its trials, each
-    trial owning consecutive rows.  The batch sizes of :func:`_counts_batch` keep
-    a block within :func:`_stack_rows` rows: many whole trials, or one trial's
-    part.  The batch allocates one workspace of (rows, support) float64 arrays,
-    sized to its first (largest) block, and fills it block after block, a short
-    block through views of its leading rows: the Gamma rows, normalized in place
-    into the truths; the responder's rows, whose buffer also holds the uniforms of
-    :func:`nested_counts`' n < V path; and, when a draw takes that path, its CDF
-    rows.  A block draws, trial after trial and each from its own stream, all of
-    its truths, then per size its counts; its responder and L1 errors run row-wise
-    once per size.  So every stream sees the draws of its trial run alone, and a
-    batch holds O(block) memory, not O(contexts * support).
+    trial owning consecutive rows.  A runner batches ``_stack_rows(support * contexts)``
+    trials, which keeps a block within :func:`_stack_rows` rows: many whole trials,
+    or one trial's part.  The batch allocates one workspace of (rows,
+    support) float64 arrays, sized to its first (largest) block, and fills it block
+    after block, a short block through views of its leading rows: the Gamma rows,
+    normalized in place into the truths; the responder's rows, whose buffer also
+    holds the uniforms of :func:`nested_counts`' n < V path; and, when a draw takes
+    that path, its CDF rows.  A block draws, trial after trial and each from its own
+    stream, all of its truths, then per size its counts; its responder and L1 errors
+    run row-wise once per size.  So every stream sees the draws of its trial run
+    alone, and a batch holds O(block) memory, not O(contexts * support).
     """
     per_block = _stack_rows(support)
     heights = [min(per_block, contexts - start) for start in range(0, contexts, per_block)]
@@ -529,7 +507,7 @@ def _run_subset_penalty(cfg: ExperimentConfig) -> BoundReport:
         allowed,
         medians_key="median_l1_by_size",
         slope=True,
-        batch=_counts_batch(p.vocab_size, 1),
+        batch=_stack_rows(p.vocab_size),
     )
 
 
@@ -543,7 +521,14 @@ _RUNNERS = {
 KINDS = tuple(_RUNNERS)
 
 
-def run_experiment(cfg: ExperimentConfig) -> BoundReport:
-    """Run ``cfg`` with its kind's runner; build its report and write it to
-    ``cfg.output_path`` when that is set."""
-    return _RUNNERS[cfg.kind](cfg)
+def run_experiment(cfg: ExperimentConfig, output=None) -> BoundReport:
+    """Run ``cfg`` with its kind's runner and return its report; with ``output``, also
+    write it there as JSON and to the ``.csv`` sibling as CSV, through
+    :func:`report_files` (a bad path runs no trial, a failed run writes no report)."""
+    if output is None:
+        return _RUNNERS[cfg.kind](cfg)
+    with report_files(output) as (json_temp, csv_temp):
+        report = _RUNNERS[cfg.kind](cfg)
+        write_json_report(report, json_temp)
+        write_csv_report(report, csv_temp)
+    return report

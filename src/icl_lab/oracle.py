@@ -22,26 +22,18 @@ from .distributions import CategoricalDistribution, Context, Vocabulary
 from .distributions import normalized_rows, token_counts
 from .errors import ParameterError, check_int, check_real
 
-ETA_NONE = "none"
-ETA_UNIFORM_MIX = "uniform_mix"
-
 # Dense sequence distributions refuse to materialize beyond this many outcomes.
 SEQUENCE_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
 class EtaModel:
-    """Responder error knob: mix weight ``eta`` toward the uniform distribution."""
+    """Responder error knob: mix weight ``eta`` toward uniform; 0 turns it off."""
 
     eta: float = 0.0
-    kind: str = ETA_NONE
 
     def __post_init__(self):
         object.__setattr__(self, "eta", check_real("eta", self.eta))
-        if self.kind not in (ETA_NONE, ETA_UNIFORM_MIX):
-            raise ParameterError(f"unknown eta kind {self.kind!r}")
-        if self.kind == ETA_NONE and self.eta != 0.0:
-            raise ParameterError("eta must be 0 when kind is 'none'")
         if not 0.0 <= self.eta < 1.0:
             raise ParameterError(f"eta must be in [0, 1), got {self.eta}")
 
@@ -51,7 +43,7 @@ class EtaModel:
 
     @classmethod
     def uniform_mix(cls, eta: float) -> "EtaModel":
-        return cls(eta=eta, kind=ETA_UNIFORM_MIX)
+        return cls(eta=eta)
 
 
 @dataclass(frozen=True)
@@ -70,7 +62,7 @@ def mix_with_uniform(probs, eta_model: EtaModel, support: int, out=None):
     """(1 - eta) * probs + eta / support: ``probs`` mixed toward the uniform
     distribution on ``support`` outcomes, written to ``out`` when given (``probs``
     itself included); ``probs`` itself when the knob is off."""
-    if eta_model.kind == ETA_NONE:
+    if eta_model.eta == 0.0:
         return probs
     mixed = np.multiply(probs, 1.0 - eta_model.eta, out=out)
     mixed += eta_model.eta / support
@@ -91,7 +83,7 @@ def icl_counts_rows(counts, eta: EtaModel = EtaModel.none(), out=None) -> np.nda
     if totals.min() < 1:
         raise ParameterError("cannot estimate a distribution from zero samples")
     rows = np.divide(counts, totals, out=out)
-    if eta.kind == ETA_NONE:
+    if eta.eta == 0.0:
         return rows
     return mix_with_uniform(normalized_rows(rows, out=rows), eta, counts.shape[-1], out=rows)
 

@@ -256,7 +256,10 @@ class TestVerify:
             ("concentration", "1.0"),
             ("concentration", True),
             ("concentration", float("nan")),
-            # Not config fields: refused as unknown keys.
+            # Not config fields: refused as unknown keys.  The report path is
+            # --output's alone.
+            ("output_path", "r.json"),
+            ("output_path", 5),
             ("cluster_separation", "1.5"),
             ("sequence_limit", "10"),
             ("noise_scale", None),
@@ -265,10 +268,8 @@ class TestVerify:
             ("params", [1, 2]),
             ("train", 5),
             ("eta", "none"),
-            # A null subset_sizes crashed subset_penalty runs, and a non-string
-            # output_path every run after its trials, each with a TypeError traceback.
+            # A null subset_sizes crashed subset_penalty runs with a TypeError traceback.
             ("subset_sizes", None),
-            ("output_path", 5),
         ],
     )
     def test_non_integer_config_value_is_parameter_error(
@@ -301,6 +302,8 @@ class TestVerify:
             ("params", "foo", 1),
             ("train", "lr", 1),
             ("eta", "scale", 0.1),
+            # The knob is off exactly when eta is 0; there is no kind to name.
+            ("eta", "kind", "uniform_mix"),
         ],
     )
     def test_bad_nested_config_value_is_parameter_error(
@@ -463,6 +466,44 @@ class TestVerify:
         code, out, err = run_cli(capsys, *argv, str(path))
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and str(path) in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, text, key",
+        [
+            # The last value used to win: these ran 1 trial, ran at epsilon 0.3
+            # and printed "a b [SEP] q2".
+            (
+                ("verify", "textgen", "--config"),
+                '{"kind": "textgen", "trials": 3, "trials": 1, "samples_override": 50, '
+                '"params": {"epsilon": 0.2, "delta": 0.05, "vocab_size": 4, "num_contexts": 2}}',
+                "trials",
+            ),
+            (
+                ("verify", "textgen", "--config"),
+                '{"kind": "textgen", "trials": 3, "samples_override": 50, '
+                '"params": {"epsilon": 0.2, "epsilon": 0.3, '
+                '"delta": 0.05, "vocab_size": 4, "num_contexts": 2}}',
+                "epsilon",
+            ),
+            (
+                ("prompt", "build", "--pairs"),
+                '{"pairs": [["a", "b"]], "query": "q1", "query": "q2"}',
+                "query",
+            ),
+        ],
+        ids=["trials", "params.epsilon", "pairs.query"],
+    )
+    def test_repeated_json_key_is_parameter_error(
+        self, capsys, tmp_path, monkeypatch, argv, text, key
+    ):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        monkeypatch.setattr(experiments, "trial_rng", pytest.fail)
+        output = ["--output", str(tmp_path / "r.json")] if argv[0] == "verify" else []
+        code, out, err = run_cli(capsys, *argv, str(path), *output)
+        assert (code, out) == (1, "")
+        assert err == f"error: {argv[-1][2:]} file {path} repeats keys {[key]}\n"
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     @pytest.mark.parametrize(
         "argv", [("verify", "textgen", "--config"), ("prompt", "build", "--pairs")]

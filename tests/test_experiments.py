@@ -250,7 +250,7 @@ def with_numpy_scalar(cfg, path: str):
 def test_numpy_scalars_write_the_plain_report(tmp_path, path):
     # Each checked scalar is stored as the Python number, which JSON can write.
     def written(cfg, name):
-        run_experiment(dataclasses.replace(cfg, output_path=str(tmp_path / f"{name}.json")))
+        run_experiment(cfg, str(tmp_path / f"{name}.json"))
         return [(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("json", "csv")]
 
     assert written(with_numpy_scalar(SCALARS_CONFIG, path), "numpy") == written(
@@ -340,8 +340,7 @@ class TestTextgenExperiment:
 
     def test_writes_reports(self, tmp_path):
         out = tmp_path / "run.json"
-        cfg = textgen_config(trials=4, output_path=str(out))
-        run_experiment(cfg)
+        run_experiment(textgen_config(trials=4), str(out))
         assert out.exists()
         assert (tmp_path / "run.csv").exists()
 
@@ -887,13 +886,25 @@ def test_run_experiment_dispatches():
     assert report.config["kind"] == "textgen"
 
 
+@pytest.mark.parametrize(
+    "output, error", [("reports", IsADirectoryError), ("r.csv", ParameterError)]
+)
+def test_bad_output_runs_no_trial(tmp_path, monkeypatch, output, error):
+    # The report path is checked before the first trial, and leaves no temporary.
+    (tmp_path / "reports").mkdir()
+    monkeypatch.setattr(experiments, "trial_rng", pytest.fail)
+    with pytest.raises(error):
+        run_experiment(textgen_config(trials=3), tmp_path / output)
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["reports"]
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_reports_do_not_depend_on_threads(tiny_config, tmp_path, monkeypatch, kind):
     # Criterion 10's check for every kind, through the written JSON and CSV.
     def render(threads: str):
         monkeypatch.setenv("ICL_LAB_THREADS", threads)
         out = tmp_path / f"t{threads}.json"
-        run_experiment(tiny_config(kind, output_path=str(out)))
+        run_experiment(tiny_config(kind), str(out))
         return out.read_bytes(), out.with_suffix(".csv").read_bytes()
 
     assert render("1") == render("3")

@@ -25,17 +25,9 @@ from icl_lab.oracle import (
 
 
 class TestEtaModel:
-    def test_none_requires_zero(self):
-        with pytest.raises(ParameterError):
-            EtaModel(eta=0.1, kind="none")
-
     def test_rejects_eta_one(self):
         with pytest.raises(ParameterError):
             EtaModel.uniform_mix(1.0)
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ParameterError):
-            EtaModel(eta=0.1, kind="dirichlet")
 
     def test_mixture_arithmetic(self):
         # A class-1 probability is mixed toward 1/2, over a support of 2.

@@ -1,9 +1,13 @@
 import ast
+import dataclasses
 import importlib
 import inspect
+import json
+import re
 from pathlib import Path
 
 import icl_lab
+from icl_lab import BoundParams, EtaModel, ExperimentConfig, TrainConfig
 
 # The package's names: what the acceptance suite and conftest.py import, the
 # paper's rule calculators with their modes and result, the two errors, the
@@ -64,3 +68,21 @@ def test_package_exports_what_its_callers_use():
     # One implementation per primitive: the twins of predict_probs and mix_with_uniform are gone.
     for module, name in (("classify", "predict_prob"), ("oracle", "mix_probability")):
         assert not hasattr(importlib.import_module(f"icl_lab.{module}"), name), name
+
+
+def test_readme_config_schema_is_the_config():
+    # The jsonc example under "Config schema", without its comments, is a valid
+    # config that names every field of the config and of its sections.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    after = readme[readme.index("Config schema") :]
+    block = after[after.index("```jsonc\n") + len("```jsonc\n") :]
+    block = block[: block.index("```")]
+    example = json.loads(re.sub(r"//.*", "", block))
+    ExperimentConfig.from_dict(example)
+
+    def names(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    assert set(example) == names(ExperimentConfig)
+    for section, cls in (("params", BoundParams), ("train", TrainConfig), ("eta", EtaModel)):
+        assert set(example[section]) == names(cls), section
