@@ -44,19 +44,29 @@ class Vocabulary:
 def normalized_rows(probs: np.ndarray, out=None) -> np.ndarray:
     """``probs`` over its sums along the last axis, written to ``out`` when given
     (``probs`` itself included); each sum must be within ``PROB_SUM_TOLERANCE`` of 1,
-    and no entry may be negative."""
+    and no entry may be negative.  When every sum is exactly 1.0 the divide is
+    skipped, since x / 1.0 is x bit for bit (-0.0 included): the result is then
+    ``probs`` copied into ``out``, or into a new array when ``out`` is None, and
+    ``probs`` itself when it is ``out``."""
     # A non-finite entry or an overflowing sum fails the sum test; with no negative
     # entry, a sum within tolerance bounds every entry by 1 + PROB_SUM_TOLERANCE.
     with np.errstate(over="ignore", invalid="ignore"):
         totals = probs.sum(axis=-1, keepdims=True)
-        if not np.abs(totals - 1.0).max() <= PROB_SUM_TOLERANCE:
+        gap = np.abs(totals - 1.0).max()
+        if not gap <= PROB_SUM_TOLERANCE:
             total = next(float(t) for t in totals.flat if not abs(t - 1.0) <= PROB_SUM_TOLERANCE)
             raise ParameterError(
                 f"probabilities sum to {total!r}, outside tolerance {PROB_SUM_TOLERANCE} of 1"
             )
     if probs.min() < 0.0:
         raise ParameterError("probability entries must be non-negative")
-    return np.divide(probs, totals, out=out)
+    if gap != 0.0:
+        return np.divide(probs, totals, out=out)
+    if out is None:
+        return probs.astype(np.result_type(probs, 1.0))  # the dtype the divide gives
+    if out is not probs:
+        np.copyto(out, probs)
+    return out
 
 
 @dataclass(frozen=True)
@@ -133,13 +143,22 @@ def nested_counts(probs: np.ndarray, sizes, rng: np.random.Generator, out=None):
     scaling them by the CDF's last entry keeps every index below V and off
     zero-probability outcomes.  The CDF rows are computed once, at the first such
     draw.  ``out`` is an optional ``(cdf, uniforms)`` pair of float64 workspaces for
-    that path: a (rows, V) array and a vector of at least its largest ``n`` (V
-    floats always suffice).
+    that path: a (rows, V) array and a vector of at least its largest ``n``, which is
+    :func:`cdf_draw_size` (V floats always suffice); a shorter vector is refused.
     """
     sizes = tuple(sizes)
     if any(low >= high for low, high in zip((0,) + sizes, sizes)):
         raise ParameterError(f"sizes must be strictly increasing and >= 1, got {list(sizes)}")
+    needed = cdf_draw_size(sizes, probs.shape[1])
+    if out is not None and len(out[1]) < needed:
+        raise ParameterError(f"{len(out[1])} uniforms are too few for an n < V draw of {needed}")
     return _nested_counts(probs, sizes, rng, out)
+
+
+def cdf_draw_size(sizes, support: int) -> int:
+    """The largest draw of the nested ``sizes`` that takes :func:`nested_counts`'
+    n < V path on ``support`` outcomes, 0 when none does."""
+    return max((b - a for a, b in zip((0,) + sizes, sizes) if b - a < support), default=0)
 
 
 def _nested_counts(probs, sizes, rng, out):
@@ -182,20 +201,21 @@ def random_distribution(
     size: int, concentration: float, rng: np.random.Generator
 ) -> CategoricalDistribution:
     """Symmetric Dirichlet draw: skewed at small ``concentration``, near uniform at large."""
-    draws = dirichlet_gammas(1, size, concentration, rng)[0]
-    return CategoricalDistribution(draws / draws.sum())
+    return CategoricalDistribution(dirichlet_rows(1, size, concentration, rng)[0])
 
 
-def dirichlet_gammas(
+def dirichlet_rows(
     rows: int, size: int, concentration: float, rng: np.random.Generator, out=None
 ) -> np.ndarray:
-    """(rows, size) Gamma(concentration) variates whose normalized rows are symmetric
-    Dirichlet draws, written to the C-contiguous float64 ``out`` when given: one
-    ``standard_gamma`` call, then a redraw of each row in turn whose sum is 0 (every
-    draw underflowed) or inf.  In law Gamma(a) = Gamma(a + 1) * U**(1/a), whose log,
-    scaled by min(a, 1), does neither.  At a = 1 the call is ``standard_exponential``,
-    whose variates numpy's ``standard_gamma(1.0)`` returns bit for bit, drawn as one
-    fill instead of one function call per variate."""
+    """(rows, size) symmetric Dirichlet draws, written to the C-contiguous float64
+    ``out`` when given: one ``standard_gamma`` call, then a redraw of each row in
+    turn whose sum is 0 (every draw underflowed) or inf, then each row over its sum.
+    That sum is the one the degenerate-row check took, a redrawn row's taken after
+    its redraw, so each row is summed once.  In law Gamma(a) = Gamma(a + 1) *
+    U**(1/a), whose log, scaled by min(a, 1), neither underflows nor overflows.  At
+    a = 1 the call is ``standard_exponential``, whose variates numpy's
+    ``standard_gamma(1.0)`` returns bit for bit, drawn as one fill instead of one
+    function call per variate."""
     if size < 1:
         raise ParameterError(f"support size must be >= 1, got {size}")
     if concentration <= 0:
@@ -206,9 +226,11 @@ def dirichlet_gammas(
             draws = rng.standard_exponential(size=(rows, size), out=out)
         else:
             draws = rng.standard_gamma(concentration, size=(rows, size), out=out)
-        for i, total in enumerate(draws.sum(axis=1)):
+        totals = draws.sum(axis=1)
+        for i, total in enumerate(totals):
             if not 0.0 < total < np.inf:
                 logs = scale * np.log(rng.standard_gamma(concentration + 1.0, size=size))
                 logs += scale / concentration * np.log1p(-rng.random(size))
                 draws[i] = np.exp((logs - logs.max()) / scale)
-    return draws
+                totals[i] = draws[i].sum()
+    return np.divide(draws, totals[:, None], out=draws)

@@ -57,7 +57,7 @@ from .classify import (
     sigmoid,
     train_logistic,
 )
-from .distributions import dirichlet_gammas, nested_counts, normalized_rows
+from .distributions import cdf_draw_size, dirichlet_rows, nested_counts, normalized_rows
 from .errors import (
     DivergenceError,
     ParameterError,
@@ -221,8 +221,8 @@ def _run_sweep(
             for j, (value, (error, detail)) in enumerate(zip(sweep, pairs, strict=True))
         ]
 
-    workers = max_workers()
     starts = range(0, cfg.trials, batch)
+    workers = min(max_workers(), len(starts))  # a lone batch runs without a pool
     if workers == 1:
         nested = [one_batch(start) for start in starts]
     else:
@@ -300,18 +300,20 @@ def _counts_measure(cfg: ExperimentConfig, support: int, contexts: int, sizes: t
     trials, which keeps a block within :func:`_stack_rows` rows: many whole trials,
     or one trial's part.  The batch allocates one workspace of (rows,
     support) float64 arrays, sized to its first (largest) block, and fills it block
-    after block, a short block through views of its leading rows: the Gamma rows,
-    normalized in place into the truths; the responder's rows, whose buffer also
-    holds the uniforms of :func:`nested_counts`' n < V path; and, when a draw takes
-    that path, its CDF rows.  A block draws, trial after trial and each from its own
-    stream, all of its truths, then per size its counts; its responder and L1 errors
-    run row-wise once per size.  So every stream sees the draws of its trial run
-    alone, and a batch holds O(block) memory, not O(contexts * support).
+    after block, a short block through views of its leading rows: the truths, drawn
+    in place by :func:`dirichlet_rows` and renormalized once as a distribution is;
+    the responder's rows, whose buffer also holds the uniforms of
+    :func:`nested_counts`' n < V path; and, when a draw takes that path, its CDF
+    rows.  A block draws, trial after trial and each from its own stream, all of its
+    truths, then per size its counts; its responder and L1 errors run row-wise once
+    per size.  So every stream sees the draws of its trial run alone, and a batch
+    holds O(block) memory, not O(contexts * support).  Each truth row is summed by
+    its draw and once more by :func:`normalized_rows`, whose divide, like the
+    responder's, is skipped for a block whose rows all sum to exactly 1.0.
     """
     per_block = _stack_rows(support)
     heights = [min(per_block, contexts - start) for start in range(0, contexts, per_block)]
-    # The largest draw that takes the n < V path of nested_counts, 0 when none does.
-    sampled = max((b - a for a, b in zip((0,) + sizes, sizes) if b - a < support), default=0)
+    sampled = cdf_draw_size(sizes, support)
 
     def block_errors(truths, counts, responder):
         """Per row, ``l1_distance(icl_counts_dist(counts, eta), truth)`` over the rows
@@ -326,17 +328,16 @@ def _counts_measure(cfg: ExperimentConfig, support: int, contexts: int, sizes: t
     def measure(rngs):
         rows = len(rngs) * heights[0]
         worst = np.zeros((len(rngs), len(sizes)))  # L1 errors are non-negative
-        gammas, responder = np.empty((rows, support)), np.empty((rows, support))
+        truth_rows, responder = np.empty((rows, support)), np.empty((rows, support))
         if sampled:
             # The uniforms live in the responder's buffer, which is idle while a
             # draw runs: a block scores each size's counts only after drawing them.
             cdf, uniforms = np.empty((rows, support)), responder.reshape(-1)[:sampled]
         for height in heights:
-            truths = gammas[: len(rngs) * height]
+            truths = truth_rows[: len(rngs) * height]
             owned = [slice(k * height, (k + 1) * height) for k in range(len(rngs))]
             for rng, own in zip(rngs, owned):
-                dirichlet_gammas(height, support, cfg.concentration, rng, out=truths[own])
-            np.divide(truths, truths.sum(axis=1, keepdims=True), out=truths)
+                dirichlet_rows(height, support, cfg.concentration, rng, out=truths[own])
             normalized_rows(truths, out=truths)
             draws = [
                 nested_counts(truths[own], sizes, rng, (cdf[own], uniforms) if sampled else None)

@@ -270,6 +270,9 @@ class TestVerify:
             ("eta", "none"),
             # A null subset_sizes crashed subset_penalty runs with a TypeError traceback.
             ("subset_sizes", None),
+            ("mode", "bigo"),
+            ("concentration", 0),
+            ("planted_norm", -1.0),
         ],
     )
     def test_non_integer_config_value_is_parameter_error(
@@ -593,6 +596,16 @@ class TestPromptBuild:
         code, out, _ = run_cli(capsys, "prompt", "build", "--pairs", str(path))
         assert code == 0
         assert out.rstrip("\n") == "in out [SEP] q"
+
+    def test_separator_flag_wins(self, capsys, tmp_path):
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps(dict(SENTIMENT_PAIRS_FILE, config={"separator": "|"})))
+        argv = ("prompt", "build", "--pairs", str(path), "--separator", "##")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.rstrip("\n") == (
+            "Great movie! positive ## Terrible plot. negative ## Amazing soundtrack!"
+        )
 
     def test_missing_query(self, capsys, tmp_path):
         path = tmp_path / "pairs.json"

@@ -9,13 +9,14 @@ from icl_lab import ParameterError, Vocabulary
 from icl_lab.distributions import (
     PROB_SUM_TOLERANCE,
     CategoricalDistribution,
-    dirichlet_gammas,
+    dirichlet_rows,
     empirical_distribution,
     l1_distance,
     nested_counts,
     normalized_rows,
     random_distribution,
     sample_counts,
+    token_counts,
 )
 from icl_lab.oracle import icl_counts_dist
 
@@ -124,6 +125,25 @@ class TestCategoricalDistribution:
         with pytest.raises(ParameterError, match="non-negative"):
             normalized_rows(negative)
 
+    def test_rows_summing_to_exactly_one_skip_the_divide(self):
+        rows = np.array([[0.25, 0.75, -0.0], [0.5, 0.0, 0.5]])
+        assert (rows.sum(axis=1) == 1.0).all()
+        fresh = normalized_rows(rows)
+        assert fresh is not rows and np.array_equal(fresh, rows)
+        assert np.signbit(fresh[0, 2])  # -0.0 / 1.0 is -0.0
+        out = np.full_like(rows, np.nan)
+        assert normalized_rows(rows, out=out) is out and np.array_equal(out, rows)
+        assert normalized_rows(rows, out=rows) is rows
+        ints = normalized_rows(np.array([[0, 1, 0]]))
+        assert ints.dtype == np.float64 and ints.tolist() == [[0.0, 1.0, 0.0]]
+        # The checks still run when the divide is skipped.
+        with pytest.raises(ParameterError, match="non-negative"):
+            normalized_rows(np.array([[1.5, -0.5]]))
+
+    def test_rejects_two_dimensional_probs(self):
+        with pytest.raises(ParameterError, match="one-dimensional"):
+            CategoricalDistribution(np.full((2, 2), 0.25))
+
     def test_immutable(self):
         p = dist(0.5, 0.5)
         with pytest.raises(ValueError):
@@ -160,6 +180,10 @@ class TestEmpiricalDistribution:
     def test_out_of_range_index(self):
         with pytest.raises(IndexError):
             empirical_distribution([0, 3], Vocabulary.of_size(3))
+
+    def test_two_dimensional_samples_rejected(self):
+        with pytest.raises(ParameterError, match="flat sequence"):
+            token_counts([[0, 1], [1, 2]], 3)
 
 
 class TestSampleCounts:
@@ -257,6 +281,17 @@ class TestNestedCounts:
             assert rng.bit_generator.state == reference_rng.bit_generator.state
         assert not expected[:, [0, size // 2, size - 1]].any()
 
+    def test_rejects_a_uniforms_workspace_shorter_than_the_largest_draw(self):
+        # Eight draws need eight uniforms; three used to give counts summing to 3.
+        workspace = (np.empty((1, 10)), np.empty(3))
+        with pytest.raises(ParameterError, match="draw of 8"):
+            nested_counts(np.full((1, 10), 0.1), (8,), np.random.default_rng(0), workspace)
+        # Only the n < V increments count: 3 then 12 >= V draws multinomial.
+        (_, counts) = nested_counts(
+            np.full((1, 10), 0.1), (3, 15), np.random.default_rng(0), workspace
+        )
+        assert counts.sum() == 15
+
 
 class TestRandomDistribution:
     def test_large_concentration_approaches_uniform(self):
@@ -272,15 +307,19 @@ class TestRandomDistribution:
     @pytest.mark.parametrize("rows, size", [(1, 20), (7, 20), (1, 50_000), (7, 50_000)])
     def test_dirichlet_one_is_the_gamma_stream(self, seed, rows, size):
         # At concentration 1 the rows are one exponential fill: the same variates,
-        # and the same generator state after, as standard_gamma(1.0).
+        # and the same generator state after, as standard_gamma(1.0), each row over
+        # its sum.
+        def reference(rng):
+            gammas = rng.standard_gamma(1.0, size=(rows, size))
+            return gammas / gammas.sum(axis=1, keepdims=True)
+
         reference_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        expected = reference_rng.standard_gamma(1.0, size=(rows, size))
         out = np.empty((rows, size))
-        assert dirichlet_gammas(rows, size, 1.0, rng, out=out) is out
-        assert np.array_equal(out, expected)
+        assert dirichlet_rows(rows, size, 1.0, rng, out=out) is out
+        assert np.array_equal(out, reference(reference_rng))
         assert rng.bit_generator.state == reference_rng.bit_generator.state
-        fresh = dirichlet_gammas(rows, size, 1.0, rng)  # and without out=
-        assert np.array_equal(fresh, reference_rng.standard_gamma(1.0, size=(rows, size)))
+        fresh = dirichlet_rows(rows, size, 1.0, rng)  # and without out=
+        assert np.array_equal(fresh, reference(reference_rng))
 
     @pytest.mark.parametrize("concentration", [1e-300, 5e-324, 1e308, 1.7976931348623157e308])
     def test_extreme_concentration_terminates(self, concentration):
@@ -305,3 +344,7 @@ class TestRandomDistribution:
     def test_rejects_non_positive_concentration(self):
         with pytest.raises(ParameterError):
             random_distribution(4, 0.0, np.random.default_rng(0))
+
+    def test_rejects_empty_support(self):
+        with pytest.raises(ParameterError, match="support size"):
+            dirichlet_rows(1, 0, 1.0, np.random.default_rng(0))

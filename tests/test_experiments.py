@@ -1,7 +1,11 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +23,7 @@ from icl_lab import (
 )
 from icl_lab.classify import knn_select, predict_probs, train_logistic
 from icl_lab.distributions import (
-    dirichlet_gammas,
+    dirichlet_rows,
     l1_distance,
     normalized_rows,
     random_distribution,
@@ -143,6 +147,12 @@ class TestReports:
         assert fit_log_log_slope(xs, ys) == pytest.approx(-1.0)
         with pytest.raises(ParameterError):
             fit_log_log_slope([1], [1])
+        with pytest.raises(ParameterError, match="strictly positive"):
+            fit_log_log_slope([10, 100], [0.1, 0.0])
+
+    def test_report_needs_a_trial(self):
+        with pytest.raises(ParameterError, match="at least one trial"):
+            build_report({}, [], delta_target=0.1)
 
 
 class TestMedian:
@@ -286,6 +296,22 @@ class TestTextgenExperiment:
             with pytest.raises(ParameterError, match="ICL_LAB_THREADS"):
                 max_workers()
 
+    @pytest.mark.parametrize("trials, pool_workers", [(20, []), (3_000, [3])])
+    def test_pool_only_for_two_or_more_batches(self, monkeypatch, trials, pool_workers):
+        # At V = 8, m = 3 a batch holds 1,365 trials: 20 trials are one batch, run
+        # without a pool, and 3,000 are three, run on three of the eight workers.
+        pools = []
+        real_pool = experiments.ThreadPoolExecutor
+
+        def recording(max_workers):
+            pools.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", recording)
+        monkeypatch.setenv("ICL_LAB_THREADS", "8")
+        run_experiment(textgen_config(trials=trials, samples_override=5))
+        assert pools == pool_workers
+
     def test_undersampling_fails_hard(self):
         cfg = textgen_config(
             params=BoundParams(epsilon=0.2, delta=0.05, vocab_size=20, num_contexts=5),
@@ -348,6 +374,30 @@ class TestTextgenExperiment:
         cfg = textgen_config(eta=EtaModel.uniform_mix(0.25))
         report = run_experiment(cfg)
         assert report.extras["failure_threshold"] == pytest.approx(0.2 + 0.5)
+
+    def test_warm_wide_run_reuses_its_workspace_pages(self):
+        # Criterion-1 shape at n = 20,000 < V: a warm run draws into one workspace
+        # allocated per batch and takes about 300 minor page faults.  Allocating the
+        # n < V uniforms per draw instead takes about 3,100.
+        script = (
+            "import resource\n"
+            "from icl_lab import BoundParams, ExperimentConfig, run_experiment\n"
+            "params = BoundParams(epsilon=0.1, delta=0.01, vocab_size=50_000, num_contexts=20)\n"
+            "cfg = ExperimentConfig(kind='textgen', params=params, trials=1, seed=3,\n"
+            "                       samples_override=20_000, mode='big_o')\n"
+            "run_experiment(cfg)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "run_experiment(cfg)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        src = str(Path(experiments.__file__).parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path)
+        env.pop("ICL_LAB_THREADS", None)
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        assert int(done.stdout.split()[-1]) < 1_500
 
 
 def per_context_reference(cfg, support, contexts, sizes, rng, block):
@@ -437,12 +487,12 @@ class TestCountsBlocks:
         out = []
         rng = trial_rng(1, 0)
         worker = threading.Thread(
-            target=lambda: out.append(dirichlet_gammas(10, 20, concentration, rng)), daemon=True
+            target=lambda: out.append(dirichlet_rows(10, 20, concentration, rng)), daemon=True
         )
         worker.start()
         worker.join(timeout=1.0)
         assert not worker.is_alive() and len(out) == 1
-        truths = normalized_rows(out[0] / out[0].sum(axis=1, keepdims=True))
+        truths = normalized_rows(out[0])
         if concentration < 1:
             assert np.all(np.count_nonzero(truths, axis=1) == 1) and np.all(truths.max(1) == 1)
         else:

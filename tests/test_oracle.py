@@ -156,6 +156,10 @@ class TestSequenceOracle:
         with pytest.raises(ParameterError):
             encode_sequences([(0, 1, 0)], 2, 2)
 
+    def test_token_outside_vocabulary_rejected(self):
+        with pytest.raises(IndexError, match=r"\[0, 2\)"):
+            encode_sequences([(0, 1), (2, 0)], 2, 2)
+
 
 @settings(max_examples=150)
 @given(

@@ -74,6 +74,12 @@ def test_build_prompt_round_trip_property(raw_pairs, query):
     assert parsed == [(p.input_text, p.output_text) for p in pairs]
 
 
+@pytest.mark.parametrize("field, value", [("separator", ""), ("pair_joiner", 3)])
+def test_prompt_config_rejects_bad_separator_or_joiner(field, value):
+    with pytest.raises(ParameterError, match=field):
+        PromptConfig(**{field: value})
+
+
 def test_example_pair_requires_input():
     with pytest.raises(ParameterError):
         ExamplePair("", "out")
