@@ -81,15 +81,6 @@ class BoundResult:
     formula_text: str
 
 
-def _checked_log(argument: float, description: str) -> float:
-    if argument <= 1.0:
-        raise ParameterError(
-            f"log argument {description} = {argument!r} must exceed 1; "
-            "the requested (epsilon, delta) regime admits no positive sample size"
-        )
-    return math.log(argument)
-
-
 def _finite_size(calculator):
     """``calculator`` refusing a size that is not a finite number: at a tiny epsilon
     (or delta) ``eps**2`` underflows to 0, or the size overflows before ``ceil``."""
@@ -115,10 +106,10 @@ def textgen_samples_per_context(params: BoundParams, mode: str = MODE_BIG_O) -> 
     V, m = params.vocab_size, params.num_contexts
     eps, delta, c = params.epsilon, params.delta, params.constant
     if mode == MODE_BIG_O:
-        log_term = _checked_log(m / delta, "m/delta")
+        log_term = math.log(m / delta)
         per_context = math.ceil(c * (V / eps**2) * log_term)
     elif mode == MODE_EXACT:
-        log_term = _checked_log(2 * V * m / delta, "2*V*m/delta")
+        log_term = math.log(2 * V * m / delta)
         per_context = math.ceil((V**2 / (2 * eps**2)) * log_term)
     else:
         raise ParameterError(f"unknown bound mode {mode!r}; expected one of {MODES}")
@@ -137,7 +128,7 @@ def coreset_size(params: BoundParams) -> int:
 @_finite_size
 def knn_context_size(params: BoundParams) -> int:
     """Per-query neighborhood size for local classification: c * ln(1/delta) / eps^2."""
-    log_term = _checked_log(1.0 / params.delta, "1/delta")
+    log_term = math.log(1.0 / params.delta)
     return math.ceil(params.constant * (1.0 / params.epsilon**2) * log_term)
 
 
@@ -150,7 +141,7 @@ def bounded_textgen_size(params: BoundParams) -> int:
     """
     if params.vocab_size < 2:
         raise ParameterError(f"vocab_size must be >= 2, got {params.vocab_size}")
-    log_term = _checked_log(1.0 / params.delta, "1/delta")
+    log_term = math.log(1.0 / params.delta)
     size = (
         params.constant
         * (params.output_len * math.log(params.vocab_size) / params.epsilon**2)

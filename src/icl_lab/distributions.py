@@ -41,32 +41,22 @@ class Vocabulary:
         return len(self.tokens)
 
 
-def normalized_rows(probs: np.ndarray, out=None) -> np.ndarray:
-    """``probs`` over its sums along the last axis, written to ``out`` when given
-    (``probs`` itself included); each sum must be within ``PROB_SUM_TOLERANCE`` of 1,
-    and no entry may be negative.  When every sum is exactly 1.0 the divide is
-    skipped, since x / 1.0 is x bit for bit (-0.0 included): the result is then
-    ``probs`` copied into ``out``, or into a new array when ``out`` is None, and
-    ``probs`` itself when it is ``out``."""
+def normalized_rows(probs: np.ndarray) -> np.ndarray:
+    """``probs`` over its sums along the last axis; each sum must be within
+    ``PROB_SUM_TOLERANCE`` of 1, and no entry may be negative.  A row that sums to
+    exactly 1.0 comes back bit for bit (-0.0 included), since x / 1.0 is x."""
     # A non-finite entry or an overflowing sum fails the sum test; with no negative
     # entry, a sum within tolerance bounds every entry by 1 + PROB_SUM_TOLERANCE.
     with np.errstate(over="ignore", invalid="ignore"):
         totals = probs.sum(axis=-1, keepdims=True)
-        gap = np.abs(totals - 1.0).max()
-        if not gap <= PROB_SUM_TOLERANCE:
+        if not np.abs(totals - 1.0).max() <= PROB_SUM_TOLERANCE:
             total = next(float(t) for t in totals.flat if not abs(t - 1.0) <= PROB_SUM_TOLERANCE)
             raise ParameterError(
                 f"probabilities sum to {total!r}, outside tolerance {PROB_SUM_TOLERANCE} of 1"
             )
     if probs.min() < 0.0:
         raise ParameterError("probability entries must be non-negative")
-    if gap != 0.0:
-        return np.divide(probs, totals, out=out)
-    if out is None:
-        return probs.astype(np.result_type(probs, 1.0))  # the dtype the divide gives
-    if out is not probs:
-        np.copyto(out, probs)
-    return out
+    return probs / totals
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,10 @@ take as many whole trials as one block of their rows holds, so that a batch
 of small trials is drawn and scored as one block.  The skeleton owns the rest:
 
 * trial ``i`` draws all of its randomness from ``trial_rng(seed, i)``, so
-  results depend neither on batching nor on execution order, and the whole
-  run is a pure function of the config;
+  results depend neither on how trials are batched nor on execution order,
+  and the whole run is a pure function of the config (a counts trial whose
+  contexts span blocks takes its draw order from the block height, which
+  :data:`STACK_BYTES` sets);
 * row ``j`` of trial ``i`` is numbered ``i * len(sweep) + j`` and fails when
   its error exceeds the allowed error, ``epsilon + 2 * eta`` unless the
   runner gives one per swept value;
@@ -57,7 +59,7 @@ from .classify import (
     sigmoid,
     train_logistic,
 )
-from .distributions import cdf_draw_size, dirichlet_rows, nested_counts, normalized_rows
+from .distributions import cdf_draw_size, dirichlet_rows, nested_counts
 from .errors import (
     DivergenceError,
     ParameterError,
@@ -301,27 +303,24 @@ def _counts_measure(cfg: ExperimentConfig, support: int, contexts: int, sizes: t
     or one trial's part.  The batch allocates one workspace of (rows,
     support) float64 arrays, sized to its first (largest) block, and fills it block
     after block, a short block through views of its leading rows: the truths, drawn
-    in place by :func:`dirichlet_rows` and renormalized once as a distribution is;
-    the responder's rows, whose buffer also holds the uniforms of
-    :func:`nested_counts`' n < V path; and, when a draw takes that path, its CDF
-    rows.  A block draws, trial after trial and each from its own stream, all of its
-    truths, then per size its counts; its responder and L1 errors run row-wise once
-    per size.  So every stream sees the draws of its trial run alone, and a batch
-    holds O(block) memory, not O(contexts * support).  Each truth row is summed by
-    its draw and once more by :func:`normalized_rows`, whose divide, like the
-    responder's, is skipped for a block whose rows all sum to exactly 1.0.
+    in place by :func:`dirichlet_rows`; the responder's rows, whose buffer also
+    holds the uniforms of :func:`nested_counts`' n < V path; and, when a draw takes
+    that path, its CDF rows.  A block draws, trial after trial and each from its own
+    stream, all of its truths, then per size its counts; its responder and L1 errors
+    run row-wise once per size.  So every stream sees the draws of its trial run
+    alone, and a batch holds O(block) memory, not O(contexts * support).  Each row
+    is normalized once: a truth row over its own sum, a responder row as its counts
+    over their total.
     """
     per_block = _stack_rows(support)
     heights = [min(per_block, contexts - start) for start in range(0, contexts, per_block)]
     sampled = cdf_draw_size(sizes, support)
 
     def block_errors(truths, counts, responder):
-        """Per row, ``l1_distance(icl_counts_dist(counts, eta), truth)`` over the rows
-        of the trials' ``counts`` in turn: the responder's rows, renormalized once as
-        the distribution is, bit for bit."""
+        """Per row, the L1 distance between the truth and the responder's row
+        :func:`icl_counts_rows`, over the rows of the trials' ``counts`` in turn."""
         counts = counts[0] if len(counts) == 1 else np.concatenate(counts)
-        responder = responder[: len(truths)]
-        diff = normalized_rows(icl_counts_rows(counts, cfg.eta, out=responder), out=responder)
+        diff = icl_counts_rows(counts, cfg.eta, out=responder[: len(truths)])
         diff -= truths
         return np.abs(diff, out=diff).sum(axis=1)
 
@@ -338,7 +337,6 @@ def _counts_measure(cfg: ExperimentConfig, support: int, contexts: int, sizes: t
             owned = [slice(k * height, (k + 1) * height) for k in range(len(rngs))]
             for rng, own in zip(rngs, owned):
                 dirichlet_rows(height, support, cfg.concentration, rng, out=truths[own])
-            normalized_rows(truths, out=truths)
             draws = [
                 nested_counts(truths[own], sizes, rng, (cdf[own], uniforms) if sampled else None)
                 for rng, own in zip(rngs, owned)

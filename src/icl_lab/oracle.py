@@ -18,8 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .distributions import CategoricalDistribution, Context, Vocabulary
-from .distributions import normalized_rows, token_counts
+from .distributions import CategoricalDistribution, Context, Vocabulary, token_counts
 from .errors import ParameterError, check_int, check_real
 
 # Dense sequence distributions refuse to materialize beyond this many outcomes.
@@ -74,23 +73,21 @@ def icl_counts_rows(counts, eta: EtaModel = EtaModel.none(), out=None) -> np.nda
     ``counts / totals`` with the error knob off, and its uniform mix with it on;
     written to the float64 array ``out`` when given, with the same arithmetic.
 
-    A row with fewer than one sample is refused.  The mixed rows are not renormalized
-    again; callers apply :func:`normalized_rows` once (as
-    :class:`CategoricalDistribution` does).
+    A row with fewer than one sample is refused.  The rows are not renormalized:
+    the harness scores them as they are, and :class:`CategoricalDistribution`
+    renormalizes a row once on construction.
     """
     counts = np.asarray(counts)
     totals = counts.sum(axis=-1, keepdims=True)
     if totals.min() < 1:
         raise ParameterError("cannot estimate a distribution from zero samples")
     rows = np.divide(counts, totals, out=out)
-    if eta.eta == 0.0:
-        return rows
-    return mix_with_uniform(normalized_rows(rows, out=rows), eta, counts.shape[-1], out=rows)
+    return mix_with_uniform(rows, eta, counts.shape[-1], out=rows)
 
 
 def icl_counts_dist(counts, eta: EtaModel = EtaModel.none()) -> CategoricalDistribution:
     """The responder's distribution from one vector of per-outcome prompt counts: one
-    row of :func:`icl_counts_rows`, exactly ``counts / counts.sum()`` with the knob off."""
+    row of :func:`icl_counts_rows`, renormalized as a distribution is."""
     return CategoricalDistribution(icl_counts_rows(counts, eta))
 
 

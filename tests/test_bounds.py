@@ -118,6 +118,29 @@ class TestSubsetPenalty:
             subset_penalty(0)
 
 
+# The largest double below 1: 1/delta rounds to 1.0000000000000002, so each log
+# argument still exceeds 1 and each size is one.
+DELTA_NEXT_TO_ONE = 0.9999999999999999
+
+
+@pytest.mark.parametrize(
+    "calculator, params",
+    [
+        (knn_context_size, BoundParams(epsilon=0.2, delta=DELTA_NEXT_TO_ONE)),
+        (
+            lambda p: textgen_samples_per_context(p, "big_o").per_context,
+            BoundParams(epsilon=0.2, delta=DELTA_NEXT_TO_ONE, vocab_size=20, num_contexts=1),
+        ),
+        (
+            bounded_textgen_size,
+            BoundParams(epsilon=0.2, delta=DELTA_NEXT_TO_ONE, vocab_size=5, output_len=2),
+        ),
+    ],
+)
+def test_delta_next_to_one_gives_size_one(calculator, params):
+    assert calculator(params) == 1
+
+
 class TestParamValidation:
     @pytest.mark.parametrize(
         "kwargs",

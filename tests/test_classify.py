@@ -390,6 +390,21 @@ class TestDatasetTypes:
         with pytest.raises(ParameterError):
             make_dataset([[np.inf]], [0])
 
+    @pytest.mark.parametrize(
+        "features, labels, message",
+        [(np.zeros((0, 2)), [], "non-empty"), ([[1.0], [2.0], [3.0]], [0, 1], "one label")],
+    )
+    def test_rejects_misshapen_data(self, features, labels, message):
+        with pytest.raises(ParameterError, match=message):
+            make_dataset(features, labels)
+
+    @pytest.mark.parametrize(
+        "weights, bias, message", [([np.nan], 0.0, "weights"), ([1.0], np.inf, "bias")]
+    )
+    def test_model_rejects_non_finite_parameters(self, weights, bias, message):
+        with pytest.raises(ParameterError, match=message):
+            LinearModel(weights, bias)
+
     def test_vectorized_predictions_match_scalar(self):
         rng = np.random.default_rng(7)
         model = LinearModel(rng.standard_normal(4), 0.5)

@@ -70,7 +70,7 @@ class TestBoundsCalc:
     def test_readme_example_stdout(self, capsys, flags, stdout):
         assert run_cli(capsys, "bounds", "calc", *flags.split()) == (0, stdout, "")
 
-    @pytest.mark.parametrize("constant", ["nan", "inf"])
+    @pytest.mark.parametrize("constant", ["nan", "inf", "0"])  # 0: finite, not positive
     def test_non_finite_penalty_constant_is_parameter_error(self, capsys, constant):
         code, out, err = run_cli(
             capsys, "bounds", "calc", "--kind", "subset_penalty", "--size", "100",
@@ -149,12 +149,22 @@ class TestBoundsCalc:
             # The size overflows to inf: ceil raised OverflowError.
             "--kind coreset --d 5 --epsilon 1e-320",
             "--kind textgen --V 20 --m 10 --epsilon 1e-160 --delta 0.05",
+            # 1/delta overflows to inf, and so does the size.
+            "--kind knn --epsilon 0.2 --delta 5e-324",
+            "--kind textgen --V 20 --m 10 --epsilon 0.2 --delta 5e-324",
+            "--kind bounded_textgen --V 5 --l 2 --epsilon 0.2 --delta 5e-324",
         ],
     )
     def test_tiny_epsilon_is_one_error_line(self, capsys, flags):
         code, out, err = run_cli(capsys, "bounds", "calc", *flags.split())
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and "epsilon" in err and err.count("\n") == 1
+
+    def test_single_token_sequences_are_one_error_line(self, capsys):
+        flags = "--kind bounded_textgen --V 1 --l 2 --epsilon 0.2 --delta 0.05"
+        code, out, err = run_cli(capsys, "bounds", "calc", *flags.split())
+        assert (code, out) == (1, "")
+        assert err.startswith("error: vocab_size ") and err.count("\n") == 1
 
 
 class TestVerify:
@@ -297,6 +307,9 @@ class TestVerify:
             ("train", "learning_rate", "0.5"),
             ("train", "grad_tolerance", float("nan")),
             ("train", "l2_reg", True),
+            ("train", "learning_rate", 0),
+            ("train", "grad_tolerance", 0),
+            ("train", "l2_reg", -0.001),
             ("eta", "eta", "0.1"),
             ("params", "vocab_size", 1),
             ("params", "num_contexts", True),

@@ -23,10 +23,9 @@ from icl_lab import (
 )
 from icl_lab.classify import knn_select, predict_probs, train_logistic
 from icl_lab.distributions import (
+    CategoricalDistribution,
     dirichlet_rows,
-    l1_distance,
     normalized_rows,
-    random_distribution,
     sample_counts,
 )
 from icl_lab.experiments import (
@@ -37,7 +36,7 @@ from icl_lab.experiments import (
     planted_linear_dataset,
     trial_rng,
 )
-from icl_lab.oracle import icl_counts_dist, mix_with_uniform
+from icl_lab.oracle import icl_counts_rows, mix_with_uniform
 from icl_lab.reports import (
     TrialResult,
     build_report,
@@ -59,6 +58,20 @@ def textgen_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The ``max_workers`` of each thread pool that ``experiments`` opens, in order."""
+    pools = []
+    real_pool = experiments.ThreadPoolExecutor
+
+    def recording(max_workers):
+        pools.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", recording)
+    return pools
 
 
 class TestReports:
@@ -297,20 +310,36 @@ class TestTextgenExperiment:
                 max_workers()
 
     @pytest.mark.parametrize("trials, pool_workers", [(20, []), (3_000, [3])])
-    def test_pool_only_for_two_or_more_batches(self, monkeypatch, trials, pool_workers):
+    def test_pool_only_for_two_or_more_batches(
+        self, monkeypatch, pool_sizes, trials, pool_workers
+    ):
         # At V = 8, m = 3 a batch holds 1,365 trials: 20 trials are one batch, run
         # without a pool, and 3,000 are three, run on three of the eight workers.
-        pools = []
-        real_pool = experiments.ThreadPoolExecutor
-
-        def recording(max_workers):
-            pools.append(max_workers)
-            return real_pool(max_workers=max_workers)
-
-        monkeypatch.setattr(experiments, "ThreadPoolExecutor", recording)
         monkeypatch.setenv("ICL_LAB_THREADS", "8")
         run_experiment(textgen_config(trials=trials, samples_override=5))
-        assert pools == pool_workers
+        assert pool_sizes == pool_workers
+
+    def test_multi_batch_reports_do_not_depend_on_threads(
+        self, monkeypatch, pool_sizes, tmp_path
+    ):
+        # At V = 2,000, m = 40 each trial is its own batch, and its contexts run as
+        # blocks of 16, 16 and 8; n = 700 < V takes the CDF path.  Three batches run
+        # on a pool of three of the eight workers, and on no pool at one thread.
+        params = BoundParams(epsilon=0.2, delta=0.05, vocab_size=2_000, num_contexts=40)
+        cfg = textgen_config(
+            params=params, samples_override=700, eta=EtaModel.uniform_mix(0.1), trials=3, seed=3
+        )
+
+        def render(threads: str):
+            monkeypatch.setenv("ICL_LAB_THREADS", threads)
+            pool_sizes.clear()
+            out = tmp_path / f"t{threads}.json"
+            run_experiment(cfg, out)
+            return (out.read_bytes(), out.with_suffix(".csv").read_bytes()), list(pool_sizes)
+
+        (one, no_pool), (eight, pool) = render("1"), render("8")
+        assert one == eight
+        assert (no_pool, pool) == ([], [3])
 
     def test_undersampling_fails_hard(self):
         cfg = textgen_config(
@@ -401,17 +430,18 @@ class TestTextgenExperiment:
 
 
 def per_context_reference(cfg, support, contexts, sizes, rng, block):
-    """The worst error per size, context by context through the public primitives:
-    each block of ``block`` contexts draws its truths, then each size's counts."""
+    """The worst error per size, context by context through one-row calls of the
+    array primitives: each block of ``block`` contexts draws its truths, then each
+    size's counts."""
     worst = [0.0] * len(sizes)
     for start in range(0, contexts, block):
         rows = min(block, contexts - start)
-        truths = [random_distribution(support, cfg.concentration, rng) for _ in range(rows)]
+        truths = [dirichlet_rows(1, support, cfg.concentration, rng) for _ in range(rows)]
         counts, drawn = [0] * rows, 0
         for j, n in enumerate(sizes):
             for r, truth in enumerate(truths):
-                counts[r] = counts[r] + sample_counts(truth, n - drawn, rng)
-                error = l1_distance(icl_counts_dist(counts[r], cfg.eta), truth)
+                counts[r] = counts[r] + next(nested_counts(truth, (n - drawn,), rng))
+                error = np.abs(icl_counts_rows(counts[r], cfg.eta) - truth).sum()
                 worst[j] = max(worst[j], error)
             drawn = n
     return worst
@@ -890,19 +920,20 @@ class TestSubsetPenaltyExperiment:
         )
         sizes = (7, 50, 400)
         rng = trial_rng(9, 0)
-        truth = random_distribution(6, 1.0, rng)
-        vectors = [v[0] for v in nested_counts(truth.probs[None], sizes, rng)]
+        truth = dirichlet_rows(1, 6, 1.0, rng)
+        vectors = [v[0] for v in nested_counts(truth, sizes, rng)]
         assert [int(v.sum()) for v in vectors] == list(sizes)
         for smaller, larger in zip(vectors, vectors[1:]):
             assert np.all(smaller <= larger)
-        errors = [l1_distance(icl_counts_dist(v), truth) for v in vectors]
+        errors = [np.abs(icl_counts_rows(v) - truth[0]).sum() for v in vectors]
         report = run_experiment(cfg)
         assert [t.sup_error for t in report.trials] == errors
         # One size: the counts are sample_counts' own draw from the same state.
+        dist = CategoricalDistribution(truth[0])
         state = rng.bit_generator.state
-        ((single,),) = nested_counts(truth.probs[None], (50,), rng)
+        ((single,),) = nested_counts(dist.probs[None], (50,), rng)
         rng.bit_generator.state = state
-        drawn = sample_counts(truth, 50, rng)
+        drawn = sample_counts(dist, 50, rng)
         assert single.dtype == drawn.dtype == np.int64
         assert np.array_equal(single, drawn)
 
