@@ -90,8 +90,9 @@ def _finite_size(calculator):
         try:
             return calculator(params, *args)
         except (ZeroDivisionError, OverflowError):
-            message = f"the sample size at epsilon = {params.epsilon!r} is not a finite number"
-            raise ParameterError(f"{message}; epsilon (or delta) is too small") from None
+            at = f"epsilon = {params.epsilon!r}, delta = {params.delta!r}"
+            message = f"the sample size at {at} is not a finite number"
+            raise ParameterError(f"{message}; epsilon or delta is too small") from None
 
     return checked
 

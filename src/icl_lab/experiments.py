@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,6 +227,8 @@ def _run_sweep(
     if workers == 1:
         nested = [one_batch(start) for start in starts]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # loaded only when a pool starts
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             nested = list(pool.map(one_batch, starts))
     rows = [row for batch_rows in nested for row in batch_rows]

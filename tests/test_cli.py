@@ -158,7 +158,10 @@ class TestBoundsCalc:
     def test_tiny_epsilon_is_one_error_line(self, capsys, flags):
         code, out, err = run_cli(capsys, "bounds", "calc", *flags.split())
         assert (code, out) == (1, "")
-        assert err.startswith("error: ") and "epsilon" in err and err.count("\n") == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        opts = dict(zip(flags.split()[::2], flags.split()[1::2]))
+        delta = opts.get("--delta", "0.5")  # the default, which coreset does not use
+        assert f"at epsilon = {opts['--epsilon']}, delta = {delta} is not a finite" in err
 
     def test_single_token_sequences_are_one_error_line(self, capsys):
         flags = "--kind bounded_textgen --V 1 --l 2 --epsilon 0.2 --delta 0.05"

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -60,17 +61,32 @@ def textgen_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def fresh_python(script, threads=None):
+    """The stdout of ``script`` run by a new interpreter that imports this
+    ``icl_lab``, with ``ICL_LAB_THREADS`` set to ``threads`` (unset when None)."""
+    src = str(Path(experiments.__file__).parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("ICL_LAB_THREADS", None)
+    if threads is not None:
+        env["ICL_LAB_THREADS"] = threads
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    return done.stdout
+
+
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """The ``max_workers`` of each thread pool that ``experiments`` opens, in order."""
     pools = []
-    real_pool = experiments.ThreadPoolExecutor
+    real_pool = concurrent.futures.ThreadPoolExecutor
 
     def recording(max_workers):
         pools.append(max_workers)
         return real_pool(max_workers=max_workers)
 
-    monkeypatch.setattr(experiments, "ThreadPoolExecutor", recording)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
     return pools
 
 
@@ -419,14 +435,25 @@ class TestTextgenExperiment:
             "run_experiment(cfg)\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
         )
-        src = str(Path(experiments.__file__).parents[1])
-        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-        env = dict(os.environ, PYTHONPATH=path)
-        env.pop("ICL_LAB_THREADS", None)
-        done = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        assert int(fresh_python(script).split()[-1]) < 1_500
+
+    @pytest.mark.parametrize(
+        "trials, threads, loaded",
+        [(1, None, False), (2, None, False), (2, "2", True)],
+    )
+    def test_pool_module_loads_only_when_a_pool_starts(self, trials, threads, loaded):
+        # At V=2,000, m=40 a trial fills more than one block, so each trial is a batch;
+        # two batches at the default thread count are `textgen_wide`'s case.
+        script = (
+            "import sys\n"
+            "from icl_lab import BoundParams, ExperimentConfig, run_experiment\n"
+            "params = BoundParams(epsilon=0.2, delta=0.05, vocab_size=2_000, num_contexts=40)\n"
+            f"cfg = ExperimentConfig(kind='textgen', params=params, trials={trials}, seed=5,\n"
+            "                       samples_override=500, mode='big_o')\n"
+            "run_experiment(cfg)\n"
+            "print('concurrent.futures' in sys.modules)\n"
         )
-        assert int(done.stdout.split()[-1]) < 1_500
+        assert fresh_python(script, threads).split()[-1] == str(loaded)
 
 
 def per_context_reference(cfg, support, contexts, sizes, rng, block):
