@@ -81,23 +81,27 @@ class BoundResult:
     formula_text: str
 
 
-def _finite_size(calculator):
-    """``calculator`` refusing a size that is not a finite number: at a tiny epsilon
-    (or delta) ``eps**2`` underflows to 0, or the size overflows before ``ceil``."""
+def _finite_size(*names):
+    """A calculator reading the ``names`` of its params, refusing a size that is not
+    a finite number: at a tiny epsilon (or delta) ``eps**2`` underflows to 0, or the
+    size overflows before ``ceil``.  The error names only those params."""
 
-    @functools.wraps(calculator)
-    def checked(params: BoundParams, *args):
-        try:
-            return calculator(params, *args)
-        except (ZeroDivisionError, OverflowError):
-            at = f"epsilon = {params.epsilon!r}, delta = {params.delta!r}"
-            message = f"the sample size at {at} is not a finite number"
-            raise ParameterError(f"{message}; epsilon or delta is too small") from None
+    def wrap(calculator):
+        @functools.wraps(calculator)
+        def checked(params: BoundParams, *args):
+            try:
+                return calculator(params, *args)
+            except (ZeroDivisionError, OverflowError):
+                at = ", ".join(f"{name} = {getattr(params, name)!r}" for name in names)
+                message = f"the sample size at {at} is not a finite number"
+                raise ParameterError(f"{message}; {' or '.join(names)} is too small") from None
 
-    return checked
+        return checked
+
+    return wrap
 
 
-@_finite_size
+@_finite_size("epsilon", "delta")
 def textgen_samples_per_context(params: BoundParams, mode: str = MODE_BIG_O) -> BoundResult:
     """Per-context sample count for matching every next-token distribution in L1.
 
@@ -120,20 +124,20 @@ def textgen_samples_per_context(params: BoundParams, mode: str = MODE_BIG_O) -> 
     )
 
 
-@_finite_size
+@_finite_size("epsilon")
 def coreset_size(params: BoundParams) -> int:
     """Subset size for training a near-equivalent linear classifier: c * d / eps."""
     return math.ceil(params.constant * params.input_dim / params.epsilon)
 
 
-@_finite_size
+@_finite_size("epsilon", "delta")
 def knn_context_size(params: BoundParams) -> int:
     """Per-query neighborhood size for local classification: c * ln(1/delta) / eps^2."""
     log_term = math.log(1.0 / params.delta)
     return math.ceil(params.constant * (1.0 / params.epsilon**2) * log_term)
 
 
-@_finite_size
+@_finite_size("epsilon", "delta")
 def bounded_textgen_size(params: BoundParams) -> int:
     """Per-context sample count for length-l sequence distributions.
 

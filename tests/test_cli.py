@@ -160,8 +160,11 @@ class TestBoundsCalc:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         opts = dict(zip(flags.split()[::2], flags.split()[1::2]))
-        delta = opts.get("--delta", "0.5")  # the default, which coreset does not use
-        assert f"at epsilon = {opts['--epsilon']}, delta = {delta} is not a finite" in err
+        at = f"epsilon = {opts['--epsilon']}"
+        if "--delta" in opts:  # coreset reads no delta, so its error names none
+            at += f", delta = {opts['--delta']}"
+        assert f"at {at} is not a finite" in err
+        assert ("delta" in err) == ("--delta" in opts)
 
     def test_single_token_sequences_are_one_error_line(self, capsys):
         flags = "--kind bounded_textgen --V 1 --l 2 --epsilon 0.2 --delta 0.05"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from icl_lab import ParameterError, Vocabulary
 from icl_lab.distributions import (
+    MERGE_SUPPORT,
     PROB_SUM_TOLERANCE,
     CategoricalDistribution,
     dirichlet_rows,
@@ -249,6 +250,20 @@ def float_key_counts(probs, n, rng):
     return np.stack(rows)
 
 
+def count_uint64_searches(monkeypatch):
+    """Record each uint64 ``np.searchsorted`` call, the n < V draw's searched path,
+    in the returned list."""
+    calls, search = [], np.searchsorted
+
+    def recording(a, v, *args, **kwargs):
+        if a.dtype == np.uint64:
+            calls.append(len(v))
+        return search(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", recording)
+    return calls
+
+
 class TestNestedCounts:
     @pytest.mark.parametrize("sizes", [(0,), (-3, 5), (5, 3), (7, 50, 50)])
     def test_rejects_sizes_not_strictly_increasing_from_one(self, sizes):
@@ -258,16 +273,31 @@ class TestNestedCounts:
     @pytest.mark.parametrize("workspace", [False, True])
     @pytest.mark.parametrize(
         "rows, size, sizes",
-        [(1, 13, (2,)), (3, 50, (20, 45)), (4, 2_000, (500, 1_500)), (1, 50_000, (20_000,))],
+        [
+            (1, 13, (2,)),
+            (3, 50, (20, 45)),
+            (4, 2_000, (500, 1_500)),
+            (1, 50_000, (20_000,)),
+            # Merged and searched draws: n = V/4 merges and one fewer searches, and
+            # nested increments search, then merge.
+            (1, 4_096, (1_023, 2_047)),
+            (2, 8_192, (1_000, 4_000, 9_000)),
+            (3, 50_000, (2_000, 14_500)),
+        ],
     )
-    def test_integer_keys_match_the_float_key_search(self, rows, size, sizes, workspace):
+    def test_integer_keys_match_the_float_key_search(
+        self, rows, size, sizes, workspace, monkeypatch
+    ):
         probs = np.random.default_rng(size).dirichlet(np.full(size, 0.5), size=rows)
         probs[:, [0, size // 2, size - 1]] = 0.0  # zeros at the start, middle and end
         probs /= probs.sum(axis=1, keepdims=True)
         probs[-1, :3] = -0.0  # a leading -0.0 run, whose bits sort above every +x
         probs[-1] /= probs[-1].sum()
         assert np.signbit(probs[-1, 0])
-        out = (np.empty((rows, size)), np.empty(size)) if workspace else None
+        increments = np.diff((0,) + sizes)
+        largest = max(n for n in increments if n < size)
+        out = np.empty(size + largest) if workspace else None  # the smallest accepted
+        searches = count_uint64_searches(monkeypatch)
         rng, reference_rng = np.random.default_rng(5), np.random.default_rng(5)
         expected, drawn = 0, 0
         for counts, n in zip(nested_counts(probs, sizes, rng, out), sizes):
@@ -277,15 +307,40 @@ class TestNestedCounts:
             assert np.array_equal(counts, expected)
             assert rng.bit_generator.state == reference_rng.bit_generator.state
         assert not expected[:, [0, size // 2, size - 1]].any()
+        merged = [n for n in increments if MERGE_SUPPORT <= size <= 4 * n < 4 * size]
+        assert len(searches) == rows * (sum(increments < size) - len(merged))
+
+    @pytest.mark.parametrize("n", [8, 1_024])  # searched, merged
+    def test_a_uniform_on_a_cdf_entry_counts_toward_the_next_outcome(self, n):
+        # Dyadic probabilities give an exact CDF: 1/8 up to index 999, 3/8 from
+        # 1,000, 3/4 from 2,000 and 1 at the last index.  The chosen uniforms
+        # 0.125, 0.375 and 0.75 lie exactly on an entry, so each counts toward the
+        # next outcome, as searchsorted(side="right") places it.
+        probs = np.zeros((1, 4_096))
+        probs[0, [0, 1_000, 2_000, 4_095]] = np.array([1, 2, 3, 2]) / 8
+
+        class ChosenUniforms:
+            def random(self, out):
+                out[:] = np.resize([0.125, 0.375, 0.75, 0.0, 0.5, 0.125, 0.375, 0.75], len(out))
+
+        ((counts,),) = nested_counts(probs, (n,), ChosenUniforms())
+        expected = np.zeros(4_096, dtype=np.int64)
+        expected[[0, 1_000, 2_000, 4_095]] = np.array([1, 2, 3, 2]) * n // 8
+        assert np.array_equal(counts, expected)
 
     def test_rejects_a_uniforms_workspace_shorter_than_the_largest_draw(self):
-        # Eight draws need eight uniforms; three used to give counts summing to 3.
-        workspace = (np.empty((1, 10)), np.empty(3))
-        with pytest.raises(ParameterError, match="draw of 8"):
-            nested_counts(np.full((1, 10), 0.1), (8,), np.random.default_rng(0), workspace)
+        # Eight draws on ten outcomes need 18 floats, the CDF's ten and the eight
+        # uniforms.  Three uniforms used to give counts summing to 3.
+        for floats in (3, 8, 17):
+            with pytest.raises(ParameterError, match="draw of 8"):
+                nested_counts(np.full((1, 10), 0.1), (8,), np.random.default_rng(0), np.empty(floats))
+        ((counts,),) = nested_counts(
+            np.full((1, 10), 0.1), (8,), np.random.default_rng(0), np.empty(18)
+        )
+        assert counts.sum() == 8
         # Only the n < V increments count: 3 then 12 >= V draws multinomial.
         (_, counts) = nested_counts(
-            np.full((1, 10), 0.1), (3, 15), np.random.default_rng(0), workspace
+            np.full((1, 10), 0.1), (3, 15), np.random.default_rng(0), np.empty(13)
         )
         assert counts.sum() == 15
 
