@@ -18,10 +18,6 @@ from .errors import ParameterError
 # on construction; anything further off is rejected.
 PROB_SUM_TOLERANCE = 1e-9
 
-# Fewest outcomes on which an n < V draw may merge instead of search: below it the
-# merge's few more numpy calls cost more than it saves at any n.
-MERGE_SUPPORT = 4096
-
 # The byte of a uint64 that holds its lowest bit.
 _LOW_BYTE = 0 if np.little_endian else 7
 
@@ -137,84 +133,75 @@ def nested_counts(probs: np.ndarray, sizes, rng: np.random.Generator, out=None):
     With ``n >= V`` a draw is one ``rng.multinomial`` call, equal bit for bit to one
     call per row.  With ``n < V`` each row counts ``n`` sorted uniforms placed on its
     CDF, which beats multinomial's one binomial draw per outcome; scaling them by the
-    CDF's last entry keeps every index below V and off zero-probability outcomes.  A
-    draw of ``n >= V / 4`` on ``V >=`` :data:`MERGE_SUPPORT` outcomes merges the
-    uniforms into the CDF in O(V + n); a smaller one searches the CDF for each,
-    O(n log V), which the merge's few extra O(V) passes would not beat.  Both place
-    the same uniforms, drawn in the same order, so the choice never changes the
-    counts.  ``out`` is an optional C-contiguous float64 workspace vector for that
-    path, of at least V plus its largest ``n``, which is :func:`cdf_draw_size` (2V
-    floats always suffice): each row's CDF goes in its head, recomputed per row and
-    draw, and the uniforms after it.  A shorter vector is refused.
+    CDF's last entry keeps every index below V and off zero-probability outcomes.  The
+    sorted uniforms are merged into the CDF, O(n log n + V), and each lands on the
+    index ``searchsorted(cdf, u, side="right")`` gives.  The CDF rows are computed
+    once, at the first such draw.  ``out`` is an optional ``(cdf, keys)`` pair of float64
+    workspaces for that path: a (rows, V) array and a vector of at least V plus its
+    largest ``n``, which is :func:`cdf_draw_size` (2V floats always suffice); a
+    shorter vector is refused.
     """
     sizes = tuple(sizes)
     if any(low >= high for low, high in zip((0,) + sizes, sizes)):
         raise ParameterError(f"sizes must be strictly increasing and >= 1, got {list(sizes)}")
     support = probs.shape[1]
     needed = cdf_draw_size(sizes, support)
-    if out is not None and needed and len(out) < support + needed:
-        floats = f"{len(out)} workspace floats are too few"
+    if out is not None and needed and len(out[1]) < support + needed:
+        floats = f"{len(out[1])} key floats are too few"
         raise ParameterError(f"{floats} for an n < V draw of {needed} on {support} outcomes")
     return _nested_counts(probs, sizes, rng, out)
 
 
 def cdf_draw_size(sizes, support: int) -> int:
     """The largest draw of the nested ``sizes`` that takes :func:`nested_counts`'
-    n < V path on ``support`` outcomes, 0 when none does; that path's workspace
+    n < V path on ``support`` outcomes, 0 when none does; that path's key vector
     holds ``support`` floats more."""
     return max((b - a for a, b in zip((0,) + sizes, sizes) if b - a < support), default=0)
 
 
 def _nested_counts(probs, sizes, rng, out):
     """:func:`nested_counts` past its checks."""
-    counts, drawn = None, 0
+    counts, drawn, cdf = None, 0, None
     for size in sizes:
         n = size - drawn
         if n >= probs.shape[1]:
             draw = rng.multinomial(n, probs)
         else:
-            if out is None:
-                out = np.empty(probs.shape[1] + cdf_draw_size(sizes, probs.shape[1]))
-            draw = _cdf_counts(probs, n, rng, out)
+            if cdf is None:
+                keys = probs.shape[1] + cdf_draw_size(sizes, probs.shape[1])
+                cdf, keys = out or (np.empty(probs.shape), np.empty(keys))
+                np.cumsum(probs, axis=1, out=cdf)
+            draw = _cdf_counts(cdf, n, rng, keys)
         counts = draw if counts is None else counts + draw
         drawn = size
         yield counts
 
 
-def _cdf_counts(probs, n, rng, work) -> np.ndarray:
-    """``n`` i.i.d. draws from each row of ``probs``, through the float64 workspace
-    ``work``: the row's CDF in its first V floats, the n uniforms after them."""
-    support = probs.shape[1]
-    cdf, uniforms = work[:support], work[support : support + n]
-    keys = work[: support + n].view(np.uint64)
-    merge = support >= MERGE_SUPPORT and 4 * n >= support
+def _cdf_counts(cdf, n, rng, work) -> np.ndarray:
+    """``n`` i.i.d. draws from each row whose CDF is a row of ``cdf``, merged in
+    the float64 workspace ``work``: the row's CDF keys in its first V floats, the
+    uniforms after them."""
+    support = cdf.shape[1]
+    keys, uniforms = work[: support + n].view(np.uint64), work[support : support + n]
     rows = []
-    for p in probs:
-        np.cumsum(p, out=cdf)
+    for c in cdf:
         rng.random(out=uniforms)
         uniforms.sort()
-        uniforms *= cdf[-1]
-        # Compared as uint64, the floats give the same order with cheaper compares:
-        # non-negative doubles order like their bit patterns, all below 2**63.
-        if merge:
-            # 2 bits(c) < 2 bits(u) + 1 exactly when c <= u, and the shift drops a
-            # leading -0.0's sign bit.  numpy's stable sort of uint64 is timsort,
-            # which merges the two sorted runs; a uniform's index, the number of
-            # CDF entries at most u, is then its merged position less its rank
-            # among the uniforms.
-            keys <<= 1
-            keys[support:] |= 1
-            keys.sort(kind="stable")
-            keys &= 1
-            # Read as bools, the tags take numpy's branch-free nonzero.
-            index = np.flatnonzero(keys.view(np.bool_)[_LOW_BYTE::8])
-            index -= np.arange(n)
-        else:
-            # A CDF never decreases, so a -0.0, whose pattern sorts last, can only
-            # lead; adding 0.0 makes it +0.0 and leaves every other entry as it is.
-            if cdf[0] == 0.0:
-                cdf += 0.0
-            index = np.searchsorted(cdf.view(np.uint64), uniforms.view(np.uint64), side="right")
+        uniforms *= c[-1]
+        # As uint64, non-negative doubles order like the floats: their bit patterns
+        # are all below 2**63.  So 2 bits(c) < 2 bits(u) + 1 exactly when c <= u,
+        # and the shift drops a leading -0.0's sign bit.  numpy's stable sort of
+        # uint64 is timsort, which merges the two sorted runs; a uniform's index,
+        # the number of CDF entries at most u, is then its merged position less its
+        # rank among the uniforms.
+        np.left_shift(c.view(np.uint64), 1, out=keys[:support])
+        keys[support:] <<= 1
+        keys[support:] |= 1
+        keys.sort(kind="stable")
+        keys &= 1
+        # Read as bools, the tags take numpy's branch-free nonzero.
+        index = np.flatnonzero(keys.view(np.bool_)[_LOW_BYTE::8])
+        index -= np.arange(n)
         rows.append(np.bincount(index, minlength=support))
     # One row is viewed, not copied: a copy per context doubles the page faults at V=50,000.
     return np.stack(rows) if len(rows) > 1 else rows[0][None]

@@ -24,7 +24,8 @@ of small trials is drawn and scored as one block.  The skeleton owns the rest:
 The three counts kinds (textgen, bounded_textgen, subset_penalty) share
 :func:`_counts_measure`; subset_penalty is its one-context case over a size grid.
 A counts batch holds two arrays of its block's rows, the truths and the
-responder, and the responder's buffer is also the n < V draws' workspace.
+responder, and a third, the CDF rows, when a draw is below the support; the
+responder's buffer also holds those draws' merge keys.
 
 Batches may execute in parallel; the ``ICL_LAB_THREADS`` environment variable
 caps the worker count (default 1).
@@ -303,15 +304,15 @@ def _counts_measure(cfg: ExperimentConfig, support: int, contexts: int, sizes: t
     and a block of the batch holds that many contexts of each of its trials, each
     trial owning consecutive rows.  A runner batches ``_stack_rows(support * contexts)``
     trials, which keeps a block within :func:`_stack_rows` rows: many whole trials,
-    or one trial's part.  The batch allocates two (rows, support) float64 arrays,
-    sized to its first (largest) block, and fills them block after block, a short
-    block through views of its leading rows: the truths, drawn in place by
-    :func:`dirichlet_rows`, and the responder's rows.  The responder's buffer, of
-    ``max(rows * support, support + n)`` floats for the largest n < V draw n, is also
-    the workspace of :func:`nested_counts`' n < V path: one row's CDF, then its n
-    uniforms.  A block draws, trial after trial and each from its own
-    stream, all of its truths, then per size its counts; its responder and L1 errors
-    run row-wise once per size.  So every stream sees the draws of its trial run
+    or one trial's part.  The batch allocates one workspace of (rows, support)
+    float64 arrays, sized to its first (largest) block, and fills it block after
+    block, a short block through views of its leading rows: the truths, drawn in
+    place by :func:`dirichlet_rows`; the responder's rows; and, when a draw takes
+    :func:`nested_counts`' n < V path, its CDF rows.  The responder's buffer, of
+    ``max(rows * support, support + n)`` floats for that path's largest draw n, also
+    holds the path's merge keys: one row's CDF keys, then its n uniforms.  A block
+    draws, trial after trial and each from its own stream, all of its truths, then
+    per size its counts; its responder and L1 errors run row-wise once per size.  So every stream sees the draws of its trial run
     alone, and a batch holds O(block) memory, not O(contexts * support).  Each row
     is normalized once: a truth row over its own sum, a responder row as its counts
     over their total.
@@ -332,17 +333,19 @@ def _counts_measure(cfg: ExperimentConfig, support: int, contexts: int, sizes: t
         rows = len(rngs) * heights[0]
         worst = np.zeros((len(rngs), len(sizes)))  # L1 errors are non-negative
         truth_rows = np.empty((rows, support))
-        # The draws' workspace is the responder's buffer, which is idle while a
+        # The draws' keys live in the responder's buffer, which is idle while a
         # draw runs: a block scores each size's counts only after drawing them.
-        workspace = np.empty(max(rows * support, support + sampled))
-        responder = workspace[: rows * support].reshape(rows, support)
+        keys = np.empty(max(rows * support, support + sampled))
+        responder = keys[: rows * support].reshape(rows, support)
+        cdf = np.empty((rows, support)) if sampled else None
         for height in heights:
             truths = truth_rows[: len(rngs) * height]
             owned = [slice(k * height, (k + 1) * height) for k in range(len(rngs))]
             for rng, own in zip(rngs, owned):
                 dirichlet_rows(height, support, cfg.concentration, rng, out=truths[own])
             draws = [
-                nested_counts(truths[own], sizes, rng, workspace) for rng, own in zip(rngs, owned)
+                nested_counts(truths[own], sizes, rng, (cdf[own], keys) if sampled else None)
+                for rng, own in zip(rngs, owned)
             ]
             errors = [block_errors(truths, counts, responder) for counts in zip(*draws)]
             per_trial = np.reshape(errors, (len(sizes), len(rngs), height)).max(axis=2)

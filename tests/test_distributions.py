@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from icl_lab import ParameterError, Vocabulary
 from icl_lab.distributions import (
-    MERGE_SUPPORT,
     PROB_SUM_TOLERANCE,
     CategoricalDistribution,
     dirichlet_rows,
@@ -250,20 +249,6 @@ def float_key_counts(probs, n, rng):
     return np.stack(rows)
 
 
-def count_uint64_searches(monkeypatch):
-    """Record each uint64 ``np.searchsorted`` call, the n < V draw's searched path,
-    in the returned list."""
-    calls, search = [], np.searchsorted
-
-    def recording(a, v, *args, **kwargs):
-        if a.dtype == np.uint64:
-            calls.append(len(v))
-        return search(a, v, *args, **kwargs)
-
-    monkeypatch.setattr(np, "searchsorted", recording)
-    return calls
-
-
 class TestNestedCounts:
     @pytest.mark.parametrize("sizes", [(0,), (-3, 5), (5, 3), (7, 50, 50)])
     def test_rejects_sizes_not_strictly_increasing_from_one(self, sizes):
@@ -278,16 +263,13 @@ class TestNestedCounts:
             (3, 50, (20, 45)),
             (4, 2_000, (500, 1_500)),
             (1, 50_000, (20_000,)),
-            # Merged and searched draws: n = V/4 merges and one fewer searches, and
-            # nested increments search, then merge.
+            # Several rows and nested increments from n << V to n close to V.
             (1, 4_096, (1_023, 2_047)),
             (2, 8_192, (1_000, 4_000, 9_000)),
             (3, 50_000, (2_000, 14_500)),
         ],
     )
-    def test_integer_keys_match_the_float_key_search(
-        self, rows, size, sizes, workspace, monkeypatch
-    ):
+    def test_integer_keys_match_the_float_key_search(self, rows, size, sizes, workspace):
         probs = np.random.default_rng(size).dirichlet(np.full(size, 0.5), size=rows)
         probs[:, [0, size // 2, size - 1]] = 0.0  # zeros at the start, middle and end
         probs /= probs.sum(axis=1, keepdims=True)
@@ -296,8 +278,8 @@ class TestNestedCounts:
         assert np.signbit(probs[-1, 0])
         increments = np.diff((0,) + sizes)
         largest = max(n for n in increments if n < size)
-        out = np.empty(size + largest) if workspace else None  # the smallest accepted
-        searches = count_uint64_searches(monkeypatch)
+        # The smallest key vector accepted.
+        out = (np.empty((rows, size)), np.empty(size + largest)) if workspace else None
         rng, reference_rng = np.random.default_rng(5), np.random.default_rng(5)
         expected, drawn = 0, 0
         for counts, n in zip(nested_counts(probs, sizes, rng, out), sizes):
@@ -307,10 +289,8 @@ class TestNestedCounts:
             assert np.array_equal(counts, expected)
             assert rng.bit_generator.state == reference_rng.bit_generator.state
         assert not expected[:, [0, size // 2, size - 1]].any()
-        merged = [n for n in increments if MERGE_SUPPORT <= size <= 4 * n < 4 * size]
-        assert len(searches) == rows * (sum(increments < size) - len(merged))
 
-    @pytest.mark.parametrize("n", [8, 1_024])  # searched, merged
+    @pytest.mark.parametrize("n", [8, 1_024])
     def test_a_uniform_on_a_cdf_entry_counts_toward_the_next_outcome(self, n):
         # Dyadic probabilities give an exact CDF: 1/8 up to index 999, 3/8 from
         # 1,000, 3/4 from 2,000 and 1 at the last index.  The chosen uniforms
@@ -329,19 +309,18 @@ class TestNestedCounts:
         assert np.array_equal(counts, expected)
 
     def test_rejects_a_uniforms_workspace_shorter_than_the_largest_draw(self):
-        # Eight draws on ten outcomes need 18 floats, the CDF's ten and the eight
+        # Eight draws on ten outcomes need 18 key floats, the CDF's ten and the eight
         # uniforms.  Three uniforms used to give counts summing to 3.
+        probs, cdf = np.full((1, 10), 0.1), np.empty((1, 10))
         for floats in (3, 8, 17):
             with pytest.raises(ParameterError, match="draw of 8"):
-                nested_counts(np.full((1, 10), 0.1), (8,), np.random.default_rng(0), np.empty(floats))
-        ((counts,),) = nested_counts(
-            np.full((1, 10), 0.1), (8,), np.random.default_rng(0), np.empty(18)
-        )
+                nested_counts(probs, (8,), np.random.default_rng(0), (cdf, np.empty(floats)))
+        workspace = (cdf, np.empty(18))
+        ((counts,),) = nested_counts(probs, (8,), np.random.default_rng(0), workspace)
         assert counts.sum() == 8
         # Only the n < V increments count: 3 then 12 >= V draws multinomial.
-        (_, counts) = nested_counts(
-            np.full((1, 10), 0.1), (3, 15), np.random.default_rng(0), np.empty(13)
-        )
+        workspace = (cdf, np.empty(13))
+        (_, counts) = nested_counts(probs, (3, 15), np.random.default_rng(0), workspace)
         assert counts.sum() == 15
 
 
