@@ -136,10 +136,10 @@ def nested_counts(probs: np.ndarray, sizes, rng: np.random.Generator, out=None):
     CDF's last entry keeps every index below V and off zero-probability outcomes.  The
     sorted uniforms are merged into the CDF, O(n log n + V), and each lands on the
     index ``searchsorted(cdf, u, side="right")`` gives.  The CDF rows are computed
-    once, at the first such draw.  ``out`` is an optional ``(cdf, keys)`` pair of float64
-    workspaces for that path: a (rows, V) array and a vector of at least V plus its
-    largest ``n``, which is :func:`cdf_draw_size` (2V floats always suffice); a
-    shorter vector is refused.
+    once, at the first such draw.  ``out`` is an optional ``(cdf, keys)`` pair of
+    float64 workspaces for that path: a (rows, V) array and a vector of at least V
+    plus its largest ``n``, which is :func:`cdf_draw_size` (2V floats always
+    suffice); a shorter vector is refused.
     """
     sizes = tuple(sizes)
     if any(low >= high for low, high in zip((0,) + sizes, sizes)):
@@ -168,8 +168,8 @@ def _nested_counts(probs, sizes, rng, out):
             draw = rng.multinomial(n, probs)
         else:
             if cdf is None:
-                keys = probs.shape[1] + cdf_draw_size(sizes, probs.shape[1])
-                cdf, keys = out or (np.empty(probs.shape), np.empty(keys))
+                floats = probs.shape[1] + cdf_draw_size(sizes, probs.shape[1])
+                cdf, keys = out or (np.empty(probs.shape), np.empty(floats))
                 np.cumsum(probs, axis=1, out=cdf)
             draw = _cdf_counts(cdf, n, rng, keys)
         counts = draw if counts is None else counts + draw

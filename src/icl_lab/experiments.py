@@ -24,8 +24,8 @@ of small trials is drawn and scored as one block.  The skeleton owns the rest:
 The three counts kinds (textgen, bounded_textgen, subset_penalty) share
 :func:`_counts_measure`; subset_penalty is its one-context case over a size grid.
 A counts batch holds two arrays of its block's rows, the truths and the
-responder, and a third, the CDF rows, when a draw is below the support; the
-responder's buffer also holds those draws' merge keys.
+responder, and a third, the CDF rows, when a draw takes the n < V path; the
+responder's buffer also holds that path's merge keys.
 
 Batches may execute in parallel; the ``ICL_LAB_THREADS`` environment variable
 caps the worker count (default 1).
@@ -312,10 +312,10 @@ def _counts_measure(cfg: ExperimentConfig, support: int, contexts: int, sizes: t
     ``max(rows * support, support + n)`` floats for that path's largest draw n, also
     holds the path's merge keys: one row's CDF keys, then its n uniforms.  A block
     draws, trial after trial and each from its own stream, all of its truths, then
-    per size its counts; its responder and L1 errors run row-wise once per size.  So every stream sees the draws of its trial run
-    alone, and a batch holds O(block) memory, not O(contexts * support).  Each row
-    is normalized once: a truth row over its own sum, a responder row as its counts
-    over their total.
+    per size its counts; its responder and L1 errors run row-wise once per size.  So
+    every stream sees the draws of its trial run alone, and a batch holds O(block)
+    memory, not O(contexts * support).  Each row is normalized once: a truth row
+    over its own sum, a responder row as its counts over their total.
     """
     per_block = _stack_rows(support)
     heights = [min(per_block, contexts - start) for start in range(0, contexts, per_block)]

@@ -267,6 +267,7 @@ class TestNestedCounts:
             (1, 4_096, (1_023, 2_047)),
             (2, 8_192, (1_000, 4_000, 9_000)),
             (3, 50_000, (2_000, 14_500)),
+            (2, 20_000, (3, 2_000)),
         ],
     )
     def test_integer_keys_match_the_float_key_search(self, rows, size, sizes, workspace):
