@@ -29,7 +29,7 @@ from .classify import LabeledDataset, LinearModel, TrainConfig, logistic_gradien
 from .distributions import Context, Vocabulary
 from .errors import DivergenceError, ParameterError
 from .experiments import ExperimentConfig, run_experiment
-from .oracle import EtaModel, IclPromptSamples, icl_sequence_dist, icl_textgen_dist
+from .oracle import IclPromptSamples, icl_sequence_dist, icl_textgen_dist
 from .prompts import ExamplePair, build_prompt
 
 __version__ = "0.1.0"

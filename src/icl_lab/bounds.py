@@ -84,60 +84,65 @@ class BoundResult:
 def _finite_size(*names):
     """A calculator reading the ``names`` of its params, refusing a size that is not
     a finite number: at a tiny epsilon (or delta) ``eps**2`` underflows to 0, or the
-    size overflows before ``ceil``.  The error names only those params."""
+    size overflows before ``ceil``, as it does at a huge constant.  The error names
+    only those params."""
+    small = " or ".join(name for name in names if name != "constant")
+    reason = f"{small} is too small" + (" or constant too large" if "constant" in names else "")
 
     def wrap(calculator):
         @functools.wraps(calculator)
-        def checked(params: BoundParams, *args):
+        def checked(params: BoundParams):
             try:
-                return calculator(params, *args)
+                return calculator(params)
             except (ZeroDivisionError, OverflowError):
                 at = ", ".join(f"{name} = {getattr(params, name)!r}" for name in names)
                 message = f"the sample size at {at} is not a finite number"
-                raise ParameterError(f"{message}; {' or '.join(names)} is too small") from None
+                raise ParameterError(f"{message}; {reason}") from None
 
         return checked
 
     return wrap
 
 
+@_finite_size("epsilon", "delta", "constant")
+def _big_o_samples(params: BoundParams) -> int:
+    V, m = params.vocab_size, params.num_contexts
+    return math.ceil(params.constant * (V / params.epsilon**2) * math.log(m / params.delta))
+
+
 @_finite_size("epsilon", "delta")
+def _exact_samples(params: BoundParams) -> int:
+    V, m = params.vocab_size, params.num_contexts
+    return math.ceil((V**2 / (2 * params.epsilon**2)) * math.log(2 * V * m / params.delta))
+
+
 def textgen_samples_per_context(params: BoundParams, mode: str = MODE_BIG_O) -> BoundResult:
     """Per-context sample count for matching every next-token distribution in L1.
 
     Returns both the per-context count and the total over all contexts
     (``total = num_contexts * per_context``).
     """
-    V, m = params.vocab_size, params.num_contexts
-    eps, delta, c = params.epsilon, params.delta, params.constant
-    if mode == MODE_BIG_O:
-        log_term = math.log(m / delta)
-        per_context = math.ceil(c * (V / eps**2) * log_term)
-    elif mode == MODE_EXACT:
-        log_term = math.log(2 * V * m / delta)
-        per_context = math.ceil((V**2 / (2 * eps**2)) * log_term)
-    else:
+    if mode not in MODES:
         raise ParameterError(f"unknown bound mode {mode!r}; expected one of {MODES}")
-    formula = FORMULAS[mode].format(**vars(params))
-    return BoundResult(
-        per_context=per_context, total=m * per_context, mode=mode, formula_text=formula
-    )
+    per_context = (_big_o_samples if mode == MODE_BIG_O else _exact_samples)(params)
+    total = params.num_contexts * per_context
+    return BoundResult(per_context, total, mode, FORMULAS[mode].format(**vars(params)))
 
 
-@_finite_size("epsilon")
+@_finite_size("epsilon", "constant")
 def coreset_size(params: BoundParams) -> int:
     """Subset size for training a near-equivalent linear classifier: c * d / eps."""
     return math.ceil(params.constant * params.input_dim / params.epsilon)
 
 
-@_finite_size("epsilon", "delta")
+@_finite_size("epsilon", "delta", "constant")
 def knn_context_size(params: BoundParams) -> int:
     """Per-query neighborhood size for local classification: c * ln(1/delta) / eps^2."""
     log_term = math.log(1.0 / params.delta)
     return math.ceil(params.constant * (1.0 / params.epsilon**2) * log_term)
 
 
-@_finite_size("epsilon", "delta")
+@_finite_size("epsilon", "delta", "constant")
 def bounded_textgen_size(params: BoundParams) -> int:
     """Per-context sample count for length-l sequence distributions.
 
@@ -147,12 +152,8 @@ def bounded_textgen_size(params: BoundParams) -> int:
     if params.vocab_size < 2:
         raise ParameterError(f"vocab_size must be >= 2, got {params.vocab_size}")
     log_term = math.log(1.0 / params.delta)
-    size = (
-        params.constant
-        * (params.output_len * math.log(params.vocab_size) / params.epsilon**2)
-        * log_term
-    )
-    return math.ceil(size)
+    scale = params.output_len * math.log(params.vocab_size) / params.epsilon**2
+    return math.ceil(params.constant * scale * log_term)
 
 
 def subset_penalty(subset_size: int, constant: float = 1.0) -> float:

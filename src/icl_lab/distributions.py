@@ -126,7 +126,7 @@ def sample_counts(dist: CategoricalDistribution, n: int, rng: np.random.Generato
 
 def nested_counts(probs: np.ndarray, sizes, rng: np.random.Generator, out=None):
     """The (rows, V) counts of nested i.i.d. samples of the strictly increasing
-    ``sizes`` (each at least 1) from the rows of the (rows, V) array ``probs``, one
+    ``sizes`` (from 1 to 2**63 - 1) from the rows of the (rows, V) array ``probs``, one
     yield per size: each size after the first adds ``Multinomial(n_k - n_{k-1}, p)``
     draws, which gives the joint law of one token stream's prefixes.
 
@@ -141,15 +141,24 @@ def nested_counts(probs: np.ndarray, sizes, rng: np.random.Generator, out=None):
     plus its largest ``n``, which is :func:`cdf_draw_size` (2V floats always
     suffice); a shorter vector is refused.
     """
-    sizes = tuple(sizes)
-    if any(low >= high for low, high in zip((0,) + sizes, sizes)):
-        raise ParameterError(f"sizes must be strictly increasing and >= 1, got {list(sizes)}")
+    sizes = check_draw_sizes(sizes)
     support = probs.shape[1]
     needed = cdf_draw_size(sizes, support)
     if out is not None and needed and len(out[1]) < support + needed:
         floats = f"{len(out[1])} key floats are too few"
         raise ParameterError(f"{floats} for an n < V draw of {needed} on {support} outcomes")
     return _nested_counts(probs, sizes, rng, out)
+
+
+def check_draw_sizes(sizes) -> tuple[int, ...]:
+    """``sizes`` as a tuple, refused unless they strictly increase from 1 or more to
+    2**63 - 1 or less: numpy's ``multinomial`` draws at most that many."""
+    sizes = tuple(sizes)
+    if any(low >= high for low, high in zip((0,) + sizes, sizes)):
+        raise ParameterError(f"sizes must be strictly increasing and >= 1, got {list(sizes)}")
+    if sizes and sizes[-1] >= 2**63:
+        raise ParameterError(f"sample size {sizes[-1]} exceeds the largest draw, 2**63 - 1")
+    return sizes
 
 
 def cdf_draw_size(sizes, support: int) -> int:

@@ -14,9 +14,9 @@ class ParameterError(ValueError):
 class DivergenceError(RuntimeError):
     """Logistic training produced a non-finite loss it could not recover from."""
 
-    def __init__(self, iteration: int, message: str | None = None):
+    def __init__(self, iteration: int):
         self.iteration = iteration
-        super().__init__(message or f"non-finite training loss at iteration {iteration}")
+        super().__init__(f"non-finite training loss at iteration {iteration}")
 
 
 def check_real(name: str, value) -> float | int:

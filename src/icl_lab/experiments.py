@@ -17,8 +17,8 @@ of small trials is drawn and scored as one block.  The skeleton owns the rest:
   contexts span blocks takes its draw order from the block height, which
   :data:`STACK_BYTES` sets);
 * row ``j`` of trial ``i`` is numbered ``i * len(sweep) + j`` and fails when
-  its error exceeds the allowed error, ``epsilon + 2 * eta`` unless the
-  runner gives one per swept value;
+  its error exceeds the allowed error (``epsilon`` unless the runner gives one
+  per swept value) widened by ``2 * eta`` for the responder's mix;
 * the per-value medians, their log-log slope and the report.
 
 The three counts kinds (textgen, bounded_textgen, subset_penalty) share
@@ -61,7 +61,7 @@ from .classify import (
     sigmoid,
     train_logistic,
 )
-from .distributions import cdf_draw_size, dirichlet_rows, nested_counts
+from .distributions import cdf_draw_size, check_draw_sizes, dirichlet_rows, nested_counts
 from .errors import (
     DivergenceError,
     ParameterError,
@@ -70,7 +70,7 @@ from .errors import (
     from_object,
     load_json_object,
 )
-from .oracle import EtaModel, icl_counts_rows, mix_with_uniform, sequence_space
+from .oracle import check_eta, icl_counts_rows, mix_with_uniform, sequence_space
 from .reports import (
     BoundReport,
     TrialResult,
@@ -103,7 +103,7 @@ class ExperimentConfig:
     params: BoundParams
     trials: int = 100
     seed: int = 0
-    eta: EtaModel = EtaModel.none()
+    eta: float = 0.0
     eval_points: int | None = None
     mode: str = MODE_EXACT
     concentration: float = 1.0
@@ -124,6 +124,7 @@ class ExperimentConfig:
         for name in ("eval_points", "samples_override"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, check_int(name, getattr(self, name), 1))
+        object.__setattr__(self, "eta", check_eta(self.eta))
         if self.seed >= 2**64:
             raise ParameterError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.mode not in MODES:
@@ -159,7 +160,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         data = dict(data)
-        for name, section in (("params", BoundParams), ("eta", EtaModel), ("train", TrainConfig)):
+        for name, section in (("params", BoundParams), ("train", TrainConfig)):
             if name in data and not isinstance(data[name], section):
                 data[name] = from_object(section, data[name], f"config section '{name}'")
         return from_object(cls, data, "config")
@@ -203,24 +204,22 @@ def _run_sweep(
     yields, per stream of ``rngs``, one ``(error, detail)`` pair per value of
     ``sweep``, and each trial draws only from its own stream.  Row ``j`` of
     trial ``i`` is numbered ``i * len(sweep) + j`` and fails when its error
-    exceeds ``allowed(value)``; by default that is ``epsilon + 2 * eta``, echoed
-    as ``extras["failure_threshold"]``.  With ``medians_key`` the median error
+    exceeds ``allowed(value) + 2 * eta``, widened for the responder's mix;
+    ``allowed`` is ``epsilon`` by default, and then the sum is echoed as
+    ``extras["failure_threshold"]``.  With ``medians_key`` the median error
     per swept value lands in that extras key, and with ``slope`` their log-log
     slope lands in ``extras["log_log_slope"]``.
     """
     extras = dict(extras)
+    limits = [(allowed(v) if allowed else cfg.params.epsilon) + 2.0 * cfg.eta for v in sweep]
     if allowed is None:
-        threshold = cfg.params.epsilon + 2.0 * cfg.eta.eta
-        extras["failure_threshold"] = threshold
-
-        def allowed(value):
-            return threshold
+        extras["failure_threshold"] = limits[0]
 
     def one_batch(start: int) -> list[TrialResult]:
         indices = range(start, min(start + batch, cfg.trials))
         per_trial = measure([trial_rng(cfg.seed, i) for i in indices])
         return [
-            TrialResult(i * len(sweep) + j, error, error > allowed(value), value, detail)
+            TrialResult(i * len(sweep) + j, error, error > limits[j], value, detail)
             for i, pairs in zip(indices, per_trial, strict=True)
             for j, (value, (error, detail)) in enumerate(zip(sweep, pairs, strict=True))
         ]
@@ -317,6 +316,7 @@ def _counts_measure(cfg: ExperimentConfig, support: int, contexts: int, sizes: t
     memory, not O(contexts * support).  Each row is normalized once: a truth row
     over its own sum, a responder row as its counts over their total.
     """
+    check_draw_sizes(sizes)  # refused before any trial runs
     per_block = _stack_rows(support)
     heights = [min(per_block, contexts - start) for start in range(0, contexts, per_block)]
     sampled = cdf_draw_size(sizes, support)
@@ -498,10 +498,6 @@ def _run_subset_penalty(cfg: ExperimentConfig) -> BoundReport:
     count, and its log-log decay slope (about -1/2 for i.i.d. sampling)."""
     p = cfg.params
     sizes = tuple(sorted(cfg.subset_sizes))
-
-    def allowed(n: int) -> float:
-        return subset_penalty(n, p.constant) + 2.0 * cfg.eta.eta
-
     measure = _counts_measure(cfg, p.vocab_size, 1, sizes)
     extras = {"subset_sizes": list(sizes), "penalty_constant": p.constant}
     return _run_sweep(
@@ -509,7 +505,7 @@ def _run_subset_penalty(cfg: ExperimentConfig) -> BoundReport:
         measure,
         extras,
         sizes,
-        allowed,
+        lambda n: subset_penalty(n, p.constant),
         medians_key="median_l1_by_size",
         slope=True,
         batch=_stack_rows(p.vocab_size),

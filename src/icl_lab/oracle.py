@@ -5,10 +5,12 @@ verification experiments assume: the empirical distribution of the samples,
 computed from their per-outcome counts (a sufficient statistic), for single
 tokens or whole sequences.  :func:`icl_counts_rows` is that answer for a block
 of count vectors; the harness scores it directly, and the single-distribution
-functions here are one-row calls of it.  An injectable error knob degrades the
-output by mixing toward uniform (:func:`mix_with_uniform`), which lets
-experiments chart how guarantees decay as responder fidelity drops; the
-classification runners mix a class-1 probability the same way, over 2 outcomes.
+functions here are one-row calls of it.  An error knob, the number ``eta`` in
+[0, 1), degrades the output by mixing it toward uniform with weight ``eta``
+(:func:`mix_with_uniform`), which moves it by at most ``2 * eta`` in L1 and lets
+experiments chart how guarantees decay as responder fidelity drops; ``eta`` 0
+turns the knob off.  The classification runners mix a class-1 probability the
+same way, over 2 outcomes.
 """
 
 from __future__ import annotations
@@ -26,26 +28,6 @@ SEQUENCE_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
-class EtaModel:
-    """Responder error knob: mix weight ``eta`` toward uniform; 0 turns it off."""
-
-    eta: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "eta", check_real("eta", self.eta))
-        if not 0.0 <= self.eta < 1.0:
-            raise ParameterError(f"eta must be in [0, 1), got {self.eta}")
-
-    @classmethod
-    def none(cls) -> "EtaModel":
-        return cls()
-
-    @classmethod
-    def uniform_mix(cls, eta: float) -> "EtaModel":
-        return cls(eta=eta)
-
-
-@dataclass(frozen=True)
 class IclPromptSamples:
     """Prompt contents: one sample list per context."""
 
@@ -57,18 +39,28 @@ class IclPromptSamples:
         return self.per_context[context_id]
 
 
-def mix_with_uniform(probs, eta_model: EtaModel, support: int, out=None):
+def check_eta(eta) -> float | int:
+    """``eta`` as :func:`check_real` returns it; anything but a finite real number in
+    [0, 1) is refused."""
+    eta = check_real("eta", eta)
+    if not 0.0 <= eta < 1.0:
+        raise ParameterError(f"eta must be in [0, 1), got {eta}")
+    return eta
+
+
+def mix_with_uniform(probs, eta: float, support: int, out=None):
     """(1 - eta) * probs + eta / support: ``probs`` mixed toward the uniform
     distribution on ``support`` outcomes, written to ``out`` when given (``probs``
-    itself included); ``probs`` itself when the knob is off."""
-    if eta_model.eta == 0.0:
+    itself included); ``probs`` itself at ``eta`` 0, which turns the knob off."""
+    eta = check_eta(eta)
+    if eta == 0.0:
         return probs
-    mixed = np.multiply(probs, 1.0 - eta_model.eta, out=out)
-    mixed += eta_model.eta / support
+    mixed = np.multiply(probs, 1.0 - eta, out=out)
+    mixed += eta / support
     return mixed
 
 
-def icl_counts_rows(counts, eta: EtaModel = EtaModel.none(), out=None) -> np.ndarray:
+def icl_counts_rows(counts, eta: float = 0.0, out=None) -> np.ndarray:
     """The responder's answer for each row of the (rows, V) per-outcome prompt counts:
     ``counts / totals`` with the error knob off, and its uniform mix with it on;
     written to the float64 array ``out`` when given, with the same arithmetic.
@@ -85,7 +77,7 @@ def icl_counts_rows(counts, eta: EtaModel = EtaModel.none(), out=None) -> np.nda
     return mix_with_uniform(rows, eta, counts.shape[-1], out=rows)
 
 
-def icl_counts_dist(counts, eta: EtaModel = EtaModel.none()) -> CategoricalDistribution:
+def icl_counts_dist(counts, eta: float = 0.0) -> CategoricalDistribution:
     """The responder's distribution from one vector of per-outcome prompt counts: one
     row of :func:`icl_counts_rows`, renormalized as a distribution is."""
     return CategoricalDistribution(icl_counts_rows(counts, eta))
@@ -95,7 +87,7 @@ def icl_textgen_dist(
     prompt: IclPromptSamples,
     context: Context,
     vocab: Vocabulary,
-    eta: EtaModel = EtaModel.none(),
+    eta: float = 0.0,
 ) -> CategoricalDistribution:
     """Next-token distribution the responder produces for ``context``."""
     return icl_counts_dist(token_counts(prompt.samples_for(context.id), vocab.size), eta)
@@ -131,7 +123,7 @@ def icl_sequence_dist(
     context: Context,
     vocab: Vocabulary,
     length: int,
-    eta: EtaModel = EtaModel.none(),
+    eta: float = 0.0,
 ) -> CategoricalDistribution:
     """Joint distribution over all length-``length`` sequences, stored densely.
 

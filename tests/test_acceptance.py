@@ -14,7 +14,6 @@ import pytest
 
 from icl_lab import (
     BoundParams,
-    EtaModel,
     ExamplePair,
     ExperimentConfig,
     IclPromptSamples,
@@ -226,7 +225,7 @@ def test_criterion_9_numerical_checks():
         vocab_size = int(rng.integers(2, 12))
         vocab = Vocabulary.of_size(vocab_size)
         eta_value = float(rng.uniform(0, 0.99))
-        eta = EtaModel.uniform_mix(eta_value) if case % 2 else EtaModel.none()
+        eta = eta_value if case % 2 else 0.0
         if case % 5 == 0:
             sequences = rng.integers(0, vocab_size, size=(int(rng.integers(1, 30)), 2))
             prompt = IclPromptSamples(per_context={0: sequences})

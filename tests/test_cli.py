@@ -153,6 +153,14 @@ class TestBoundsCalc:
             "--kind knn --epsilon 0.2 --delta 5e-324",
             "--kind textgen --V 20 --m 10 --epsilon 0.2 --delta 5e-324",
             "--kind bounded_textgen --V 5 --l 2 --epsilon 0.2 --delta 5e-324",
+            # A huge constant overflows the size.
+            "--kind coreset --d 5 --epsilon 0.1 --constant 1e308",
+            "--kind knn --epsilon 0.2 --delta 0.05 --constant 1e307",
+            "--kind bounded_textgen --V 5 --l 2 --epsilon 0.2 --delta 0.05 --constant 1e307",
+            "--kind textgen --V 20 --m 10 --epsilon 0.2 --delta 0.05 --constant 1e307",
+            # The exact mode reads no constant.
+            "--kind textgen --V 20 --m 10 --epsilon 1e-200 --delta 0.05 --constant 1e307 "
+            "--mode exact",
         ],
     )
     def test_tiny_epsilon_is_one_error_line(self, capsys, flags):
@@ -160,11 +168,14 @@ class TestBoundsCalc:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         opts = dict(zip(flags.split()[::2], flags.split()[1::2]))
-        at = f"epsilon = {opts['--epsilon']}"
-        if "--delta" in opts:  # coreset reads no delta, so its error names none
-            at += f", delta = {opts['--delta']}"
+        # The error names only what the rule reads: coreset reads no delta, and
+        # textgen's exact mode no constant.
+        read = ["epsilon"] + ["delta"] * ("--delta" in opts)
+        read += ["constant"] * (opts.get("--mode") != "exact")
+        at = ", ".join(f"{name} = {float(opts.get(f'--{name}', 1.0))!r}" for name in read)
         assert f"at {at} is not a finite" in err
-        assert ("delta" in err) == ("--delta" in opts)
+        for name in ("delta", "constant"):
+            assert (name in err) == (name in read)
 
     def test_single_token_sequences_are_one_error_line(self, capsys):
         flags = "--kind bounded_textgen --V 1 --l 2 --epsilon 0.2 --delta 0.05"
@@ -284,6 +295,9 @@ class TestVerify:
             ("params", [1, 2]),
             ("train", 5),
             ("eta", "none"),
+            # eta is the number itself, not the object it used to be.
+            ("eta", {"eta": 0.1}),
+            ("eta", {"kind": "uniform_mix", "eta": 0.1}),
             # A null subset_sizes crashed subset_penalty runs with a TypeError traceback.
             ("subset_sizes", None),
             ("mode", "bigo"),
@@ -316,16 +330,12 @@ class TestVerify:
             ("train", "learning_rate", 0),
             ("train", "grad_tolerance", 0),
             ("train", "l2_reg", -0.001),
-            ("eta", "eta", "0.1"),
             ("params", "vocab_size", 1),
             ("params", "num_contexts", True),
             ("params", "input_dim", True),
             ("train", "max_iters", True),
             ("params", "foo", 1),
             ("train", "lr", 1),
-            ("eta", "scale", 0.1),
-            # The knob is off exactly when eta is 0; there is no kind to name.
-            ("eta", "kind", "uniform_mix"),
         ],
     )
     def test_bad_nested_config_value_is_parameter_error(
@@ -464,6 +474,36 @@ class TestVerify:
         )
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and "epsilon" in err and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    @pytest.mark.parametrize(
+        "kind, changes",
+        [
+            ("textgen", {"samples_override": 2**63}),
+            ("textgen", {"samples_override": 10**30}),
+            ("bounded_textgen", {"samples_override": 2**63}),
+            ("subset_penalty", {"subset_sizes": [10, 2**64]}),
+            # The exact rule's size here is about 2.6e20.
+            ("textgen", {"samples_override": None, "mode": "exact",
+                         "params": {"epsilon": 1e-5, "delta": 0.05, "vocab_size": 50_000}}),
+        ],
+        ids=["textgen-2**63", "textgen-10**30", "bounded_textgen-2**63", "subset_penalty-2**64",
+             "textgen-exact-2.6e20"],
+    )
+    def test_sample_size_past_the_largest_draw_runs_no_trial(
+        self, capsys, tmp_path, tiny_config, monkeypatch, kind, changes
+    ):
+        # numpy's multinomial takes n up to 2**63 - 1; past it, a run used to end
+        # in an OverflowError traceback.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(tiny_config(kind).to_dict(), **changes)))
+        monkeypatch.setattr(experiments, "trial_rng", pytest.fail)
+        code, out, err = run_cli(
+            capsys, "verify", kind, "--config", str(path), "--output", str(tmp_path / "r.json")
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: sample size ") and err.count("\n") == 1
+        assert err.endswith(" exceeds the largest draw, 2**63 - 1\n")
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     @pytest.mark.parametrize("length", [4000, 5000])

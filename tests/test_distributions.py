@@ -250,10 +250,26 @@ def float_key_counts(probs, n, rng):
 
 
 class TestNestedCounts:
-    @pytest.mark.parametrize("sizes", [(0,), (-3, 5), (5, 3), (7, 50, 50)])
-    def test_rejects_sizes_not_strictly_increasing_from_one(self, sizes):
-        with pytest.raises(ParameterError, match="strictly increasing"):
+    @pytest.mark.parametrize(
+        "sizes, match",
+        [
+            ((0,), "strictly increasing"),
+            ((-3, 5), "strictly increasing"),
+            ((5, 3), "strictly increasing"),
+            ((7, 50, 50), "strictly increasing"),
+            # numpy's multinomial takes n up to 2**63 - 1; past it, it raised OverflowError.
+            ((2**63,), f"^sample size {2**63} exceeds"),
+            ((10, 2**64), f"^sample size {2**64} exceeds"),
+            ((2**62, 2**63), f"^sample size {2**63} exceeds"),
+        ],
+    )
+    def test_rejects_sizes_not_strictly_increasing_from_one_to_2_63_minus_1(self, sizes, match):
+        with pytest.raises(ParameterError, match=match):
             nested_counts(np.full((1, 4), 0.25), sizes, np.random.default_rng(0))
+
+    def test_draws_up_to_2_63_minus_1(self):
+        (counts,) = nested_counts(np.full((2, 3), 1 / 3), (2**63 - 1,), np.random.default_rng(0))
+        assert counts.sum(axis=1).tolist() == [2**63 - 1] * 2
 
     @pytest.mark.parametrize("workspace", [False, True])
     @pytest.mark.parametrize(

@@ -15,7 +15,6 @@ from icl_lab import classify, experiments
 from icl_lab import (
     BoundParams,
     DivergenceError,
-    EtaModel,
     ExperimentConfig,
     LinearModel,
     ParameterError,
@@ -210,7 +209,7 @@ class TestMedian:
 
 class TestConfig:
     def test_round_trip(self):
-        cfg = textgen_config(eta=EtaModel.uniform_mix(0.1), train=TrainConfig(max_iters=50))
+        cfg = textgen_config(eta=0.1, train=TrainConfig(max_iters=50))
         again = ExperimentConfig.from_dict(cfg.to_dict())
         assert again == cfg
 
@@ -258,7 +257,7 @@ SCALARS_CONFIG = ExperimentConfig(
     params=BoundParams(epsilon=0.5, delta=0.25, vocab_size=4, num_contexts=2, constant=2.0),
     trials=2,
     seed=3,
-    eta=EtaModel.uniform_mix(0.125),
+    eta=0.125,
     eval_points=8,
     concentration=1.0,
     samples_override=30,
@@ -283,7 +282,7 @@ def with_numpy_scalar(cfg, path: str):
     "path",
     [f"params.{f.name}" for f in dataclasses.fields(BoundParams)]
     + ["trials", "seed", "eval_points", "concentration", "samples_override", "dataset_size"]
-    + ["planted_norm", "eta.eta"]
+    + ["planted_norm", "eta"]
     + [f"train.{f.name}" for f in dataclasses.fields(TrainConfig)],
 )
 def test_numpy_scalars_write_the_plain_report(tmp_path, path):
@@ -342,9 +341,7 @@ class TestTextgenExperiment:
         # blocks of 16, 16 and 8; n = 700 < V takes the CDF path.  Three batches run
         # on a pool of three of the eight workers, and on no pool at one thread.
         params = BoundParams(epsilon=0.2, delta=0.05, vocab_size=2_000, num_contexts=40)
-        cfg = textgen_config(
-            params=params, samples_override=700, eta=EtaModel.uniform_mix(0.1), trials=3, seed=3
-        )
+        cfg = textgen_config(params=params, samples_override=700, eta=0.1, trials=3, seed=3)
 
         def render(threads: str):
             monkeypatch.setenv("ICL_LAB_THREADS", threads)
@@ -416,7 +413,7 @@ class TestTextgenExperiment:
         assert (tmp_path / "run.csv").exists()
 
     def test_eta_widens_threshold(self):
-        cfg = textgen_config(eta=EtaModel.uniform_mix(0.25))
+        cfg = textgen_config(eta=0.25)
         report = run_experiment(cfg)
         assert report.extras["failure_threshold"] == pytest.approx(0.2 + 0.5)
 
@@ -480,7 +477,7 @@ class TestCountsBlocks:
         (pairs,) = experiments._counts_measure(cfg, support, contexts, sizes)([rng])
         return [e for e, _ in pairs], rng
 
-    @pytest.mark.parametrize("eta", [EtaModel.none(), EtaModel.uniform_mix(0.1)])
+    @pytest.mark.parametrize("eta", [0.0, 0.1])
     def test_one_context_blocks_match_the_per_context_path(self, eta):
         # Above 16,384 outcomes a block is one context: the stream of one context at a time.
         cfg = textgen_config(eta=eta, concentration=0.5)
@@ -492,11 +489,11 @@ class TestCountsBlocks:
 
     @pytest.mark.parametrize("sizes", [(44_936,), (5, 50)])
     def test_multi_row_block_draws_truths_then_counts(self, sizes):
-        cfg = textgen_config(eta=EtaModel.uniform_mix(0.2))
+        cfg = textgen_config(eta=0.2)
         errors, _ = self.measure(cfg, 20, 10, sizes, seed=3)
         assert errors == per_context_reference(cfg, 20, 10, sizes, trial_rng(3, 0), block=10)
 
-    @pytest.mark.parametrize("eta", [EtaModel.none(), EtaModel.uniform_mix(0.2)])
+    @pytest.mark.parametrize("eta", [0.0, 0.2])
     def test_shared_block_matches_each_trial_alone(self, eta):
         # At V = 20 a block holds 1,638 rows, so 4 trials of 10 contexts share one
         # block; n = 5 < V takes the CDF path and the next 45 >= V draws multinomial.
@@ -514,7 +511,7 @@ class TestCountsBlocks:
     def test_eta_run_scores_the_responder_once_per_block_and_size(self, monkeypatch):
         # At V = 2,000 a block holds 16 contexts: 40 contexts are blocks of 16, 16 and 8.
         params = BoundParams(epsilon=0.2, delta=0.05, vocab_size=2_000, num_contexts=40)
-        cfg = textgen_config(params=params, eta=EtaModel.uniform_mix(0.1), trials=2)
+        cfg = textgen_config(params=params, eta=0.1, trials=2)
         plain = report_to_dict(run_experiment(cfg))
         calls = []
         real_rows = experiments.icl_counts_rows
@@ -532,7 +529,7 @@ class TestCountsBlocks:
         # At V = 2,000 a block holds 16 contexts: 40 contexts are blocks of 16, 16
         # and 8, and n = 500 < V takes the CDF path.
         params = BoundParams(epsilon=0.2, delta=0.05, vocab_size=2_000, num_contexts=40)
-        cfg = textgen_config(params=params, eta=EtaModel.uniform_mix(0.1))
+        cfg = textgen_config(params=params, eta=0.1)
         errors, rng = self.measure(cfg, 2_000, 40, (500,), seed=6)
         reference_rng = trial_rng(6, 0)
         assert errors == per_context_reference(cfg, 2_000, 40, (500,), reference_rng, block=16)
@@ -845,7 +842,7 @@ class TestClassificationExperiments:
             knn_sizes=(64, 4, 16),
             dataset_size=256,
             eval_points=5,
-            eta=EtaModel.uniform_mix(0.2),
+            eta=0.2,
             train=TrainConfig(max_iters=200, l2_reg=1e-3),
         )
         report = run_experiment(cfg)
@@ -910,7 +907,7 @@ class TestClassificationExperiments:
             train=TrainConfig(max_iters=200, l2_reg=1e-3),
         )
         plain = run_experiment(base)
-        mixed = run_experiment(dataclasses.replace(base, eta=EtaModel.uniform_mix(0.3)))
+        mixed = run_experiment(dataclasses.replace(base, eta=0.3))
         for t0, t1 in zip(plain.trials, mixed.trials):
             assert t1.sup_error <= t0.sup_error + 0.15 + 1e-9
 
@@ -1039,7 +1036,7 @@ def test_counts_reports_do_not_depend_on_batches_or_threads(
             subset_sizes=(400, 5, 30),
         ),
     }[kind]
-    cfg = dataclasses.replace(cfg, trials=7, eta=EtaModel.uniform_mix(0.1))
+    cfg = dataclasses.replace(cfg, trials=7, eta=0.1)
     support = cfg.params.vocab_size**cfg.params.output_len
     contexts = cfg.params.num_contexts
     scored = len(cfg.subset_sizes) if kind == "subset_penalty" else 1  # sizes per block
@@ -1074,9 +1071,10 @@ def test_counts_reports_do_not_depend_on_batches_or_threads(
             assert render(threads, stack_bytes) == (whole, sorted(rows * scored))
 
 
+@pytest.mark.parametrize("eta", [0.0, 0.1])
 @pytest.mark.parametrize("kind", KINDS)
-def test_sweep_rows_follow_the_skeleton(tiny_config, kind):
-    cfg = tiny_config(kind)
+def test_sweep_rows_follow_the_skeleton(tiny_config, kind, eta):
+    cfg = tiny_config(kind, eta=eta)
     sweep = {
         "coreset": cfg.coreset_sizes,
         "knn": cfg.knn_sizes,
@@ -1084,12 +1082,17 @@ def test_sweep_rows_follow_the_skeleton(tiny_config, kind):
     }.get(kind, (None,))
     report = run_experiment(cfg)
     assert len(report.trials) == cfg.trials * len(sweep)
+    if kind != "subset_penalty":
+        assert report.extras["failure_threshold"] == cfg.params.epsilon + 2.0 * eta
+    widened = 0  # rows that pass only by the 2 * eta widening
     for n, row in enumerate(report.trials):
         i, j = divmod(n, len(sweep))
         assert row.trial_index == i * len(sweep) + j
         assert row.sweep_value == sweep[j]
         if kind == "subset_penalty":
-            allowed = cfg.params.constant / np.sqrt(row.sweep_value) + 2.0 * cfg.eta.eta
+            base = cfg.params.constant / np.sqrt(row.sweep_value)
         else:
-            allowed = report.extras["failure_threshold"]
-        assert row.failed == (row.sup_error > allowed)
+            base = cfg.params.epsilon
+        assert row.failed == (row.sup_error > base + 2.0 * eta)
+        widened += base < row.sup_error <= base + 2.0 * eta
+    assert (widened > 0) == (eta > 0)  # each kind's tiny config pins the widening

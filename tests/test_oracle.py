@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from icl_lab import (
     Context,
-    EtaModel,
+    ExperimentConfig,
     IclPromptSamples,
     LabeledDataset,
     ParameterError,
@@ -24,18 +24,36 @@ from icl_lab.oracle import (
 )
 
 
-class TestEtaModel:
-    def test_rejects_eta_one(self):
-        with pytest.raises(ParameterError):
-            EtaModel.uniform_mix(1.0)
+class TestEta:
+    @pytest.mark.parametrize("eta", [1.0, -0.1, float("nan"), True, "0.1"])
+    def test_refused_from_a_config_and_from_the_responder(self, tiny_config, eta):
+        payload = dict(tiny_config("textgen").to_dict(), eta=eta)
+        with pytest.raises(ParameterError, match="^eta must be"):
+            ExperimentConfig.from_dict(payload)
+        with pytest.raises(ParameterError, match="^eta must be"):
+            mix_with_uniform(np.full(4, 0.25), eta, 4)
+        prompt = IclPromptSamples(per_context={0: [0, 1]})
+        with pytest.raises(ParameterError, match="^eta must be"):
+            icl_textgen_dist(prompt, Context(0), Vocabulary.of_size(2), eta)
+
+    @pytest.mark.parametrize(
+        "eta, stored_type",
+        [(0, int), (0.0, float), (np.float32(0.25), float), (np.nextafter(1.0, 0.0), float)],
+    )
+    def test_accepted_in_zero_to_one(self, tiny_config, eta, stored_type):
+        # A numpy float is stored as the plain float, which a report writes as JSON.
+        stored = tiny_config("textgen", eta=eta).eta
+        assert stored == eta and type(stored) is stored_type
+        probs = np.full(4, 0.25)
+        assert mix_with_uniform(probs, eta, 4) == pytest.approx(probs)
 
     def test_mixture_arithmetic(self):
         # A class-1 probability is mixed toward 1/2, over a support of 2.
-        assert mix_with_uniform(1.0, EtaModel.uniform_mix(0.2), 2) == pytest.approx(0.9)
-        assert mix_with_uniform(0.5, EtaModel.uniform_mix(0.7), 2) == pytest.approx(0.5)
+        assert mix_with_uniform(1.0, 0.2, 2) == pytest.approx(0.9)
+        assert mix_with_uniform(0.5, 0.7, 2) == pytest.approx(0.5)
         # With the knob off the mix is the identity.
         probs = np.random.default_rng(2).random(1000)
-        assert np.array_equal(mix_with_uniform(probs, EtaModel.none(), 2), probs)
+        assert np.array_equal(mix_with_uniform(probs, 0.0, 2), probs)
 
 
 class TestTextgenOracle:
@@ -46,12 +64,12 @@ class TestTextgenOracle:
 
     def test_uniform_mix_arithmetic(self):
         prompt = IclPromptSamples(per_context={0: [0, 0, 0]})
-        out = icl_textgen_dist(prompt, Context(0), Vocabulary.of_size(2), EtaModel.uniform_mix(0.2))
+        out = icl_textgen_dist(prompt, Context(0), Vocabulary.of_size(2), 0.2)
         assert out.probs == pytest.approx([0.9, 0.1])
 
     def test_counts_give_the_samples_answer(self):
         prompt = IclPromptSamples(per_context={0: [2, 0, 2, 2]})
-        eta = EtaModel.uniform_mix(0.3)
+        eta = 0.3
         from_samples = icl_textgen_dist(prompt, Context(0), Vocabulary.of_size(3), eta)
         assert np.array_equal(icl_counts_dist([1, 0, 3], eta).probs, from_samples.probs)
 
@@ -59,7 +77,7 @@ class TestTextgenOracle:
         with pytest.raises(ParameterError):
             icl_counts_dist(np.zeros(3, dtype=np.int64))
 
-    @pytest.mark.parametrize("eta", [EtaModel.none(), EtaModel.uniform_mix(0.3)])
+    @pytest.mark.parametrize("eta", [0.0, 0.3])
     def test_counts_rows_renormalized_are_the_per_vector_answer(self, eta):
         rng = np.random.default_rng(5)
         counts = rng.integers(0, 50, size=(12, 9))
@@ -172,8 +190,7 @@ def test_oracle_outputs_valid_and_close_to_empirical(vocab_size, raw_samples, et
     samples = [s % vocab_size for s in raw_samples]
     vocab = Vocabulary.of_size(vocab_size)
     prompt = IclPromptSamples(per_context={0: samples})
-    eta_model = EtaModel.uniform_mix(eta) if eta > 0 else EtaModel.none()
-    out = icl_textgen_dist(prompt, Context(0), vocab, eta_model)
+    out = icl_textgen_dist(prompt, Context(0), vocab, eta)
     assert out.probs.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.all(out.probs >= 0)
     empirical = empirical_distribution(samples, vocab)
@@ -181,5 +198,5 @@ def test_oracle_outputs_valid_and_close_to_empirical(vocab_size, raw_samples, et
 
 
 def test_mix_with_uniform_on_point_mass():
-    mixed = mix_with_uniform(np.array([1.0, 0.0, 0.0, 0.0]), EtaModel.uniform_mix(0.4), 4)
+    mixed = mix_with_uniform(np.array([1.0, 0.0, 0.0, 0.0]), 0.4, 4)
     assert mixed == pytest.approx([0.7, 0.1, 0.1, 0.1])

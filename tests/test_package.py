@@ -7,7 +7,7 @@ import re
 from pathlib import Path
 
 import icl_lab
-from icl_lab import BoundParams, EtaModel, ExperimentConfig, TrainConfig
+from icl_lab import BoundParams, ExperimentConfig, TrainConfig
 
 # The package's names: what the acceptance suite and conftest.py import, the
 # paper's rule calculators with their modes and result, the two errors, the
@@ -18,7 +18,7 @@ EXPORTS = {
     "LabeledDataset", "LinearModel", "TrainConfig", "logistic_gradient", "logistic_loss",
     "Context", "Vocabulary", "DivergenceError", "ParameterError",
     "ExperimentConfig", "run_experiment",
-    "EtaModel", "IclPromptSamples", "icl_sequence_dist", "icl_textgen_dist",
+    "IclPromptSamples", "icl_sequence_dist", "icl_textgen_dist",
     "ExamplePair", "build_prompt",
 }
 
@@ -84,5 +84,5 @@ def test_readme_config_schema_is_the_config():
         return {f.name for f in dataclasses.fields(cls)}
 
     assert set(example) == names(ExperimentConfig)
-    for section, cls in (("params", BoundParams), ("train", TrainConfig), ("eta", EtaModel)):
+    for section, cls in (("params", BoundParams), ("train", TrainConfig)):
         assert set(example[section]) == names(cls), section
