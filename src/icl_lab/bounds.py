@@ -84,10 +84,12 @@ class BoundResult:
 def _finite_size(*names):
     """A calculator reading the ``names`` of its params, refusing a size that is not
     a finite number: at a tiny epsilon (or delta) ``eps**2`` underflows to 0, or the
-    size overflows before ``ceil``, as it does at a huge constant.  The error names
-    only those params."""
-    small = " or ".join(name for name in names if name != "constant")
-    reason = f"{small} is too small" + (" or constant too large" if "constant" in names else "")
+    size overflows before ``ceil``, as it does at a huge constant or integer field.
+    The error names only those params, and gives the values of the real ones."""
+    reals = [name for name in names if name in ("epsilon", "delta", "constant")]
+    small = " or ".join(name for name in names if name in ("epsilon", "delta"))
+    large = " or ".join(name for name in names if name not in ("epsilon", "delta"))
+    reason = f"{small} is too small" + (f" or {large} too large" if large else "")
 
     def wrap(calculator):
         @functools.wraps(calculator)
@@ -95,7 +97,7 @@ def _finite_size(*names):
             try:
                 return calculator(params)
             except (ZeroDivisionError, OverflowError):
-                at = ", ".join(f"{name} = {getattr(params, name)!r}" for name in names)
+                at = ", ".join(f"{name} = {getattr(params, name)!r}" for name in reals)
                 message = f"the sample size at {at} is not a finite number"
                 raise ParameterError(f"{message}; {reason}") from None
 
@@ -104,13 +106,13 @@ def _finite_size(*names):
     return wrap
 
 
-@_finite_size("epsilon", "delta", "constant")
+@_finite_size("epsilon", "delta", "constant", "vocab_size", "num_contexts")
 def _big_o_samples(params: BoundParams) -> int:
     V, m = params.vocab_size, params.num_contexts
     return math.ceil(params.constant * (V / params.epsilon**2) * math.log(m / params.delta))
 
 
-@_finite_size("epsilon", "delta")
+@_finite_size("epsilon", "delta", "vocab_size", "num_contexts")
 def _exact_samples(params: BoundParams) -> int:
     V, m = params.vocab_size, params.num_contexts
     return math.ceil((V**2 / (2 * params.epsilon**2)) * math.log(2 * V * m / params.delta))
@@ -129,7 +131,7 @@ def textgen_samples_per_context(params: BoundParams, mode: str = MODE_BIG_O) -> 
     return BoundResult(per_context, total, mode, FORMULAS[mode].format(**vars(params)))
 
 
-@_finite_size("epsilon", "constant")
+@_finite_size("epsilon", "constant", "input_dim")
 def coreset_size(params: BoundParams) -> int:
     """Subset size for training a near-equivalent linear classifier: c * d / eps."""
     return math.ceil(params.constant * params.input_dim / params.epsilon)
@@ -142,7 +144,7 @@ def knn_context_size(params: BoundParams) -> int:
     return math.ceil(params.constant * (1.0 / params.epsilon**2) * log_term)
 
 
-@_finite_size("epsilon", "delta", "constant")
+@_finite_size("epsilon", "delta", "constant", "output_len")
 def bounded_textgen_size(params: BoundParams) -> int:
     """Per-context sample count for length-l sequence distributions.
 
@@ -163,4 +165,7 @@ def subset_penalty(subset_size: int, constant: float = 1.0) -> float:
     check_real("constant", constant)
     if constant <= 0:
         raise ParameterError(f"constant must be positive, got {constant}")
-    return constant / math.sqrt(subset_size)
+    try:
+        return constant / math.sqrt(subset_size)
+    except OverflowError:  # an int past the float range, too long to echo
+        raise ParameterError("subset size must fit in a float, got a larger integer") from None

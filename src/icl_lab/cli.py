@@ -138,7 +138,7 @@ def _cmd_bounds_calc(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = ExperimentConfig.from_json_file(args.config)
+    cfg = ExperimentConfig.from_dict(load_json_object(args.config, "config file"))
     if cfg.kind != args.kind:
         raise ParameterError(f"config kind {cfg.kind!r} does not match subcommand {args.kind!r}")
     overrides = {"trials": args.trials, "seed": args.seed}

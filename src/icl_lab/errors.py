@@ -23,7 +23,12 @@ def check_real(name: str, value) -> float | int:
     """``value`` as a Python float, or an int when it is an integer, so that a
     numpy scalar echoes into a report as the plain number would; anything but a
     finite real number is rejected, bools included."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    try:
+        finite = isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # an int past the float range, too long to echo
+        message = f"{name} must be a finite real number, got an int too large for a float"
+        raise ParameterError(message) from None
+    if isinstance(value, bool) or not finite:
         raise ParameterError(f"{name} must be a finite real number, got {value!r}")
     return int(value) if isinstance(value, numbers.Integral) else float(value)
 
@@ -77,10 +82,14 @@ def load_json_object(path, what: str) -> dict:
     with open(path, encoding="utf-8") as handle:
         try:
             payload = json.load(handle, object_pairs_hook=unique_keys)
+        except ParameterError:  # a repeated key; itself a ValueError
+            raise
         except UnicodeDecodeError as exc:
             raise ParameterError(f"{what} {path} is not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ParameterError(f"{what} {path} is not valid JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:  # too many digits, or nested too deep
+            raise ParameterError(f"{what} {path} is past a JSON parser limit: {exc}") from exc
     if not isinstance(payload, dict):
         raise ParameterError(f"{what} {path} must contain a JSON object")
     return payload

@@ -3,32 +3,16 @@
 :func:`run_experiment` runs a config with its kind's entry of ``_RUNNERS``,
 and those five runners share one sweep skeleton, :func:`_run_sweep`.  A runner
 resolves its sweep (subset sizes, values of ``k``, or ``(None,)`` for the two
-textgen kinds) and supplies ``measure(rngs)``: given the streams of a batch of
-consecutive trials, it yields per trial one ``(error, detail)`` pair per swept
-value.  knn measures one trial at a time, in batches of one; coreset takes as
-many trials as one stack of its largest fitted coreset holds, so that it fits
-each swept size across the batch as one stacked solve; the three counts kinds
-take as many whole trials as one block of their rows holds, so that a batch
-of small trials is drawn and scored as one block.  The skeleton owns the rest:
+textgen kinds) and supplies ``measure(rngs)`` and the trials per batch: knn
+measures one trial at a time; coreset takes as many trials as one stack of its
+largest fitted coreset holds, so that it fits each swept size across the batch
+as one stacked solve; the three counts kinds (textgen, bounded_textgen,
+subset_penalty) take both from :func:`_counts_measure`.
 
-* trial ``i`` draws all of its randomness from ``trial_rng(seed, i)``, so
-  results depend neither on how trials are batched nor on execution order,
-  and the whole run is a pure function of the config (a counts trial whose
-  contexts span blocks takes its draw order from the block height, which
-  :data:`STACK_BYTES` sets);
-* row ``j`` of trial ``i`` is numbered ``i * len(sweep) + j`` and fails when
-  its error exceeds the allowed error (``epsilon`` unless the runner gives one
-  per swept value) widened by ``2 * eta`` for the responder's mix;
-* the per-value medians, their log-log slope and the report.
-
-The three counts kinds (textgen, bounded_textgen, subset_penalty) share
-:func:`_counts_measure`; subset_penalty is its one-context case over a size grid.
-A counts batch holds two arrays of its block's rows, the truths and the
-responder, and a third, the CDF rows, when a draw takes the n < V path; the
-responder's buffer also holds that path's merge keys.
-
-Batches may execute in parallel; the ``ICL_LAB_THREADS`` environment variable
-caps the worker count (default 1).
+Trial ``i`` draws all of its randomness from ``trial_rng(seed, i)``, so results
+depend neither on how trials are batched nor on execution order, and the whole
+run is a pure function of the config.  Batches may execute in parallel, up to
+:func:`max_workers` at a time.
 """
 
 from __future__ import annotations
@@ -68,7 +52,6 @@ from .errors import (
     check_int,
     check_real,
     from_object,
-    load_json_object,
 )
 from .oracle import check_eta, icl_counts_rows, mix_with_uniform, sequence_space
 from .reports import (
@@ -88,11 +71,6 @@ from .reports import (
 STACK_BYTES = 256 * 1024
 
 THREADS_ENV_VAR = "ICL_LAB_THREADS"
-
-# Evaluation-set sizes used when the config leaves eval_points unset:
-# classification sup errors scan a large point cloud, k-NN trains one local
-# model per query so its default is small.
-DEFAULT_EVAL_POINTS = {"coreset": 10_000, "knn": 16}
 
 
 @dataclass(frozen=True)
@@ -149,11 +127,6 @@ class ExperimentConfig:
         if counts_kind and self.params.vocab_size < 2:
             raise ParameterError(f"{self.kind} needs vocab_size >= 2, got {self.params.vocab_size}")
 
-    def resolved_eval_points(self) -> int:
-        if self.eval_points is not None:
-            return self.eval_points
-        return DEFAULT_EVAL_POINTS[self.kind]
-
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
@@ -164,10 +137,6 @@ class ExperimentConfig:
             if name in data and not isinstance(data[name], section):
                 data[name] = from_object(section, data[name], f"config section '{name}'")
         return from_object(cls, data, "config")
-
-    @classmethod
-    def from_json_file(cls, path) -> "ExperimentConfig":
-        return cls.from_dict(load_json_object(path, "config file"))
 
 
 def max_workers() -> int:
@@ -275,8 +244,8 @@ def _run_textgen(cfg: ExperimentConfig) -> BoundReport:
         "bound_formula": bound.formula_text,
         "bound_mode": cfg.mode,
     }
-    measure = _counts_measure(cfg, p.vocab_size, p.num_contexts, (n,))
-    return _run_sweep(cfg, measure, extras, batch=_stack_rows(p.vocab_size * p.num_contexts))
+    measure, batch = _counts_measure(cfg, p.vocab_size, p.num_contexts, (n,))
+    return _run_sweep(cfg, measure, extras, batch=batch)
 
 
 def _run_bounded_textgen(cfg: ExperimentConfig) -> BoundReport:
@@ -290,23 +259,24 @@ def _run_bounded_textgen(cfg: ExperimentConfig) -> BoundReport:
         "sequence_space": space,
         "constant": p.constant,
     }
-    measure = _counts_measure(cfg, space, p.num_contexts, (n,))
-    return _run_sweep(cfg, measure, extras, batch=_stack_rows(space * p.num_contexts))
+    measure, batch = _counts_measure(cfg, space, p.num_contexts, (n,))
+    return _run_sweep(cfg, measure, extras, batch=batch)
 
 
 def _counts_measure(cfg: ExperimentConfig, support: int, contexts: int, sizes: tuple[int, ...]):
-    """``measure(rngs)`` of the three counts kinds: per trial and per strictly
-    increasing size n, the worst L1 error over ``contexts`` random truths on
-    ``support`` outcomes, each estimated from the counts of n i.i.d. draws.
+    """``(measure, batch)`` of the three counts kinds: ``measure(rngs)`` yields, per
+    trial and per strictly increasing size n, the worst L1 error over ``contexts``
+    random truths on ``support`` outcomes, each estimated from the counts of n
+    i.i.d. draws, and ``batch`` is the trials it takes at a time.
 
     A trial's contexts run in blocks of :func:`_stack_rows` of them, at least one,
     and a block of the batch holds that many contexts of each of its trials, each
-    trial owning consecutive rows.  A runner batches ``_stack_rows(support * contexts)``
-    trials, which keeps a block within :func:`_stack_rows` rows: many whole trials,
-    or one trial's part.  The batch allocates one workspace of (rows, support)
-    float64 arrays, sized to its first (largest) block, and fills it block after
-    block, a short block through views of its leading rows: the truths, drawn in
-    place by :func:`dirichlet_rows`; the responder's rows; and, when a draw takes
+    trial owning consecutive rows.  ``batch``, ``_stack_rows(support * contexts)``,
+    keeps a block within :func:`_stack_rows` rows: many whole trials, or one trial's
+    part.  The batch allocates one workspace of (rows, support) float64 arrays,
+    sized to its first (largest) block, and fills it block after block, a short
+    block through views of its leading rows: the truths, drawn in place by
+    :func:`dirichlet_rows`; the responder's rows; and, when a draw takes
     :func:`nested_counts`' n < V path, its CDF rows.  The responder's buffer, of
     ``max(rows * support, support + n)`` floats for that path's largest draw n, also
     holds the path's merge keys: one row's CDF keys, then its n uniforms.  A block
@@ -321,6 +291,8 @@ def _counts_measure(cfg: ExperimentConfig, support: int, contexts: int, sizes: t
     heights = [min(per_block, contexts - start) for start in range(0, contexts, per_block)]
     sampled = cdf_draw_size(sizes, support)
 
+    # A function, not the size loop's body: a loop variable would keep the last
+    # size's concatenated counts alive while the next block draws.
     def block_errors(truths, counts, responder):
         """Per row, the L1 distance between the truth and the responder's row
         :func:`icl_counts_rows`, over the rows of the trials' ``counts`` in turn."""
@@ -353,7 +325,7 @@ def _counts_measure(cfg: ExperimentConfig, support: int, contexts: int, sizes: t
         for trial in worst:
             yield [(float(error), "") for error in trial]
 
-    return measure
+    return measure, _stack_rows(support * contexts)
 
 
 def planted_linear_dataset(
@@ -381,7 +353,7 @@ def _run_coreset(cfg: ExperimentConfig) -> BoundReport:
     """
     p = cfg.params
     sizes = _within_dataset(cfg, cfg.coreset_sizes or (coreset_size(p),))
-    eval_draws = cfg.resolved_eval_points()
+    eval_draws = cfg.eval_points or 10_000
     # A batch is as many trials as one stack of the largest fitted size holds.
     fitted = [size for size in sizes if size < cfg.dataset_size]
     batch = _stack_rows(max(fitted) * (p.input_dim + 1)) if fitted else 1
@@ -466,7 +438,7 @@ def _run_knn(cfg: ExperimentConfig) -> BoundReport:
     model; sweeps k and fits the error-decay slope."""
     p = cfg.params
     ks = _within_dataset(cfg, cfg.knn_sizes or (knn_context_size(p),))
-    queries_per_trial = cfg.resolved_eval_points()
+    queries_per_trial = cfg.eval_points or 16  # few by default: one local fit per query
 
     def trial(rng):
         data, planted = planted_linear_dataset(
@@ -498,7 +470,7 @@ def _run_subset_penalty(cfg: ExperimentConfig) -> BoundReport:
     count, and its log-log decay slope (about -1/2 for i.i.d. sampling)."""
     p = cfg.params
     sizes = tuple(sorted(cfg.subset_sizes))
-    measure = _counts_measure(cfg, p.vocab_size, 1, sizes)
+    measure, batch = _counts_measure(cfg, p.vocab_size, 1, sizes)
     extras = {"subset_sizes": list(sizes), "penalty_constant": p.constant}
     return _run_sweep(
         cfg,
@@ -508,7 +480,7 @@ def _run_subset_penalty(cfg: ExperimentConfig) -> BoundReport:
         lambda n: subset_penalty(n, p.constant),
         medians_key="median_l1_by_size",
         slope=True,
-        batch=_stack_rows(p.vocab_size),
+        batch=batch,
     )
 
 

@@ -161,6 +161,24 @@ class TestBoundsCalc:
             # The exact mode reads no constant.
             "--kind textgen --V 20 --m 10 --epsilon 1e-200 --delta 0.05 --constant 1e307 "
             "--mode exact",
+            # A huge integer overflows too; the reason used not to name it.
+            pytest.param(f"--kind coreset --d {10**400} --epsilon 0.1", id="coreset-d-10**400"),
+            pytest.param(
+                f"--kind textgen --V {10**400} --m 10 --epsilon 0.2 --delta 0.05",
+                id="textgen-V-10**400",
+            ),
+            pytest.param(
+                f"--kind textgen --V 20 --m {10**400} --epsilon 0.2 --delta 0.05",
+                id="textgen-m-10**400",
+            ),
+            pytest.param(
+                f"--kind textgen --V {10**200} --m 10 --epsilon 0.2 --delta 0.05 --mode exact",
+                id="textgen-exact-V-10**200",
+            ),
+            pytest.param(
+                f"--kind bounded_textgen --V 5 --l {10**400} --epsilon 0.2 --delta 0.05",
+                id="bounded_textgen-l-10**400",
+            ),
         ],
     )
     def test_tiny_epsilon_is_one_error_line(self, capsys, flags):
@@ -176,6 +194,17 @@ class TestBoundsCalc:
         assert f"at {at} is not a finite" in err
         for name in ("delta", "constant"):
             assert (name in err) == (name in read)
+        # The reason names a huge integer flag's field among the causes.
+        fields = dict(V="vocab_size", m="num_contexts", d="input_dim", l="output_len")
+        for flag, field in fields.items():
+            assert len(opts.get(f"--{flag}", "")) < 100 or f"or {field} " in err.split("; ")[1]
+
+    def test_huge_subset_size_is_one_error_line(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bounds", "calc", "--kind", "subset_penalty", "--size", str(10**400)
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: subset size must fit in a float, got a larger integer\n"
 
     def test_single_token_sequences_are_one_error_line(self, capsys):
         flags = "--kind bounded_textgen --V 1 --l 2 --epsilon 0.2 --delta 0.05"
@@ -303,6 +332,8 @@ class TestVerify:
             ("mode", "bigo"),
             ("concentration", 0),
             ("planted_norm", -1.0),
+            # Past the float range: math.isfinite raised OverflowError.
+            pytest.param("eta", 10**400, id="eta-10**400"),
         ],
     )
     def test_non_integer_config_value_is_parameter_error(
@@ -336,6 +367,8 @@ class TestVerify:
             ("train", "max_iters", True),
             ("params", "foo", 1),
             ("train", "lr", 1),
+            pytest.param("params", "epsilon", 10**400, id="params-epsilon-10**400"),
+            pytest.param("train", "l2_reg", 10**400, id="train-l2_reg-10**400"),
         ],
     )
     def test_bad_nested_config_value_is_parameter_error(
@@ -518,7 +551,16 @@ class TestVerify:
             "use a smaller vocabulary or shorter length\n"
         )
 
-    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{not json",
+            "[1, 2]",
+            # Past json.load's limits: these ended in a ValueError or RecursionError.
+            pytest.param('{"trials": 1' + "0" * 4300 + "}", id="4301-digits"),
+            pytest.param("[" * 100_000, id="100000-deep"),
+        ],
+    )
     @pytest.mark.parametrize(
         "argv", [("verify", "textgen", "--config"), ("prompt", "build", "--pairs")]
     )

@@ -28,6 +28,7 @@ from icl_lab.distributions import (
     normalized_rows,
     sample_counts,
 )
+from icl_lab.errors import load_json_object
 from icl_lab.experiments import (
     KINDS,
     _median,
@@ -216,7 +217,8 @@ class TestConfig:
     def test_from_json_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(textgen_config().to_dict()))
-        assert ExperimentConfig.from_json_file(path) == textgen_config()
+        payload = load_json_object(path, "config file")
+        assert ExperimentConfig.from_dict(payload) == textgen_config()
 
     def test_unknown_key_rejected(self):
         payload = textgen_config().to_dict()
@@ -474,7 +476,7 @@ def per_context_reference(cfg, support, contexts, sizes, rng, block):
 class TestCountsBlocks:
     def measure(self, cfg, support, contexts, sizes, seed):
         rng = trial_rng(seed, 0)
-        (pairs,) = experiments._counts_measure(cfg, support, contexts, sizes)([rng])
+        (pairs,) = experiments._counts_measure(cfg, support, contexts, sizes)[0]([rng])
         return [e for e, _ in pairs], rng
 
     @pytest.mark.parametrize("eta", [0.0, 0.1])
@@ -500,7 +502,7 @@ class TestCountsBlocks:
         cfg = textgen_config(eta=eta, concentration=0.5)
         sizes = (5, 50)
         rngs = [trial_rng(8, i) for i in range(4)]
-        per_trial = list(experiments._counts_measure(cfg, 20, 10, sizes)(rngs))
+        per_trial = list(experiments._counts_measure(cfg, 20, 10, sizes)[0](rngs))
         assert len(per_trial) == 4
         for i, (pairs, rng) in enumerate(zip(per_trial, rngs)):
             reference_rng = trial_rng(8, i)
@@ -552,7 +554,7 @@ class TestCountsBlocks:
         else:
             assert np.allclose(truths, 1 / 20, rtol=1e-12)
         cfg = textgen_config(concentration=concentration, trials=2)
-        (pairs,) = experiments._counts_measure(cfg, 20, 10, (200,))([trial_rng(1, 0)])
+        (pairs,) = experiments._counts_measure(cfg, 20, 10, (200,))[0]([trial_rng(1, 0)])
         for error, _ in pairs:
             assert 0.0 <= error <= 2.0
 
