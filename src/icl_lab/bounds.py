@@ -47,7 +47,7 @@ class BoundParams:
 
     ``epsilon`` is the error tolerance in (0, 2] (L1 scale), ``delta`` the
     failure probability in (0, 1).  Integer fields default to their smallest
-    legal values so callers only set what their calculator reads.
+    legal values (V >= 2; m, d, l >= 1) so callers set only what a calculator reads.
     """
 
     epsilon: float
@@ -66,7 +66,8 @@ class BoundParams:
         if not 0.0 < self.delta < 1.0:
             raise ParameterError(f"delta must be in (0, 1), got {self.delta}")
         for name in ("vocab_size", "num_contexts", "input_dim", "output_len"):
-            object.__setattr__(self, name, check_int(name, getattr(self, name), 1))
+            low = getattr(BoundParams, name)  # the default is the smallest legal value
+            object.__setattr__(self, name, check_int(name, getattr(self, name), low))
         if self.constant <= 0:
             raise ParameterError(f"constant must be positive, got {self.constant}")
 
@@ -151,8 +152,6 @@ def bounded_textgen_size(params: BoundParams) -> int:
     Treats length-l generation as classification over ``vocab_size ** l``
     outcomes: c * (l * ln V / eps^2) * ln(1/delta).
     """
-    if params.vocab_size < 2:
-        raise ParameterError(f"vocab_size must be >= 2, got {params.vocab_size}")
     log_term = math.log(1.0 / params.delta)
     scale = params.output_len * math.log(params.vocab_size) / params.epsilon**2
     return math.ceil(params.constant * scale * log_term)
@@ -160,8 +159,7 @@ def bounded_textgen_size(params: BoundParams) -> int:
 
 def subset_penalty(subset_size: int, constant: float = 1.0) -> float:
     """Extra estimation error from seeing only a subset: constant / sqrt(size)."""
-    if subset_size < 1:
-        raise ParameterError(f"subset size must be >= 1, got {subset_size}")
+    check_int("subset size", subset_size, 1)
     check_real("constant", constant)
     if constant <= 0:
         raise ParameterError(f"constant must be positive, got {constant}")

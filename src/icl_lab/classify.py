@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, ParameterError, check_int, check_real
+from .errors import DivergenceError, ParameterError, check_int, check_real, shown
 
 # Damped-Newton line search: steps 1, 1/2, ..., 2**-40; Armijo sufficient-decrease share.
 _STEP_SIZES = [0.5**i for i in range(41)]
@@ -316,7 +316,7 @@ def select_coreset(
     """
     n = data.num_points
     if not 1 <= size <= n:
-        raise ParameterError(f"coreset size must be in [1, {n}], got {size}")
+        raise ParameterError(f"coreset size must be in [1, {n}], got {shown(size)}")
     if size == n:
         return data
     p = None if weights is None else weights / weights.sum()
@@ -333,7 +333,7 @@ def knn_order(data: LabeledDataset, query, k: int) -> np.ndarray:
     if query.ndim != 1 or query.size != data.dim or not np.all(np.isfinite(query)):
         raise ParameterError(f"query must be a finite vector of dimension {data.dim}")
     if not 1 <= k <= data.num_points:
-        raise ParameterError(f"k must be in [1, {data.num_points}], got {k}")
+        raise ParameterError(f"k must be in [1, {data.num_points}], got {shown(k)}")
     sq_dists = ((data.features - query) ** 2).sum(axis=1)
     # Points within the k-th smallest distance, ties included, sorted stably by distance.
     near = np.flatnonzero(sq_dists <= np.partition(sq_dists, k - 1)[k - 1])

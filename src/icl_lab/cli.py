@@ -85,16 +85,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _params(args: argparse.Namespace) -> BoundParams:
-    """Calculator inputs from the flags, with stand-ins for the ones a rule does not read."""
-    return BoundParams(
-        epsilon=args.epsilon,
-        delta=args.delta if args.delta is not None else 0.5,
-        vocab_size=args.V if args.V is not None else 2,
-        num_contexts=args.m if args.m is not None else 1,
-        input_dim=args.d if args.d is not None else 1,
-        output_len=args.l if args.l is not None else 1,
-        constant=args.constant,
-    )
+    """Calculator inputs from the given flags; any other field keeps its default, delta 0.5."""
+    fields = dict(vocab_size=args.V, num_contexts=args.m, input_dim=args.d, output_len=args.l)
+    delta = args.delta if args.delta is not None else 0.5
+    given = {name: value for name, value in fields.items() if value is not None}
+    return BoundParams(args.epsilon, delta, constant=args.constant, **given)
 
 
 def _textgen(args: argparse.Namespace) -> dict:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_int, shown
 
 # Distributions whose entries sum to 1 within this tolerance are renormalized
 # on construction; anything further off is rejected.
@@ -155,9 +155,9 @@ def check_draw_sizes(sizes) -> tuple[int, ...]:
     2**63 - 1 or less: numpy's ``multinomial`` draws at most that many."""
     sizes = tuple(sizes)
     if any(low >= high for low, high in zip((0,) + sizes, sizes)):
-        raise ParameterError(f"sizes must be strictly increasing and >= 1, got {list(sizes)}")
+        raise ParameterError(f"sizes must be strictly increasing and >= 1, got {shown(sizes)}")
     if sizes and sizes[-1] >= 2**63:
-        raise ParameterError(f"sample size {sizes[-1]} exceeds the largest draw, 2**63 - 1")
+        raise ParameterError(f"sample size {shown(sizes[-1])} exceeds the largest draw, 2**63 - 1")
     return sizes
 
 
@@ -235,8 +235,7 @@ def dirichlet_rows(
     a = 1 the call is ``standard_exponential``, whose variates numpy's
     ``standard_gamma(1.0)`` returns bit for bit, drawn as one fill instead of one
     function call per variate."""
-    if size < 1:
-        raise ParameterError(f"support size must be >= 1, got {size}")
+    check_int("support size", size, 1)
     if concentration <= 0:
         raise ParameterError(f"concentration must be positive, got {concentration}")
     scale = min(concentration, 1.0)

@@ -33,11 +33,22 @@ def check_real(name: str, value) -> float | int:
     return int(value) if isinstance(value, numbers.Integral) else float(value)
 
 
-def check_int(name: str, value, low: int) -> int:
-    """``value`` as an int; anything but an integer >= ``low`` is rejected, bools included."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
-    return int(value)
+def check_int(name: str, value, low: int, high: int | None = None) -> int:
+    """``value`` as an int; anything but an integer in [``low``, ``high``] is refused, bools
+    included.  No ``high`` is no ceiling; one given is 2**k - 1, and named so."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if integral and low <= value and (high is None or value <= high):
+        return int(value)
+    bound = f">= {low}" if high is None else f"in [{low}, 2**{high.bit_length()} - 1]"
+    raise ParameterError(f"{name} must be an integer {bound}, got {shown(value)}")
+
+
+def shown(value) -> str:
+    """``repr(value)``, or a stand-in for an int too long for ``str`` to print."""
+    try:
+        return repr(value)
+    except ValueError:  # past Python's limit of 4,300 digits
+        return "<an integer too long to print>"
 
 
 def check_keys(value: dict, known, where: str) -> None:

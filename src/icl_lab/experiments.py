@@ -46,13 +46,7 @@ from .classify import (
     train_logistic,
 )
 from .distributions import cdf_draw_size, check_draw_sizes, dirichlet_rows, nested_counts
-from .errors import (
-    DivergenceError,
-    ParameterError,
-    check_int,
-    check_real,
-    from_object,
-)
+from .errors import DivergenceError, ParameterError, check_int, check_real, from_object, shown
 from .oracle import check_eta, icl_counts_rows, mix_with_uniform, sequence_space
 from .reports import (
     BoundReport,
@@ -97,14 +91,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"unknown experiment kind {self.kind!r}; expected one of {KINDS}")
-        for name, low in (("trials", 1), ("seed", 0), ("dataset_size", 2)):
-            object.__setattr__(self, name, check_int(name, getattr(self, name), low))
-        for name in ("eval_points", "samples_override"):
+        # numpy's ceilings; a sample size's is left to check_draw_sizes' own message.
+        needed = (("trials", 1, 2**63 - 1), ("seed", 0, 2**64 - 1), ("dataset_size", 2, 2**63 - 1))
+        for name, low, high in needed:
+            object.__setattr__(self, name, check_int(name, getattr(self, name), low, high))
+        for name, high in (("eval_points", 2**63 - 1), ("samples_override", None)):
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, check_int(name, getattr(self, name), 1))
+                object.__setattr__(self, name, check_int(name, getattr(self, name), 1, high))
         object.__setattr__(self, "eta", check_eta(self.eta))
-        if self.seed >= 2**64:
-            raise ParameterError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.mode not in MODES:
             raise ParameterError(f"unknown bound mode {self.mode!r}; expected one of {MODES}")
         for name in ("concentration", "planted_norm"):
@@ -121,11 +115,8 @@ class ExperimentConfig:
                 raise ParameterError(f"{name} must be a non-empty list of integers, got {sizes!r}")
             sizes = tuple(check_int(f"{name} entries", v, 1) for v in sizes)
             if len(set(sizes)) < len(sizes):
-                raise ParameterError(f"{name} must not repeat a size, got {list(sizes)}")
+                raise ParameterError(f"{name} must not repeat a size, got {shown(list(sizes))}")
             object.__setattr__(self, name, sizes)
-        counts_kind = self.kind in ("textgen", "bounded_textgen", "subset_penalty")
-        if counts_kind and self.params.vocab_size < 2:
-            raise ParameterError(f"{self.kind} needs vocab_size >= 2, got {self.params.vocab_size}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -228,7 +219,8 @@ def _median(values: list[float]) -> float:
 def _within_dataset(cfg: ExperimentConfig, sizes: tuple[int, ...]) -> tuple[int, ...]:
     """The swept subset sizes, each of which must fit in the dataset."""
     if max(sizes) > cfg.dataset_size:
-        raise ParameterError(f"{cfg.kind} sizes {sizes} exceed dataset_size {cfg.dataset_size}")
+        message = f"{cfg.kind} sizes {shown(sizes)} exceed dataset_size {cfg.dataset_size}"
+        raise ParameterError(message)
     return sizes
 
 

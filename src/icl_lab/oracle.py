@@ -21,7 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from .distributions import CategoricalDistribution, Context, Vocabulary, token_counts
-from .errors import ParameterError, check_int, check_real
+from .errors import ParameterError, check_int, check_real, shown
 
 # Dense sequence distributions refuse to materialize beyond this many outcomes.
 SEQUENCE_LIMIT = 10**6
@@ -113,8 +113,8 @@ def sequence_space(vocab_size: int, length: int) -> int:
         if space <= SEQUENCE_LIMIT:
             return space
     raise ParameterError(
-        f"sequence space V^l = {vocab_size}^{length} exceeds the limit {SEQUENCE_LIMIT}; "
-        "use a smaller vocabulary or shorter length"
+        f"sequence space V^l = {shown(vocab_size)}^{shown(length)} exceeds the limit "
+        f"{SEQUENCE_LIMIT}; use a smaller vocabulary or shorter length"
     )
 
 

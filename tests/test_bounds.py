@@ -151,6 +151,8 @@ class TestParamValidation:
             {"epsilon": 0.1, "delta": 1.0},
             {"epsilon": 0.1, "delta": 0.1, "vocab_size": 0},
             {"epsilon": 0.1, "delta": 0.1, "constant": 0.0},
+            # One token: refused for every kind, not only where a calculator reads V.
+            {"epsilon": 0.1, "delta": 0.1, "vocab_size": 1},
         ],
     )
     def test_rejected(self, kwargs):

@@ -206,8 +206,17 @@ class TestBoundsCalc:
         assert (code, out) == (1, "")
         assert err == "error: subset size must fit in a float, got a larger integer\n"
 
-    def test_single_token_sequences_are_one_error_line(self, capsys):
-        flags = "--kind bounded_textgen --V 1 --l 2 --epsilon 0.2 --delta 0.05"
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            "--kind bounded_textgen --V 1 --l 2 --epsilon 0.2 --delta 0.05",
+            # BoundParams refuses V = 1 for every kind; these used to print 93 and 50.
+            "--kind textgen --V 1 --m 2 --epsilon 0.2 --delta 0.05",
+            "--kind coreset --d 5 --epsilon 0.1 --V 1",
+        ],
+        ids=["bounded_textgen", "textgen", "coreset"],
+    )
+    def test_single_token_sequences_are_one_error_line(self, capsys, flags):
         code, out, err = run_cli(capsys, "bounds", "calc", *flags.split())
         assert (code, out) == (1, "")
         assert err.startswith("error: vocab_size ") and err.count("\n") == 1
@@ -397,6 +406,9 @@ class TestVerify:
             ("textgen", "vocab_size", 1),
             ("bounded_textgen", "vocab_size", 1),
             ("subset_penalty", "vocab_size", 1),
+            # BoundParams refuses V = 1 for the classification kinds too.
+            ("coreset", "vocab_size", 1),
+            ("knn", "vocab_size", 1),
         ],
     )
     def test_aliased_sweep_or_single_outcome_runs_no_trial(
@@ -537,6 +549,39 @@ class TestVerify:
         assert (code, out) == (1, "")
         assert err.startswith("error: sample size ") and err.count("\n") == 1
         assert err.endswith(" exceeds the largest draw, 2**63 - 1\n")
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    @pytest.mark.parametrize(
+        "kind, key",
+        [
+            ("textgen", "trials"),
+            ("knn", "eval_points"),
+            ("coreset", "eval_points"),
+            ("coreset", "dataset_size"),
+            ("knn", "dataset_size"),
+            ("textgen", "--trials"),
+        ],
+    )
+    def test_count_past_numpy_ceiling_runs_no_trial(
+        self, capsys, tmp_path, tiny_config, monkeypatch, kind, key
+    ):
+        # A huge count used to end in a traceback: trials in _run_sweep's range
+        # (OverflowError), the others in numpy ("Maximum allowed dimension exceeded").
+        payload = tiny_config(kind).to_dict()
+        override = ["--trials", str(10**30)] if key == "--trials" else []
+        if not override:
+            payload[key] = 10**30
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload))
+        monkeypatch.setattr(experiments, "trial_rng", pytest.fail)
+        code, out, err = run_cli(
+            capsys, "verify", kind, "--config", str(path), "--output", str(tmp_path / "r.json"),
+            *override,
+        )
+        assert (code, out) == (1, "")
+        name = key.lstrip("-")
+        low = 2 if name == "dataset_size" else 1
+        assert err == f"error: {name} must be an integer in [{low}, 2**63 - 1], got {10**30}\n"
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     @pytest.mark.parametrize("length", [4000, 5000])

@@ -20,8 +20,9 @@ from icl_lab import (
     ParameterError,
     TrainConfig,
     run_experiment,
+    subset_penalty,
 )
-from icl_lab.classify import knn_select, predict_probs, train_logistic
+from icl_lab.classify import knn_select, predict_probs, select_coreset, train_logistic
 from icl_lab.distributions import (
     CategoricalDistribution,
     dirichlet_rows,
@@ -59,6 +60,10 @@ def textgen_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def four_points():
+    return planted_linear_dataset(4, 2, 2.0, trial_rng(0, 0))[0]
 
 
 def fresh_python(script, threads=None):
@@ -251,6 +256,47 @@ class TestConfig:
         payload["seed"] = seed
         with pytest.raises(ParameterError, match="seed"):
             ExperimentConfig.from_dict(payload)
+
+    def test_largest_trials_and_seed_accepted(self):
+        # numpy's ceilings themselves: constructed only, never run.
+        cfg = textgen_config(trials=2**63 - 1, seed=2**64 - 1)
+        assert (cfg.trials, cfg.seed) == (2**63 - 1, 2**64 - 1)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: textgen_config(trials=-(10**5000)), "trials"),
+        (lambda: BoundParams(epsilon=0.2, delta=0.05, vocab_size=-(10**5000)), "vocab_size"),
+        (
+            lambda: run_experiment(
+                textgen_config(
+                    kind="bounded_textgen",
+                    params=BoundParams(epsilon=0.2, delta=0.05, output_len=10**5000),
+                    samples_override=10,
+                )
+            ),
+            "sequence space V\\^l",
+        ),
+        (lambda: run_experiment(textgen_config(samples_override=10**5000)), "sample size"),
+        (
+            lambda: run_experiment(textgen_config(kind="coreset", coreset_sizes=(10**5000,))),
+            "coreset sizes",
+        ),
+        (lambda: subset_penalty(-(10**5000)), "subset size"),
+        (lambda: select_coreset(four_points(), -(10**5000), None, None), "coreset size"),
+        (lambda: knn_select(four_points(), np.zeros(2), -(10**5000)), "k"),
+    ],
+    ids=[
+        "trials", "vocab_size", "output_len", "samples_override", "coreset_sizes", "subset",
+        "select_coreset", "knn_select",
+    ],
+)
+def test_integer_too_long_to_print_is_parameter_error(build, field):
+    # Echoing these used to raise str's bare "Exceeds the limit (4300 digits)" ValueError.
+    with pytest.raises(ParameterError, match=f"^{field} ") as caught:
+        build()
+    assert "<an integer too long to print>" in str(caught.value)
 
 
 # Every scalar of the config is set, to a value a float32 or int64 holds exactly.
