@@ -135,17 +135,16 @@ def nested_counts(probs: np.ndarray, sizes, rng: np.random.Generator, out=None):
     CDF, which beats multinomial's one binomial draw per outcome; scaling them by the
     CDF's last entry keeps every index below V and off zero-probability outcomes.  The
     sorted uniforms are merged into the CDF, O(n log n + V), and each lands on the
-    index ``searchsorted(cdf, u, side="right")`` gives.  The CDF rows are computed
-    once, at the first such draw.  ``out`` is an optional ``(cdf, keys)`` pair of
-    float64 workspaces for that path: a (rows, V) array and a vector of at least V
-    plus its largest ``n``, which is :func:`cdf_draw_size` (2V floats always
-    suffice); a shorter vector is refused.
+    index ``searchsorted(cdf, u, side="right")`` gives.  Each such draw builds each
+    row's CDF afresh, in place in the key vector.  ``out`` is an optional float64
+    key vector for that path of at least V plus its largest ``n``, which is
+    :func:`cdf_draw_size` (2V floats always suffice); a shorter one is refused.
     """
     sizes = check_draw_sizes(sizes)
     support = probs.shape[1]
     needed = cdf_draw_size(sizes, support)
-    if out is not None and needed and len(out[1]) < support + needed:
-        floats = f"{len(out[1])} key floats are too few"
+    if out is not None and needed and len(out) < support + needed:
+        floats = f"{len(out)} key floats are too few"
         raise ParameterError(f"{floats} for an n < V draw of {needed} on {support} outcomes")
     return _nested_counts(probs, sizes, rng, out)
 
@@ -170,41 +169,40 @@ def cdf_draw_size(sizes, support: int) -> int:
 
 def _nested_counts(probs, sizes, rng, out):
     """:func:`nested_counts` past its checks."""
-    counts, drawn, cdf = None, 0, None
+    counts, drawn = None, 0
     for size in sizes:
         n = size - drawn
         if n >= probs.shape[1]:
             draw = rng.multinomial(n, probs)
         else:
-            if cdf is None:
-                floats = probs.shape[1] + cdf_draw_size(sizes, probs.shape[1])
-                cdf, keys = out or (np.empty(probs.shape), np.empty(floats))
-                np.cumsum(probs, axis=1, out=cdf)
-            draw = _cdf_counts(cdf, n, rng, keys)
+            if out is None:
+                out = np.empty(probs.shape[1] + cdf_draw_size(sizes, probs.shape[1]))
+            draw = _cdf_counts(probs, n, rng, out)
         counts = draw if counts is None else counts + draw
         drawn = size
         yield counts
 
 
-def _cdf_counts(cdf, n, rng, work) -> np.ndarray:
-    """``n`` i.i.d. draws from each row whose CDF is a row of ``cdf``, merged in
-    the float64 workspace ``work``: the row's CDF keys in its first V floats, the
-    uniforms after them."""
-    support = cdf.shape[1]
+def _cdf_counts(probs, n, rng, work) -> np.ndarray:
+    """``n`` i.i.d. draws from each row of ``probs``, merged in the float64 workspace
+    ``work``: the row's CDF, then its keys, in its first V floats, the uniforms
+    after them."""
+    support = probs.shape[1]
     keys, uniforms = work[: support + n].view(np.uint64), work[support : support + n]
+    cdf = work[:support]
     rows = []
-    for c in cdf:
+    for p in probs:
+        np.cumsum(p, out=cdf)
         rng.random(out=uniforms)
         uniforms.sort()
-        uniforms *= c[-1]
+        uniforms *= cdf[-1]
         # As uint64, non-negative doubles order like the floats: their bit patterns
         # are all below 2**63.  So 2 bits(c) < 2 bits(u) + 1 exactly when c <= u,
         # and the shift drops a leading -0.0's sign bit.  numpy's stable sort of
         # uint64 is timsort, which merges the two sorted runs; a uniform's index,
         # the number of CDF entries at most u, is then its merged position less its
         # rank among the uniforms.
-        np.left_shift(c.view(np.uint64), 1, out=keys[:support])
-        keys[support:] <<= 1
+        keys <<= 1
         keys[support:] |= 1
         keys.sort(kind="stable")
         keys &= 1

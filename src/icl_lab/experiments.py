@@ -58,8 +58,8 @@ from .reports import (
     write_json_report,
 )
 
-# Largest stacked float64 array: one (block, support) array of a counts batch's
-# workspace, or one stacked logistic fit's (fits, points, d + 1) design tensor.
+# Largest stacked float64 array: a counts batch's (block, support) truths or
+# responder, or one stacked logistic fit's (fits, points, d + 1) design tensor.
 # A counts trial whose contexts span blocks takes its draw order from the block
 # height, so changing this changes those reports (textgen at V=50,000, m=100).
 STACK_BYTES = 256 * 1024
@@ -268,10 +268,10 @@ def _counts_measure(cfg: ExperimentConfig, support: int, contexts: int, sizes: t
     part.  The batch allocates one workspace of (rows, support) float64 arrays,
     sized to its first (largest) block, and fills it block after block, a short
     block through views of its leading rows: the truths, drawn in place by
-    :func:`dirichlet_rows`; the responder's rows; and, when a draw takes
-    :func:`nested_counts`' n < V path, its CDF rows.  The responder's buffer, of
-    ``max(rows * support, support + n)`` floats for that path's largest draw n, also
-    holds the path's merge keys: one row's CDF keys, then its n uniforms.  A block
+    :func:`dirichlet_rows`, and the responder's rows.  The responder's buffer, of
+    ``max(rows * support, support + n)`` floats for the largest draw n that takes
+    :func:`nested_counts`' n < V path, also holds that path's merge vector: one
+    row's CDF, shifted in place into its keys, then its n uniforms.  A block
     draws, trial after trial and each from its own stream, all of its truths, then
     per size its counts; its responder and L1 errors run row-wise once per size.  So
     every stream sees the draws of its trial run alone, and a batch holds O(block)
@@ -301,16 +301,12 @@ def _counts_measure(cfg: ExperimentConfig, support: int, contexts: int, sizes: t
         # draw runs: a block scores each size's counts only after drawing them.
         keys = np.empty(max(rows * support, support + sampled))
         responder = keys[: rows * support].reshape(rows, support)
-        cdf = np.empty((rows, support)) if sampled else None
         for height in heights:
             truths = truth_rows[: len(rngs) * height]
             owned = [slice(k * height, (k + 1) * height) for k in range(len(rngs))]
             for rng, own in zip(rngs, owned):
                 dirichlet_rows(height, support, cfg.concentration, rng, out=truths[own])
-            draws = [
-                nested_counts(truths[own], sizes, rng, (cdf[own], keys) if sampled else None)
-                for rng, own in zip(rngs, owned)
-            ]
+            draws = [nested_counts(truths[own], sizes, rng, keys) for rng, own in zip(rngs, owned)]
             errors = [block_errors(truths, counts, responder) for counts in zip(*draws)]
             per_trial = np.reshape(errors, (len(sizes), len(rngs), height)).max(axis=2)
             worst = np.maximum(worst, per_trial.T)

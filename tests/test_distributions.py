@@ -296,7 +296,7 @@ class TestNestedCounts:
         increments = np.diff((0,) + sizes)
         largest = max(n for n in increments if n < size)
         # The smallest key vector accepted.
-        out = (np.empty((rows, size)), np.empty(size + largest)) if workspace else None
+        out = np.empty(size + largest) if workspace else None
         rng, reference_rng = np.random.default_rng(5), np.random.default_rng(5)
         expected, drawn = 0, 0
         for counts, n in zip(nested_counts(probs, sizes, rng, out), sizes):
@@ -328,16 +328,14 @@ class TestNestedCounts:
     def test_rejects_a_uniforms_workspace_shorter_than_the_largest_draw(self):
         # Eight draws on ten outcomes need 18 key floats, the CDF's ten and the eight
         # uniforms.  Three uniforms used to give counts summing to 3.
-        probs, cdf = np.full((1, 10), 0.1), np.empty((1, 10))
+        probs = np.full((1, 10), 0.1)
         for floats in (3, 8, 17):
-            with pytest.raises(ParameterError, match="draw of 8"):
-                nested_counts(probs, (8,), np.random.default_rng(0), (cdf, np.empty(floats)))
-        workspace = (cdf, np.empty(18))
-        ((counts,),) = nested_counts(probs, (8,), np.random.default_rng(0), workspace)
+            with pytest.raises(ParameterError, match=f"^{floats} key floats .* draw of 8"):
+                nested_counts(probs, (8,), np.random.default_rng(0), np.empty(floats))
+        ((counts,),) = nested_counts(probs, (8,), np.random.default_rng(0), np.empty(18))
         assert counts.sum() == 8
         # Only the n < V increments count: 3 then 12 >= V draws multinomial.
-        workspace = (cdf, np.empty(13))
-        (_, counts) = nested_counts(probs, (3, 15), np.random.default_rng(0), workspace)
+        (_, counts) = nested_counts(probs, (3, 15), np.random.default_rng(0), np.empty(13))
         assert counts.sum() == 15
 
 

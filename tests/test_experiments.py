@@ -620,6 +620,24 @@ class TestCountsBlocks:
         peak(16)  # warm-up, so one-off first-call allocations are not counted
         assert peak(200) <= 1.5 * peak(16)
 
+    def test_one_context_block_holds_about_three_rows_of_v(self):
+        # At V = 1,000,000 a block is one context, and n = 100,000 < V merges:
+        # the truths, the key vector (V + n floats) and the bincount counts make
+        # about 3.2 rows of V float64.  A separate CDF row would make it 4.2.
+        params = BoundParams(epsilon=0.2, delta=0.05, vocab_size=1_000_000, num_contexts=2)
+        cfg = textgen_config(params=params, samples_override=100_000, trials=1)
+
+        def peak():
+            tracemalloc.start()
+            try:
+                run_experiment(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak()  # warm-up, so one-off first-call allocations are not counted
+        assert peak() <= 3.5 * 8 * 1_000_000
+
 
 class TestBoundedTextgenExperiment:
     def test_length_one_matches_textgen_on_shared_seed(self):

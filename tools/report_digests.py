@@ -1,0 +1,90 @@
+"""Render a fixed set of verify reports and print each file's sha256.
+
+Usage, from the root of a source checkout:
+
+    python3 tools/report_digests.py OUTDIR
+
+The set is the four ``perfbench/workloads.py`` configs at seeds 1 and 2, each
+kind's ``tests/conftest.py`` tiny config at eta 0 and 0.1, textgen at V = 2,000,
+m = 40, n = 500 (three blocks of an n < V draw), and subset_penalty at
+V = 20,000 with its default sizes.  Each config is written to OUTDIR and run
+through ``icl_lab.cli.main`` of this checkout's ``src``, which writes its JSON
+and CSV reports there; one ``sha256  file`` line per report goes to stdout.  To
+check that two trees give byte-identical reports, run this script in each tree
+and ``diff`` the two outputs.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402
+
+from icl_lab.bounds import BoundParams  # noqa: E402
+from icl_lab.cli import EXIT_FAILED_VERIFICATION, EXIT_OK, main  # noqa: E402
+from icl_lab.experiments import ExperimentConfig  # noqa: E402
+
+
+def tiny_configs() -> dict:
+    """Name -> config dict of each kind's test-suite tiny config at eta 0 and 0.1."""
+    spec = importlib.util.spec_from_file_location("conftest", ROOT / "tests" / "conftest.py")
+    conftest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(conftest)
+    return {
+        f"tiny-{kind}-eta{eta}": ExperimentConfig(
+            kind=kind, trials=3, seed=5, eta=eta, **fields
+        ).to_dict()
+        for kind, fields in conftest._TINY.items()
+        for eta in (0.0, 0.1)
+    }
+
+
+def configs() -> dict:
+    """Name -> config dict of every report in the set."""
+    named = {
+        f"{name}-seed{seed}": workloads.make_config(name, seed)
+        for name in workloads.WORKLOADS
+        for seed in (1, 2)
+    }
+    named.update(tiny_configs())
+    wide = BoundParams(epsilon=0.2, delta=0.05, vocab_size=2_000, num_contexts=40)
+    named["textgen-V2000-m40-n500"] = ExperimentConfig(
+        kind="textgen", params=wide, trials=3, seed=5, samples_override=500, mode="big_o"
+    ).to_dict()
+    penalty = BoundParams(epsilon=1.0, delta=0.05, vocab_size=20_000, constant=2.0)
+    named["subset_penalty-V20000"] = ExperimentConfig(
+        kind="subset_penalty", params=penalty, trials=3, seed=5
+    ).to_dict()
+    return named
+
+
+def render(outdir: Path) -> list[Path]:
+    """Write every config and its reports under ``outdir``; the report paths."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    reports = []
+    for name, config in configs().items():
+        config_path, report = outdir / f"{name}.config.json", outdir / f"{name}.json"
+        config_path.write_text(json.dumps(config))
+        argv = ["verify", config["kind"], "--config", str(config_path), "--output", str(report)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        if code not in (EXIT_OK, EXIT_FAILED_VERIFICATION):
+            raise SystemExit(f"{name}: verify exited {code}")
+        reports += [report, report.with_suffix(".csv")]
+    return reports
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        raise SystemExit(__doc__)
+    for path in render(Path(sys.argv[1])):
+        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
