@@ -59,17 +59,12 @@ class BoundParams:
     constant: float = 1.0
 
     def __post_init__(self):
-        for name in ("epsilon", "delta", "constant"):
-            object.__setattr__(self, name, check_real(name, getattr(self, name)))
-        if not 0.0 < self.epsilon <= 2.0:
-            raise ParameterError(f"epsilon must be in (0, 2], got {self.epsilon}")
-        if not 0.0 < self.delta < 1.0:
-            raise ParameterError(f"delta must be in (0, 1), got {self.delta}")
+        ceilings = {"epsilon": dict(at_most=2), "delta": dict(below=1), "constant": {}}
+        for name, high in ceilings.items():
+            object.__setattr__(self, name, check_real(name, getattr(self, name), above=0, **high))
         for name in ("vocab_size", "num_contexts", "input_dim", "output_len"):
             low = getattr(BoundParams, name)  # the default is the smallest legal value
             object.__setattr__(self, name, check_int(name, getattr(self, name), low))
-        if self.constant <= 0:
-            raise ParameterError(f"constant must be positive, got {self.constant}")
 
 
 @dataclass(frozen=True)
@@ -160,9 +155,7 @@ def bounded_textgen_size(params: BoundParams) -> int:
 def subset_penalty(subset_size: int, constant: float = 1.0) -> float:
     """Extra estimation error from seeing only a subset: constant / sqrt(size)."""
     check_int("subset size", subset_size, 1)
-    check_real("constant", constant)
-    if constant <= 0:
-        raise ParameterError(f"constant must be positive, got {constant}")
+    constant = check_real("constant", constant, above=0)
     try:
         return constant / math.sqrt(subset_size)
     except OverflowError:  # an int past the float range, too long to echo

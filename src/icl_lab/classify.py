@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, ParameterError, check_int, check_real, shown
+from .errors import DivergenceError, ParameterError, check_int, check_real
 
 # Damped-Newton line search: steps 1, 1/2, ..., 2**-40; Armijo sufficient-decrease share.
 _STEP_SIZES = [0.5**i for i in range(41)]
@@ -102,16 +102,11 @@ class TrainConfig:
     l2_reg: float = 0.0
 
     def __post_init__(self):
-        for name in ("learning_rate", "grad_tolerance", "l2_reg"):
-            object.__setattr__(self, name, check_real(name, getattr(self, name)))
-        if self.learning_rate <= 0:
-            raise ParameterError(f"learning_rate must be positive, got {self.learning_rate}")
+        for name in ("learning_rate", "grad_tolerance"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name), above=0))
+        object.__setattr__(self, "l2_reg", check_real("l2_reg", self.l2_reg, at_least=0))
         # max_iters = 0 is allowed: training then returns the all-zeros init.
         object.__setattr__(self, "max_iters", check_int("max_iters", self.max_iters, 0))
-        if self.grad_tolerance <= 0:
-            raise ParameterError(f"grad_tolerance must be positive, got {self.grad_tolerance}")
-        if self.l2_reg < 0:
-            raise ParameterError(f"l2_reg must be non-negative, got {self.l2_reg}")
 
 
 def _signed_design(features, labels) -> np.ndarray:
@@ -315,9 +310,7 @@ def select_coreset(
     order.  ``size == N`` returns the dataset unchanged.
     """
     n = data.num_points
-    if not 1 <= size <= n:
-        raise ParameterError(f"coreset size must be in [1, {n}], got {shown(size)}")
-    if size == n:
+    if check_int("coreset size", size, 1, n) == n:
         return data
     p = None if weights is None else weights / weights.sum()
     idx = rng.choice(n, size=size, replace=False, p=p)
@@ -332,8 +325,7 @@ def knn_order(data: LabeledDataset, query, k: int) -> np.ndarray:
     query = np.asarray(query, dtype=float)
     if query.ndim != 1 or query.size != data.dim or not np.all(np.isfinite(query)):
         raise ParameterError(f"query must be a finite vector of dimension {data.dim}")
-    if not 1 <= k <= data.num_points:
-        raise ParameterError(f"k must be in [1, {data.num_points}], got {shown(k)}")
+    k = check_int("k", k, 1, data.num_points)
     sq_dists = ((data.features - query) ** 2).sum(axis=1)
     # Points within the k-th smallest distance, ties included, sorted stably by distance.
     near = np.flatnonzero(sq_dists <= np.partition(sq_dists, k - 1)[k - 1])

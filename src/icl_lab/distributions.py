@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, check_int, shown
+from .errors import ParameterError, check_int, check_real, shown
 
 # Distributions whose entries sum to 1 within this tolerance are renormalized
 # on construction; anything further off is rejected.
@@ -234,8 +234,7 @@ def dirichlet_rows(
     ``standard_gamma(1.0)`` returns bit for bit, drawn as one fill instead of one
     function call per variate."""
     check_int("support size", size, 1)
-    if concentration <= 0:
-        raise ParameterError(f"concentration must be positive, got {concentration}")
+    concentration = check_real("concentration", concentration, above=0)
     scale = min(concentration, 1.0)
     with np.errstate(over="ignore"):
         if concentration == 1.0:

@@ -19,27 +19,42 @@ class DivergenceError(RuntimeError):
         super().__init__(f"non-finite training loss at iteration {iteration}")
 
 
-def check_real(name: str, value) -> float | int:
+def check_real(
+    name: str, value, *, above=None, at_least=None, below=None, at_most=None
+) -> float | int:
     """``value`` as a Python float, or an int when it is an integer, so that a
     numpy scalar echoes into a report as the plain number would; anything but a
-    finite real number is rejected, bools included."""
+    finite real number in the interval the bounds give is refused, bools included.
+    ``above`` and ``below`` are open ends, ``at_least`` and ``at_most`` closed ones."""
+    got = None
     try:
         finite = isinstance(value, numbers.Real) and math.isfinite(value)
     except OverflowError:  # an int past the float range, too long to echo
-        message = f"{name} must be a finite real number, got an int too large for a float"
-        raise ParameterError(message) from None
-    if isinstance(value, bool) or not finite:
-        raise ParameterError(f"{name} must be a finite real number, got {value!r}")
-    return int(value) if isinstance(value, numbers.Integral) else float(value)
+        finite, got = False, "an int too large for a float"
+    if finite and not isinstance(value, bool):
+        number = int(value) if isinstance(value, numbers.Integral) else float(value)
+        if (
+            (above is None or number > above)
+            and (at_least is None or number >= at_least)
+            and (below is None or number < below)
+            and (at_most is None or number <= at_most)
+        ):
+            return number
+    low = f"({above}" if above is not None else "(-inf" if at_least is None else f"[{at_least}"
+    high = f"{below})" if below is not None else "inf)" if at_most is None else f"{at_most}]"
+    message = f"{name} must be a finite real number in {low}, {high}"
+    raise ParameterError(f"{message}, got {got or repr(value)}")
 
 
 def check_int(name: str, value, low: int, high: int | None = None) -> int:
     """``value`` as an int; anything but an integer in [``low``, ``high``] is refused, bools
-    included.  No ``high`` is no ceiling; one given is 2**k - 1, and named so."""
+    included.  No ``high`` is no ceiling; one from 2**63 - 1 up is 2**k - 1, and named so."""
     integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
     if integral and low <= value and (high is None or value <= high):
         return int(value)
-    bound = f">= {low}" if high is None else f"in [{low}, 2**{high.bit_length()} - 1]"
+    if high is not None and high >= 2**63 - 1:
+        high = f"2**{high.bit_length()} - 1"
+    bound = f">= {low}" if high is None else f"in [{low}, {high}]"
     raise ParameterError(f"{name} must be an integer {bound}, got {shown(value)}")
 
 

@@ -102,9 +102,7 @@ class ExperimentConfig:
         if self.mode not in MODES:
             raise ParameterError(f"unknown bound mode {self.mode!r}; expected one of {MODES}")
         for name in ("concentration", "planted_norm"):
-            object.__setattr__(self, name, check_real(name, getattr(self, name)))
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
+            object.__setattr__(self, name, check_real(name, getattr(self, name), above=0))
         if self.coreset_strategy not in ("uniform", "sensitivity"):
             raise ParameterError(f"unknown coreset_strategy {self.coreset_strategy!r}")
         for name in ("coreset_sizes", "knn_sizes", "subset_sizes"):
@@ -388,18 +386,26 @@ def _run_coreset(cfg: ExperimentConfig) -> BoundReport:
     )
 
 
+def _fit_rows(features: np.ndarray, labels: np.ndarray, train: TrainConfig):
+    """:func:`fit_logistic_stack`'s (B, d + 1) thetas of the stack ``features``,
+    ``labels``, and per fit its :class:`DivergenceError` or None.  When the stack
+    diverges, each fit is refitted alone, so each gets exactly its lone outcome;
+    a diverged fit's theta is NaN."""
+    try:
+        return fit_logistic_stack(features, labels, train), [None] * len(labels)
+    except DivergenceError as exc:
+        if len(labels) == 1:
+            return np.full((1, features.shape[2] + 1), np.nan), [exc]
+        fits = [_fit_rows(features[b, None], labels[b, None], train) for b in range(len(labels))]
+        return np.concatenate([thetas for thetas, _ in fits]), [lone for _, (lone,) in fits]
+
+
 def _fit_cores(cores: list[LabeledDataset], train: TrainConfig) -> list:
     """Per same-sized core, its fitted :class:`LinearModel` or its fit's
-    :class:`DivergenceError`.  The cores are fitted as one stack; when the stack
-    diverges, each is refitted alone, so each gets exactly its lone outcome."""
+    :class:`DivergenceError`, the cores fitted as one stack by :func:`_fit_rows`."""
     features = np.stack([core.features for core in cores])
-    try:
-        thetas = fit_logistic_stack(features, np.stack([core.labels for core in cores]), train)
-    except DivergenceError as exc:
-        if len(cores) == 1:
-            return [exc]
-        return [model for core in cores for model in _fit_cores([core], train)]
-    return [LinearModel(theta[:-1], theta[-1]) for theta in thetas]
+    thetas, failures = _fit_rows(features, np.stack([core.labels for core in cores]), train)
+    return [exc or LinearModel(t[:-1], t[-1]) for t, exc in zip(thetas, failures)]
 
 
 def _stack_rows(floats: int) -> int:
@@ -410,15 +416,16 @@ def _stack_rows(floats: int) -> int:
 
 def _fit_neighbourhoods(data: LabeledDataset, neighbours: np.ndarray, train: TrainConfig):
     """The (queries, d + 1) ``theta = (w, b)`` array of one logistic fit per row
-    of the (queries, k) index array ``neighbours``, run in stacks of
-    :func:`_stack_rows` fits.
+    of the (queries, k) index array ``neighbours``, run by :func:`_fit_rows` in
+    stacks of :func:`_stack_rows` fits, and per query its fit's
+    :class:`DivergenceError` or None.
     """
     num, k = neighbours.shape
     per_stack = _stack_rows(k * (data.dim + 1))
     stacks = (neighbours[i : i + per_stack] for i in range(0, num, per_stack))
-    return np.concatenate(
-        [fit_logistic_stack(data.features[s], data.labels[s], train) for s in stacks]
-    )
+    fits = [_fit_rows(data.features[s], data.labels[s], train) for s in stacks]
+    failures = [exc for _, excs in fits for exc in excs]
+    return np.concatenate([thetas for thetas, _ in fits]), failures
 
 
 def _run_knn(cfg: ExperimentConfig) -> BoundReport:
@@ -437,14 +444,16 @@ def _run_knn(cfg: ExperimentConfig) -> BoundReport:
         # Neighbours come nearest first, so each k fits prefixes of one ranking per query.
         ranked = np.stack([knn_order(data, query, max(ks)) for query in queries])
         for k in ks:
-            thetas = _fit_neighbourhoods(data, ranked[:, :k], cfg.train)
+            thetas, failures = _fit_neighbourhoods(data, ranked[:, :k], cfg.train)
             # A batched matmul, unlike einsum, gives each query's w.x bit for bit.
             logits = (thetas[:, None, :-1] @ queries[:, :, None])[:, 0, 0] + thetas[:, -1]
             errors = np.abs(mix_with_uniform(sigmoid(logits), cfg.eta, 2) - truth)
             labels = data.labels[ranked[:, :k]]
             degenerate = int(np.count_nonzero(np.all(labels == labels[:, :1], axis=1)))
-            detail = f"{degenerate} single-class neighborhoods" if degenerate else ""
-            yield float(np.max(errors)), detail
+            notes = [f"{degenerate} single-class neighborhoods"] if degenerate else []
+            diverged = [f"query {query}: {exc}" for query, exc in enumerate(failures) if exc]
+            # A query whose fit diverged scores inf, and so does its row.
+            yield np.inf if diverged else float(np.max(errors)), "; ".join(notes + diverged)
 
     def measure(rngs):  # batches of one trial
         return map(trial, rngs)

@@ -42,10 +42,7 @@ class IclPromptSamples:
 def check_eta(eta) -> float | int:
     """``eta`` as :func:`check_real` returns it; anything but a finite real number in
     [0, 1) is refused."""
-    eta = check_real("eta", eta)
-    if not 0.0 <= eta < 1.0:
-        raise ParameterError(f"eta must be in [0, 1), got {eta}")
-    return eta
+    return check_real("eta", eta, at_least=0, below=1)
 
 
 def mix_with_uniform(probs, eta: float, support: int, out=None):

@@ -264,6 +264,33 @@ class TestFitLogisticStack:
         assert stacked.value.iteration == lone.value.iteration == 1
         fit_logistic_stack(features[::2], labels[::2], cfg)  # the others fit
 
+    def test_line_search_divergence_raises_its_iteration_stacked_and_alone(self):
+        # A three-point single-class neighbourhood of knn's planted task (planted
+        # norm 50, trial 2 of seed 1, query 7): with no ridge and an unreachable
+        # tolerance, its Hessian shrinks until the Newton direction overflows and
+        # no step's loss is finite.
+        features = np.array(
+            [
+                [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
+                [
+                    [-1.3356999486407577, -0.2852774400492382],
+                    [-1.2879611045782804, -0.3786053658889156],
+                    [-1.2864104704031945, -0.381318202769832],
+                ],
+                [[0.0, 1.0], [0.0, -1.0], [1.0, 0.5]],
+            ]
+        )
+        labels = np.array([[0, 1, 0], [0, 0, 0], [1, 1, 0]])
+        cfg = TrainConfig(max_iters=2000, grad_tolerance=1e-300)
+        with pytest.raises(DivergenceError) as lone:
+            fit_logistic_stack(features[1:2], labels[1:2], cfg)
+        with pytest.raises(DivergenceError) as stacked:
+            fit_logistic_stack(features, labels, cfg)
+        assert stacked.value.iteration == lone.value.iteration == 690
+        for caught in (lone, stacked):  # the Hessian was finite: the line search's exit
+            assert np.all(np.isfinite(caught.traceback[-1].locals["hessian"]))
+        fit_logistic_stack(features[::2], labels[::2], cfg)  # the others fit
+
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ParameterError):
             fit_logistic_stack(np.zeros((2, 3, 1)), np.zeros((2, 4)))
@@ -298,6 +325,11 @@ class TestSelectCoreset:
     def test_oversized_rejected(self):
         with pytest.raises(ParameterError):
             select_coreset(self.data, 31, None, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("size", [True, 1.5, 2.0, np.float64(2.0), "2"])
+    def test_bool_or_non_integer_size_rejected(self, size):
+        with pytest.raises(ParameterError, match=r"^coreset size must be an integer in \[1, 30\]"):
+            select_coreset(self.data, size, None, np.random.default_rng(0))
 
     def test_sensitivity_scores_follow_the_formula(self, monkeypatch):
         # 1 + ||x|| * (1 - 2 |p - 1/2|) under the given model, which is not refitted.
@@ -373,6 +405,16 @@ class TestKnnSelect:
             full = np.argsort(sq_dists, kind="stable")
             for k in range(1, data.num_points + 1):
                 assert np.array_equal(knn_order(data, query, k), full[:k])
+
+    @pytest.mark.parametrize("k", [True, 1.5, 2.0, np.float64(2.0), "2", 0, 3])
+    def test_bool_or_non_integer_or_oversized_k_rejected(self, k):
+        data = make_dataset([[1.0], [2.0]], [0, 1])
+        with pytest.raises(ParameterError, match=r"^k must be an integer in \[1, 2\], got "):
+            knn_order(data, np.zeros(1), k)
+
+    def test_numpy_integer_k_accepted(self):
+        data = make_dataset([[1.0], [2.0], [3.0]], [0, 1, 0])
+        assert knn_order(data, np.zeros(1), np.int64(2)).tolist() == [0, 1]
 
     def test_non_finite_query_rejected(self):
         data = make_dataset([[1.0], [2.0]], [0, 1])

@@ -285,6 +285,28 @@ class TestVerify:
         assert code == 2
         assert json.loads(out)["pass"] is False
 
+    def test_divergent_knn_fit_is_a_failing_row(self, capsys, tmp_path):
+        # Trial 2's query 7 has a three-point single-class neighbourhood whose
+        # fit diverges at iteration 690; it used to end the run with a traceback.
+        config = {
+            "kind": "knn", "params": {"epsilon": 0.2, "delta": 0.05, "input_dim": 2},
+            "trials": 5, "seed": 1, "dataset_size": 200, "knn_sizes": [3], "eval_points": 16,
+            "planted_norm": 50.0,
+            "train": {"max_iters": 2000, "grad_tolerance": 1e-300, "l2_reg": 0.0},
+        }
+        path, out_path = tmp_path / "knn.json", tmp_path / "report.json"
+        path.write_text(json.dumps(config))
+        code, _, _ = run_cli(
+            capsys, "verify", "knn", "--config", str(path), "--output", str(out_path)
+        )
+        assert code == 2
+        rows = json.loads(out_path.read_text())["trials"]
+        assert rows[2]["sup_error"] is None and rows[2]["failed"] is True  # inf, as JSON null
+        assert rows[2]["detail"].endswith("; query 7: non-finite training loss at iteration 690")
+        assert all(0 <= row["sup_error"] < 1 for i, row in enumerate(rows) if i != 2)
+        csv_rows = (tmp_path / "report.csv").read_text().splitlines()
+        assert csv_rows[3] == "2,inf,1"
+
     def test_kind_mismatch_is_parameter_error(self, capsys, config_path):
         code, _, err = run_cli(capsys, "verify", "knn", "--config", str(config_path))
         assert code == 1

@@ -391,6 +391,13 @@ class TestRandomDistribution:
         with pytest.raises(ParameterError):
             random_distribution(4, 0.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("concentration", [float("nan"), float("inf"), True])
+    def test_rejects_non_finite_or_bool_concentration(self, concentration):
+        # NaN and inf used to give rows of NaN, and True ran as 1.0.
+        message = rf"^concentration must be a finite real number in \(0, inf\), got {concentration}"
+        with pytest.raises(ParameterError, match=message):
+            dirichlet_rows(1, 4, concentration, np.random.default_rng(0))
+
     def test_rejects_empty_support(self):
         with pytest.raises(ParameterError, match="support size"):
             dirichlet_rows(1, 0, 1.0, np.random.default_rng(0))

@@ -299,6 +299,37 @@ def test_integer_too_long_to_print_is_parameter_error(build, field):
     assert "<an integer too long to print>" in str(caught.value)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: BoundParams(epsilon=3, delta=0.05), "epsilon in (0, 2], got 3"),
+        (lambda: BoundParams(epsilon=0.2, delta=1.0), "delta in (0, 1), got 1.0"),
+        (lambda: BoundParams(epsilon=0.2, delta=0.05, constant=0), "constant in (0, inf), got 0"),
+        (lambda: subset_penalty(4, -1.0), "constant in (0, inf), got -1.0"),
+        (lambda: textgen_config(concentration=0.0), "concentration in (0, inf), got 0.0"),
+        (lambda: textgen_config(planted_norm=-2.0), "planted_norm in (0, inf), got -2.0"),
+        (lambda: TrainConfig(learning_rate=0), "learning_rate in (0, inf), got 0"),
+        (lambda: TrainConfig(grad_tolerance=0.0), "grad_tolerance in (0, inf), got 0.0"),
+        (lambda: TrainConfig(l2_reg=-0.5), "l2_reg in [0, inf), got -0.5"),
+        (lambda: mix_with_uniform(np.ones(2) / 2, 1.0, 2), "eta in [0, 1), got 1.0"),
+        (lambda: dirichlet_rows(1, 4, 0.0, None), "concentration in (0, inf), got 0.0"),
+        (
+            lambda: BoundParams(epsilon=0.2, delta=0.05, constant=10**400),
+            "constant in (0, inf), got an int too large for a float",
+        ),
+    ],
+    ids=[
+        "epsilon", "delta", "constant", "subset_penalty", "concentration", "planted_norm",
+        "learning_rate", "grad_tolerance", "l2_reg", "eta", "dirichlet_rows", "huge_int",
+    ],
+)
+def test_real_bound_names_field_interval_and_value(build, message):
+    name, rest = message.split(" in ", 1)
+    with pytest.raises(ParameterError) as caught:
+        build()
+    assert str(caught.value) == f"{name} must be a finite real number in {rest}"
+
+
 # Every scalar of the config is set, to a value a float32 or int64 holds exactly.
 SCALARS_CONFIG = ExperimentConfig(
     kind="textgen",

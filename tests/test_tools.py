@@ -1,0 +1,32 @@
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from icl_lab import ExperimentConfig
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+@pytest.fixture(scope="module")
+def report_digests():
+    spec = importlib.util.spec_from_file_location("report_digests", TOOLS / "report_digests.py")
+    module = importlib.util.module_from_spec(spec)
+    path = list(sys.path)
+    try:
+        spec.loader.exec_module(module)  # it puts src and perfbench on the path
+    finally:
+        sys.path[:] = path
+    return module
+
+
+def test_every_report_digests_config_builds(report_digests):
+    # Built only, not run: a schema change that breaks one shows here, not at
+    # the next byte-identity check.
+    configs = report_digests.configs()
+    assert len(configs) == 20  # 40 reports, a JSON and a CSV each
+    for name, config in configs.items():
+        cfg = ExperimentConfig.from_dict(config)
+        assert cfg.kind == config["kind"], name
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg, name
