@@ -172,11 +172,13 @@ def _min_norm_directions(hessians: np.ndarray, grads: np.ndarray) -> np.ndarray:
 
     Eigenvalues at most ``eps * (d + 1)`` times the largest in magnitude count
     as zero: ``lstsq``'s ``rcond=None`` cutoff, as the singular values of a
-    symmetric matrix are its eigenvalues' magnitudes.
+    symmetric matrix are its eigenvalues' magnitudes.  So do subnormal ones, whose
+    inverse can overflow: a saturating fit's Hessian underflows toward them.
     """
     values, vectors = np.linalg.eigh(hessians)
     magnitudes = np.abs(values)
     cutoff = np.maximum.reduce(magnitudes, axis=1, keepdims=True) * (_EPS * values.shape[1])
+    np.maximum(cutoff, _TINY, out=cutoff)
     inverse = 1.0 / np.where(magnitudes > cutoff, values, np.inf)
     coords = (grads[:, None, :] @ vectors)[:, 0] * inverse
     return (vectors @ coords[:, :, None])[..., 0]

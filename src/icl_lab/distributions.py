@@ -127,17 +127,11 @@ def sample_counts(dist: CategoricalDistribution, n: int, rng: np.random.Generato
 def nested_counts(probs: np.ndarray, sizes, rng: np.random.Generator, out=None):
     """The (rows, V) counts of nested i.i.d. samples of the strictly increasing
     ``sizes`` (from 1 to 2**63 - 1) from the rows of the (rows, V) array ``probs``, one
-    yield per size: each size after the first adds ``Multinomial(n_k - n_{k-1}, p)``
-    draws, which gives the joint law of one token stream's prefixes.
+    int64 array per size: each size after the first adds ``Multinomial(n_k - n_{k-1},
+    p)`` draws, which gives the joint law of one token stream's prefixes.
 
-    With ``n >= V`` a draw is one ``rng.multinomial`` call, equal bit for bit to one
-    call per row.  With ``n < V`` each row counts ``n`` sorted uniforms placed on its
-    CDF, which beats multinomial's one binomial draw per outcome; scaling them by the
-    CDF's last entry keeps every index below V and off zero-probability outcomes.  The
-    sorted uniforms are merged into the CDF, O(n log n + V), and each lands on the
-    index ``searchsorted(cdf, u, side="right")`` gives.  Each such draw builds each
-    row's CDF afresh, in place in the key vector.  ``out`` is an optional float64
-    key vector for that path of at least V plus its largest ``n``, which is
+    Each increment is drawn by :func:`add_counts`.  ``out`` is an optional float64
+    key vector for its n < V path of at least V plus its largest ``n``, which is
     :func:`cdf_draw_size` (2V floats always suffice); a shorter one is refused.
     """
     sizes = check_draw_sizes(sizes)
@@ -146,6 +140,8 @@ def nested_counts(probs: np.ndarray, sizes, rng: np.random.Generator, out=None):
     if out is not None and needed and len(out) < support + needed:
         floats = f"{len(out)} key floats are too few"
         raise ParameterError(f"{floats} for an n < V draw of {needed} on {support} outcomes")
+    if out is None and needed:
+        out = np.empty(support + needed)
     return _nested_counts(probs, sizes, rng, out)
 
 
@@ -161,57 +157,88 @@ def check_draw_sizes(sizes) -> tuple[int, ...]:
 
 
 def cdf_draw_size(sizes, support: int) -> int:
-    """The largest draw of the nested ``sizes`` that takes :func:`nested_counts`'
-    n < V path on ``support`` outcomes, 0 when none does; that path's key vector
-    holds ``support`` floats more."""
+    """The largest draw of the nested ``sizes`` that takes the n < V path of
+    :func:`add_counts` and :func:`write_counts` on ``support`` outcomes, 0 when none
+    does; that path merges in ``support`` floats more."""
     return max((b - a for a, b in zip((0,) + sizes, sizes) if b - a < support), default=0)
 
 
 def _nested_counts(probs, sizes, rng, out):
     """:func:`nested_counts` past its checks."""
-    counts, drawn = None, 0
-    for size in sizes:
-        n = size - drawn
-        if n >= probs.shape[1]:
-            draw = rng.multinomial(n, probs)
-        else:
-            if out is None:
-                out = np.empty(probs.shape[1] + cdf_draw_size(sizes, probs.shape[1]))
-            draw = _cdf_counts(probs, n, rng, out)
-        counts = draw if counts is None else counts + draw
-        drawn = size
-        yield counts
+    counts = np.zeros(probs.shape, np.int64)
+    for low, high in zip((0,) + sizes, sizes):
+        add_counts(probs, high - low, rng, counts, out)
+        yield counts.copy()
 
 
-def _cdf_counts(probs, n, rng, work) -> np.ndarray:
-    """``n`` i.i.d. draws from each row of ``probs``, merged in the float64 workspace
-    ``work``: the row's CDF, then its keys, in its first V floats, the uniforms
-    after them."""
+def add_counts(probs, n: int, rng, counts, keys) -> None:
+    """Add to each row of the int64 or float64 (rows, V) ``counts`` the counts of
+    ``n`` i.i.d. draws from the same row of ``probs``.
+
+    With ``n >= V`` the draw is one ``rng.multinomial`` call, equal bit for bit to one
+    call per row.  With ``n < V`` each row's draws are located on its CDF by a merge
+    in the float64 ``keys``' first V + n floats, which beats multinomial's one
+    binomial draw per outcome, and added with ``np.add.at``.
+    """
+    if n >= probs.shape[1]:
+        counts += rng.multinomial(n, probs)
+        return
+    one = counts.dtype.type(1)  # np.add.at's fast path takes the row's own dtype
+    for p, row in zip(probs, counts):
+        np.add.at(row, _cdf_index(p, n, rng, keys), one)
+
+
+def write_counts(probs, n: int, rng, keys) -> None:
+    """Write the counts of ``n`` i.i.d. draws from each row of the (rows, V) ``probs``,
+    drawn as :func:`add_counts` draws them, as float64 to the head of ``keys``, which
+    holds rows * V floats and, when ``n < V``, ``n`` more.
+
+    Row r merges in the V + n floats from its own place on, its own and those of
+    rows not yet drawn or the ``n`` after the last row, so it overwrites no counts;
+    it is then zeroed and its counts added there.  Every n < V count is exact in
+    float64, and a multinomial draw's int64 counts are cast as a division casts them.
+    """
     support = probs.shape[1]
-    keys, uniforms = work[: support + n].view(np.uint64), work[support : support + n]
-    cdf = work[:support]
-    rows = []
-    for p in probs:
-        np.cumsum(p, out=cdf)
-        rng.random(out=uniforms)
-        uniforms.sort()
-        uniforms *= cdf[-1]
-        # As uint64, non-negative doubles order like the floats: their bit patterns
-        # are all below 2**63.  So 2 bits(c) < 2 bits(u) + 1 exactly when c <= u,
-        # and the shift drops a leading -0.0's sign bit.  numpy's stable sort of
-        # uint64 is timsort, which merges the two sorted runs; a uniform's index,
-        # the number of CDF entries at most u, is then its merged position less its
-        # rank among the uniforms.
-        keys <<= 1
-        keys[support:] |= 1
-        keys.sort(kind="stable")
-        keys &= 1
-        # Read as bools, the tags take numpy's branch-free nonzero.
-        index = np.flatnonzero(keys.view(np.bool_)[_LOW_BYTE::8])
-        index -= np.arange(n)
-        rows.append(np.bincount(index, minlength=support))
-    # One row is viewed, not copied: a copy per context doubles the page faults at V=50,000.
-    return np.stack(rows) if len(rows) > 1 else rows[0][None]
+    counts = keys[: probs.size].reshape(probs.shape)
+    if n >= support:
+        counts[...] = rng.multinomial(n, probs)
+        return
+    for r, p in enumerate(probs):
+        index = _cdf_index(p, n, rng, keys[r * support :])
+        counts[r] = 0.0
+        np.add.at(counts[r], index, 1.0)
+
+
+def _cdf_index(p, n, rng, keys) -> np.ndarray:
+    """The outcome of each of ``n`` i.i.d. draws from the probability row ``p``, in
+    increasing order, merged in the float64 ``keys``' first V + n floats: ``p``'s CDF
+    in the first V, shifted in place into its keys, then ``n`` sorted uniforms.
+
+    Scaling the uniforms by the CDF's last entry keeps every index below V and off
+    zero-probability outcomes.  The sorted uniforms are merged into the CDF, O(n log n
+    + V), and each lands on the index ``searchsorted(cdf, u, side="right")`` gives.
+    """
+    support = len(p)
+    cdf, uniforms = keys[:support], keys[support : support + n]
+    merged = keys[: support + n].view(np.uint64)
+    np.cumsum(p, out=cdf)
+    rng.random(out=uniforms)
+    uniforms.sort()
+    uniforms *= cdf[-1]
+    # As uint64, non-negative doubles order like the floats: their bit patterns
+    # are all below 2**63.  So 2 bits(c) < 2 bits(u) + 1 exactly when c <= u,
+    # and the shift drops a leading -0.0's sign bit.  numpy's stable sort of
+    # uint64 is timsort, which merges the two sorted runs; a uniform's index,
+    # the number of CDF entries at most u, is then its merged position less its
+    # rank among the uniforms.
+    merged <<= 1
+    merged[support:] |= 1
+    merged.sort(kind="stable")
+    merged &= 1
+    # Read as bools, the tags take numpy's branch-free nonzero.
+    index = np.flatnonzero(merged.view(np.bool_)[_LOW_BYTE::8])
+    index -= np.arange(n)
+    return index
 
 
 def random_distribution(

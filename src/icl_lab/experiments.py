@@ -45,7 +45,7 @@ from .classify import (
     sigmoid,
     train_logistic,
 )
-from .distributions import cdf_draw_size, check_draw_sizes, dirichlet_rows, nested_counts
+from .distributions import add_counts, cdf_draw_size, check_draw_sizes, dirichlet_rows, write_counts
 from .errors import DivergenceError, ParameterError, check_int, check_real, from_object, shown
 from .oracle import check_eta, icl_counts_rows, mix_with_uniform, sequence_space
 from .reports import (
@@ -58,8 +58,9 @@ from .reports import (
     write_json_report,
 )
 
-# Largest stacked float64 array: a counts batch's (block, support) truths or
-# responder, or one stacked logistic fit's (fits, points, d + 1) design tensor.
+# Largest stacked array: a counts batch's (block, support) truths, count rows (then
+# its responder) or int64 running counts, or one stacked logistic fit's (fits,
+# points, d + 1) design tensor.
 # A counts trial whose contexts span blocks takes its draw order from the block
 # height, so changing this changes those reports (textgen at V=50,000, m=100).
 STACK_BYTES = 256 * 1024
@@ -263,49 +264,53 @@ def _counts_measure(cfg: ExperimentConfig, support: int, contexts: int, sizes: t
     and a block of the batch holds that many contexts of each of its trials, each
     trial owning consecutive rows.  ``batch``, ``_stack_rows(support * contexts)``,
     keeps a block within :func:`_stack_rows` rows: many whole trials, or one trial's
-    part.  The batch allocates one workspace of (rows, support) float64 arrays,
-    sized to its first (largest) block, and fills it block after block, a short
-    block through views of its leading rows: the truths, drawn in place by
-    :func:`dirichlet_rows`, and the responder's rows.  The responder's buffer, of
-    ``max(rows * support, support + n)`` floats for the largest draw n that takes
-    :func:`nested_counts`' n < V path, also holds that path's merge vector: one
-    row's CDF, shifted in place into its keys, then its n uniforms.  A block
-    draws, trial after trial and each from its own stream, all of its truths, then
-    per size its counts; its responder and L1 errors run row-wise once per size.  So
-    every stream sees the draws of its trial run alone, and a batch holds O(block)
-    memory, not O(contexts * support).  Each row is normalized once: a truth row
-    over its own sum, a responder row as its counts over their total.
+    part.  The batch allocates its workspace once, sized to its first (largest)
+    block, and fills it block after block, a short block through its leading rows:
+    the (rows, support) truths, drawn in place by :func:`dirichlet_rows`, and one
+    vector of rows * support floats, the block's count rows, then its responder,
+    with the largest n < V draw's n floats after them, where the last row's
+    :func:`write_counts` merge runs.  A grid of several sizes carries its running
+    counts in one int64 (rows, support) array, added to by :func:`add_counts` and
+    cast into the count rows once per size.  A block draws, trial after trial and
+    each from its own stream, all of its truths, then per size its counts, forms the
+    responder in place on them and takes their L1 errors row-wise.  So every stream
+    sees the draws of its trial run alone, and a batch holds O(block) memory, not
+    O(contexts * support).  Each row is normalized once: a truth row over its own
+    sum, a responder row as its counts over the draw's exact size.
     """
     check_draw_sizes(sizes)  # refused before any trial runs
     per_block = _stack_rows(support)
     heights = [min(per_block, contexts - start) for start in range(0, contexts, per_block)]
     sampled = cdf_draw_size(sizes, support)
 
-    # A function, not the size loop's body: a loop variable would keep the last
-    # size's concatenated counts alive while the next block draws.
-    def block_errors(truths, counts, responder):
-        """Per row, the L1 distance between the truth and the responder's row
-        :func:`icl_counts_rows`, over the rows of the trials' ``counts`` in turn."""
-        counts = counts[0] if len(counts) == 1 else np.concatenate(counts)
-        diff = icl_counts_rows(counts, cfg.eta, out=responder[: len(truths)])
-        diff -= truths
-        return np.abs(diff, out=diff).sum(axis=1)
-
     def measure(rngs):
         rows = len(rngs) * heights[0]
         worst = np.zeros((len(rngs), len(sizes)))  # L1 errors are non-negative
         truth_rows = np.empty((rows, support))
-        # The draws' keys live in the responder's buffer, which is idle while a
-        # draw runs: a block scores each size's counts only after drawing them.
-        keys = np.empty(max(rows * support, support + sampled))
-        responder = keys[: rows * support].reshape(rows, support)
+        work = np.empty(rows * support + sampled)
+        carry = np.empty((rows, support), np.int64) if len(sizes) > 1 else None
         for height in heights:
             truths = truth_rows[: len(rngs) * height]
+            counts = work[: truths.size].reshape(truths.shape)
             owned = [slice(k * height, (k + 1) * height) for k in range(len(rngs))]
             for rng, own in zip(rngs, owned):
                 dirichlet_rows(height, support, cfg.concentration, rng, out=truths[own])
-            draws = [nested_counts(truths[own], sizes, rng, keys) for rng, own in zip(rngs, owned)]
-            errors = [block_errors(truths, counts, responder) for counts in zip(*draws)]
+            if carry is not None:
+                carry[: len(truths)] = 0
+            errors, drawn = [], 0
+            for size in sizes:
+                for rng, own in zip(rngs, owned):
+                    # A trial's merges run from its own rows on, past those drawn.
+                    keys = work[own.start * support :]
+                    if carry is None:
+                        write_counts(truths[own], size - drawn, rng, keys)
+                    else:
+                        add_counts(truths[own], size - drawn, rng, carry[own], keys)
+                        counts[own] = carry[own]
+                drawn = size
+                diff = icl_counts_rows(counts, cfg.eta, out=counts, totals=size)
+                diff -= truths
+                errors.append(np.abs(diff, out=diff).sum(axis=1))
             per_trial = np.reshape(errors, (len(sizes), len(rngs), height)).max(axis=2)
             worst = np.maximum(worst, per_trial.T)
         for trial in worst:

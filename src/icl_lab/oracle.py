@@ -57,18 +57,22 @@ def mix_with_uniform(probs, eta: float, support: int, out=None):
     return mixed
 
 
-def icl_counts_rows(counts, eta: float = 0.0, out=None) -> np.ndarray:
+def icl_counts_rows(counts, eta: float = 0.0, out=None, totals=None) -> np.ndarray:
     """The responder's answer for each row of the (rows, V) per-outcome prompt counts:
     ``counts / totals`` with the error knob off, and its uniform mix with it on;
-    written to the float64 array ``out`` when given, with the same arithmetic.
+    written to the float64 array ``out`` when given (``counts`` itself included),
+    with the same arithmetic.  ``totals``, the rows' sample counts, is their sums
+    when not given; the harness gives each draw's exact size, as float64 counts past
+    2**53 need not sum to it.
 
     A row with fewer than one sample is refused.  The rows are not renormalized:
     the harness scores them as they are, and :class:`CategoricalDistribution`
     renormalizes a row once on construction.
     """
     counts = np.asarray(counts)
-    totals = counts.sum(axis=-1, keepdims=True)
-    if totals.min() < 1:
+    if totals is None:
+        totals = counts.sum(axis=-1, keepdims=True)
+    if np.min(totals) < 1:
         raise ParameterError("cannot estimate a distribution from zero samples")
     rows = np.divide(counts, totals, out=out)
     return mix_with_uniform(rows, eta, counts.shape[-1], out=rows)

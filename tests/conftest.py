@@ -1,5 +1,7 @@
-"""Shared fixtures: one tiny config per experiment kind."""
+"""Shared fixtures: one tiny config per experiment kind, and a Newton direction
+solve that overflows on a subnormal Hessian."""
 
+import numpy as np
 import pytest
 
 from icl_lab import BoundParams, ExperimentConfig, TrainConfig
@@ -47,3 +49,21 @@ def tiny_config():
         return ExperimentConfig(kind=kind, trials=3, seed=5, **dict(_TINY[kind], **overrides))
 
     return make
+
+
+@pytest.fixture
+def unfloored_directions(monkeypatch):
+    """Patches the logistic fits' Newton direction solve to one whose eigenvalue
+    cutoff is not floored at the smallest normal float: it inverts a subnormal
+    eigenvalue, so a saturating fit's direction overflows and no line-search step
+    has a finite loss, which raises the fit's divergence."""
+
+    def directions(hessians, grads):
+        values, vectors = np.linalg.eigh(hessians)
+        magnitudes = np.abs(values)
+        cutoff = magnitudes.max(axis=1, keepdims=True) * (np.finfo(float).eps * values.shape[1])
+        inverse = 1.0 / np.where(magnitudes > cutoff, values, np.inf)
+        coords = (grads[:, None, :] @ vectors)[:, 0] * inverse
+        return (vectors @ coords[:, :, None])[..., 0]
+
+    monkeypatch.setattr("icl_lab.classify._min_norm_directions", directions)

@@ -174,6 +174,17 @@ class TestTrainLogistic:
             assert (plus - minus) / (2 * h) == pytest.approx(grad_b, rel=1e-5, abs=1e-8)
 
 
+# A three-point neighbourhood of knn's planted task whose single-class logistic fit
+# saturates (planted norm 50, trial 2 of seed 1, query 7).
+SATURATING = np.array(
+    [
+        [-1.3356999486407577, -0.2852774400492382],
+        [-1.2879611045782804, -0.3786053658889156],
+        [-1.2864104704031945, -0.381318202769832],
+    ]
+)
+
+
 class TestFitLogisticStack:
     # Four fits of three points on a line: labels that no threshold separates,
     # a single class, a separable pair of classes and heavy-tailed features.
@@ -264,19 +275,16 @@ class TestFitLogisticStack:
         assert stacked.value.iteration == lone.value.iteration == 1
         fit_logistic_stack(features[::2], labels[::2], cfg)  # the others fit
 
-    def test_line_search_divergence_raises_its_iteration_stacked_and_alone(self):
-        # A three-point single-class neighbourhood of knn's planted task (planted
-        # norm 50, trial 2 of seed 1, query 7): with no ridge and an unreachable
-        # tolerance, its Hessian shrinks until the Newton direction overflows and
-        # no step's loss is finite.
+    def test_line_search_divergence_raises_its_iteration_stacked_and_alone(
+        self, unfloored_directions
+    ):
+        # The saturating neighbourhood, with no ridge and an unreachable tolerance:
+        # its Hessian shrinks until the unfloored solve's Newton direction
+        # overflows and no step's loss is finite.
         features = np.array(
             [
                 [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
-                [
-                    [-1.3356999486407577, -0.2852774400492382],
-                    [-1.2879611045782804, -0.3786053658889156],
-                    [-1.2864104704031945, -0.381318202769832],
-                ],
+                SATURATING,
                 [[0.0, 1.0], [0.0, -1.0], [1.0, 0.5]],
             ]
         )
@@ -290,6 +298,15 @@ class TestFitLogisticStack:
         for caught in (lone, stacked):  # the Hessian was finite: the line search's exit
             assert np.all(np.isfinite(caught.traceback[-1].locals["hessian"]))
         fit_logistic_stack(features[::2], labels[::2], cfg)  # the others fit
+
+    def test_saturating_fit_is_not_divergent(self):
+        # The same neighbourhood through the real solve: as its loss falls toward 0
+        # its Hessian's eigenvalues turn subnormal, and they count as zero instead of
+        # being inverted to an infinite direction at iteration 690.
+        cfg = TrainConfig(max_iters=2000, grad_tolerance=1e-300)
+        (theta,) = fit_logistic_stack(np.array([SATURATING]), np.zeros((1, 3)), cfg)
+        assert np.all(np.isfinite(theta))
+        assert np.all(predict_probs(LinearModel(theta[:-1], theta[-1]), SATURATING) < 1e-300)
 
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ParameterError):

@@ -285,9 +285,10 @@ class TestVerify:
         assert code == 2
         assert json.loads(out)["pass"] is False
 
-    def test_divergent_knn_fit_is_a_failing_row(self, capsys, tmp_path):
-        # Trial 2's query 7 has a three-point single-class neighbourhood whose
-        # fit diverges at iteration 690; it used to end the run with a traceback.
+    def test_divergent_knn_fit_is_a_failing_row(self, capsys, tmp_path, unfloored_directions):
+        # Trial 2's query 7 has a three-point single-class neighbourhood whose fit,
+        # through the unfloored direction solve, diverges at iteration 690; a
+        # divergent fit used to end the run with a traceback.
         config = {
             "kind": "knn", "params": {"epsilon": 0.2, "delta": 0.05, "input_dim": 2},
             "trials": 5, "seed": 1, "dataset_size": 200, "knn_sizes": [3], "eval_points": 16,

@@ -26,6 +26,7 @@ from icl_lab.classify import knn_select, predict_probs, select_coreset, train_lo
 from icl_lab.distributions import (
     CategoricalDistribution,
     dirichlet_rows,
+    nested_counts,
     normalized_rows,
     sample_counts,
 )
@@ -34,7 +35,6 @@ from icl_lab.experiments import (
     KINDS,
     _median,
     max_workers,
-    nested_counts,
     planted_linear_dataset,
     trial_rng,
 )
@@ -566,11 +566,21 @@ class TestCountsBlocks:
         assert errors == per_context_reference(cfg, 40_000, 3, sizes, reference_rng, block=1)
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
-    @pytest.mark.parametrize("sizes", [(44_936,), (5, 50)])
-    def test_multi_row_block_draws_truths_then_counts(self, sizes):
-        cfg = textgen_config(eta=0.2)
-        errors, _ = self.measure(cfg, 20, 10, sizes, seed=3)
-        assert errors == per_context_reference(cfg, 20, 10, sizes, trial_rng(3, 0), block=10)
+    @pytest.mark.parametrize(
+        "sizes, eta, seed",
+        [
+            ((44_936,), 0.2, 3),
+            ((5, 50), 0.2, 3),
+            # Float64 counts are exact only below 2**53: a responder over re-summed
+            # float counts, or a grid carrying its counts in float64, differs here.
+            ((2**54 + 1,), 0.2, 3),
+            ((5, 2**60), 0.0, 6),
+        ],
+    )
+    def test_multi_row_block_draws_truths_then_counts(self, sizes, eta, seed):
+        cfg = textgen_config(eta=eta)
+        errors, _ = self.measure(cfg, 20, 10, sizes, seed=seed)
+        assert errors == per_context_reference(cfg, 20, 10, sizes, trial_rng(seed, 0), block=10)
 
     @pytest.mark.parametrize("eta", [0.0, 0.2])
     def test_shared_block_matches_each_trial_alone(self, eta):
@@ -595,9 +605,9 @@ class TestCountsBlocks:
         calls = []
         real_rows = experiments.icl_counts_rows
 
-        def recording(counts, eta, out):
+        def recording(counts, eta, out, totals):
             calls.append((counts.shape, set(counts.sum(axis=1).tolist()), eta))
-            return real_rows(counts, eta, out=out)
+            return real_rows(counts, eta, out=out, totals=totals)
 
         monkeypatch.setattr(experiments, "icl_counts_rows", recording)
         assert report_to_dict(run_experiment(cfg)) == plain
@@ -651,23 +661,47 @@ class TestCountsBlocks:
         peak(16)  # warm-up, so one-off first-call allocations are not counted
         assert peak(200) <= 1.5 * peak(16)
 
-    def test_one_context_block_holds_about_three_rows_of_v(self):
-        # At V = 1,000,000 a block is one context, and n = 100,000 < V merges:
-        # the truths, the key vector (V + n floats) and the bincount counts make
-        # about 3.2 rows of V float64.  A separate CDF row would make it 4.2.
+    @staticmethod
+    def warm_peak(cfg):
+        """The ``tracemalloc`` peak of a second run of ``cfg``, so one-off first-call
+        allocations are not counted."""
+        run_experiment(cfg)
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_one_context_block_holds_under_two_and_a_half_rows_of_v(self):
+        # At V = 1,000,000 a block is one context, and n = 100,000 < V merges: the
+        # truths and the count row with the n merge floats after it make about 2.3
+        # rows of V float64.  An int64 count row per draw would make about 3.2.
         params = BoundParams(epsilon=0.2, delta=0.05, vocab_size=1_000_000, num_contexts=2)
         cfg = textgen_config(params=params, samples_override=100_000, trials=1)
+        assert self.warm_peak(cfg) <= 2.5 * 8 * 1_000_000
 
-        def peak():
-            tracemalloc.start()
-            try:
-                run_experiment(cfg)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+    def test_multi_row_block_counts_in_its_responder_rows(self):
+        # At V = 2,000 a block holds 16 contexts, and n = 500 < V: the truths and the
+        # count rows make about 2.2 blocks of STACK_BYTES.  A count array per draw,
+        # stacked, then concatenated, made about 4.
+        params = BoundParams(epsilon=0.2, delta=0.05, vocab_size=2_000, num_contexts=40)
+        cfg = textgen_config(params=params, samples_override=500, trials=1)
+        assert self.warm_peak(cfg) <= 2.75 * experiments.STACK_BYTES
 
-        peak()  # warm-up, so one-off first-call allocations are not counted
-        assert peak() <= 3.5 * 8 * 1_000_000
+    def test_nested_grid_carries_one_int64_block(self):
+        # At V = 2,000 a block holds 16 rows: 20 trials of one context are batches of
+        # 16 and 4.  The truths, the count rows and the int64 running counts make
+        # about 3.1 blocks; a fresh counts array per draw and size made about 6.5.
+        params = BoundParams(epsilon=1.0, delta=0.05, vocab_size=2_000, constant=2.0)
+        cfg = ExperimentConfig(
+            kind="subset_penalty",
+            params=params,
+            trials=20,
+            seed=5,
+            subset_sizes=(100, 500, 1_500, 5_000),
+        )
+        assert self.warm_peak(cfg) <= 4 * experiments.STACK_BYTES
 
 
 class TestBoundedTextgenExperiment:
@@ -1140,9 +1174,9 @@ def test_counts_reports_do_not_depend_on_batches_or_threads(
     blocks = []
     real_rows = experiments.icl_counts_rows
 
-    def recording(counts, eta, out):
+    def recording(counts, eta, out, totals):
         blocks.append(len(counts))
-        return real_rows(counts, eta, out=out)
+        return real_rows(counts, eta, out=out, totals=totals)
 
     monkeypatch.setattr(experiments, "icl_counts_rows", recording)
 

@@ -7,7 +7,9 @@ Usage, from the root of a source checkout:
 The set is the four ``perfbench/workloads.py`` configs at seeds 1 and 2, each
 kind's ``tests/conftest.py`` tiny config at eta 0 and 0.1, textgen at V = 2,000,
 m = 40, n = 500 (three blocks of an n < V draw), and subset_penalty at
-V = 20,000 with its default sizes.  Each config is written to OUTDIR and run
+V = 20,000 with its default sizes (one row a block) and at V = 2,000 with sizes
+(100, 500, 1,500, 5,000), 20 trials (nested n < V draws in a block of several
+trials).  Each config is written to OUTDIR and run
 through ``icl_lab.cli.main`` of this checkout's ``src``, which writes its JSON
 and CSV reports there; one ``sha256  file`` line per report goes to stdout.  To
 check that two trees give byte-identical reports, run this script in each tree
@@ -17,6 +19,7 @@ and ``diff`` the two outputs.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -63,6 +66,14 @@ def configs() -> dict:
     penalty = BoundParams(epsilon=1.0, delta=0.05, vocab_size=20_000, constant=2.0)
     named["subset_penalty-V20000"] = ExperimentConfig(
         kind="subset_penalty", params=penalty, trials=3, seed=5
+    ).to_dict()
+    nested = dataclasses.replace(penalty, vocab_size=2_000)
+    named["subset_penalty-V2000-trials20"] = ExperimentConfig(
+        kind="subset_penalty",
+        params=nested,
+        trials=20,
+        seed=5,
+        subset_sizes=(100, 500, 1_500, 5_000),
     ).to_dict()
     return named
 
