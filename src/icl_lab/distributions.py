@@ -124,25 +124,15 @@ def sample_counts(dist: CategoricalDistribution, n: int, rng: np.random.Generato
     return next(nested_counts(dist.probs[None], (n,), rng))[0]
 
 
-def nested_counts(probs: np.ndarray, sizes, rng: np.random.Generator, out=None):
+def nested_counts(probs: np.ndarray, sizes, rng: np.random.Generator):
     """The (rows, V) counts of nested i.i.d. samples of the strictly increasing
     ``sizes`` (from 1 to 2**63 - 1) from the rows of the (rows, V) array ``probs``, one
     int64 array per size: each size after the first adds ``Multinomial(n_k - n_{k-1},
-    p)`` draws, which gives the joint law of one token stream's prefixes.
-
-    Each increment is drawn by :func:`add_counts`.  ``out`` is an optional float64
-    key vector for its n < V path of at least V plus its largest ``n``, which is
-    :func:`cdf_draw_size` (2V floats always suffice); a shorter one is refused.
-    """
+    p)`` draws, the joint law of one token stream's prefixes, by :func:`add_counts` in
+    one key vector sized here."""
     sizes = check_draw_sizes(sizes)
-    support = probs.shape[1]
-    needed = cdf_draw_size(sizes, support)
-    if out is not None and needed and len(out) < support + needed:
-        floats = f"{len(out)} key floats are too few"
-        raise ParameterError(f"{floats} for an n < V draw of {needed} on {support} outcomes")
-    if out is None and needed:
-        out = np.empty(support + needed)
-    return _nested_counts(probs, sizes, rng, out)
+    keys = np.empty(probs.shape[1] + cdf_draw_size(sizes, probs.shape[1]))
+    return _nested_counts(probs, sizes, rng, keys)
 
 
 def check_draw_sizes(sizes) -> tuple[int, ...]:
@@ -157,28 +147,29 @@ def check_draw_sizes(sizes) -> tuple[int, ...]:
 
 
 def cdf_draw_size(sizes, support: int) -> int:
-    """The largest draw of the nested ``sizes`` that takes the n < V path of
-    :func:`add_counts` and :func:`write_counts` on ``support`` outcomes, 0 when none
-    does; that path merges in ``support`` floats more."""
+    """The largest increment of the nested ``sizes`` below ``support``, 0 if none: the
+    n < V draw that merges the most floats, which sizes each key vector, the one of
+    :func:`nested_counts` and each counts batch's in ``_counts_measure``."""
     return max((b - a for a, b in zip((0,) + sizes, sizes) if b - a < support), default=0)
 
 
-def _nested_counts(probs, sizes, rng, out):
-    """:func:`nested_counts` past its checks."""
+def _nested_counts(probs, sizes, rng, keys):
+    """:func:`nested_counts` past its checks, merging in the ``keys`` it sized."""
     counts = np.zeros(probs.shape, np.int64)
     for low, high in zip((0,) + sizes, sizes):
-        add_counts(probs, high - low, rng, counts, out)
+        add_counts(probs, high - low, rng, counts, keys)
         yield counts.copy()
 
 
 def add_counts(probs, n: int, rng, counts, keys) -> None:
-    """Add to each row of the int64 or float64 (rows, V) ``counts`` the counts of
-    ``n`` i.i.d. draws from the same row of ``probs``.
+    """Add to each row of the int64 (rows, V) ``counts`` the counts of ``n`` i.i.d.
+    draws from the same row of ``probs``.
 
     With ``n >= V`` the draw is one ``rng.multinomial`` call, equal bit for bit to one
     call per row.  With ``n < V`` each row's draws are located on its CDF by a merge
-    in the float64 ``keys``' first V + n floats, which beats multinomial's one
-    binomial draw per outcome, and added with ``np.add.at``.
+    in the float64 ``keys``' first V + n floats, sized by :func:`nested_counts` or
+    ``_counts_measure``, which beats multinomial's one binomial draw per outcome, and
+    added with ``np.add.at``.
     """
     if n >= probs.shape[1]:
         counts += rng.multinomial(n, probs)

@@ -9,6 +9,7 @@ from icl_lab import ParameterError, Vocabulary
 from icl_lab.distributions import (
     PROB_SUM_TOLERANCE,
     CategoricalDistribution,
+    cdf_draw_size,
     dirichlet_rows,
     empirical_distribution,
     l1_distance,
@@ -271,7 +272,6 @@ class TestNestedCounts:
         (counts,) = nested_counts(np.full((2, 3), 1 / 3), (2**63 - 1,), np.random.default_rng(0))
         assert counts.sum(axis=1).tolist() == [2**63 - 1] * 2
 
-    @pytest.mark.parametrize("workspace", [False, True])
     @pytest.mark.parametrize(
         "rows, size, sizes",
         [
@@ -286,20 +286,16 @@ class TestNestedCounts:
             (2, 20_000, (3, 2_000)),
         ],
     )
-    def test_integer_keys_match_the_float_key_search(self, rows, size, sizes, workspace):
+    def test_integer_keys_match_the_float_key_search(self, rows, size, sizes):
         probs = np.random.default_rng(size).dirichlet(np.full(size, 0.5), size=rows)
         probs[:, [0, size // 2, size - 1]] = 0.0  # zeros at the start, middle and end
         probs /= probs.sum(axis=1, keepdims=True)
         probs[-1, :3] = -0.0  # a leading -0.0 run, whose bits sort above every +x
         probs[-1] /= probs[-1].sum()
         assert np.signbit(probs[-1, 0])
-        increments = np.diff((0,) + sizes)
-        largest = max(n for n in increments if n < size)
-        # The smallest key vector accepted.
-        out = np.empty(size + largest) if workspace else None
         rng, reference_rng = np.random.default_rng(5), np.random.default_rng(5)
         expected, drawn = 0, 0
-        for counts, n in zip(nested_counts(probs, sizes, rng, out), sizes):
+        for counts, n in zip(nested_counts(probs, sizes, rng), sizes):
             expected = expected + float_key_counts(probs, n - drawn, reference_rng)
             drawn = n
             assert counts.dtype == np.int64
@@ -325,18 +321,17 @@ class TestNestedCounts:
         expected[[0, 1_000, 2_000, 4_095]] = np.array([1, 2, 3, 2]) * n // 8
         assert np.array_equal(counts, expected)
 
-    def test_rejects_a_uniforms_workspace_shorter_than_the_largest_draw(self):
-        # Eight draws on ten outcomes need 18 key floats, the CDF's ten and the eight
-        # uniforms.  Three uniforms used to give counts summing to 3.
-        probs = np.full((1, 10), 0.1)
-        for floats in (3, 8, 17):
-            with pytest.raises(ParameterError, match=f"^{floats} key floats .* draw of 8"):
-                nested_counts(probs, (8,), np.random.default_rng(0), np.empty(floats))
-        ((counts,),) = nested_counts(probs, (8,), np.random.default_rng(0), np.empty(18))
-        assert counts.sum() == 8
-        # Only the n < V increments count: 3 then 12 >= V draws multinomial.
-        (_, counts) = nested_counts(probs, (3, 15), np.random.default_rng(0), np.empty(13))
-        assert counts.sum() == 15
+    @pytest.mark.parametrize(
+        "sizes, support, largest",
+        [
+            ((3, 15), 10, 3),  # 3, then 12 >= V: only the n < V increment counts
+            ((12,), 10, 0),  # no increment below V
+            ((8,), 10, 8),
+            ((5, 50), 20, 5),
+        ],
+    )
+    def test_cdf_draw_size_is_the_largest_increment_below_v(self, sizes, support, largest):
+        assert cdf_draw_size(sizes, support) == largest
 
 
 class TestRandomDistribution:

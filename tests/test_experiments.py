@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -702,6 +703,51 @@ class TestCountsBlocks:
             subset_sizes=(100, 500, 1_500, 5_000),
         )
         assert self.warm_peak(cfg) <= 4 * experiments.STACK_BYTES
+
+
+
+def binomial_z(failures, trials, q):
+    """The failure count's standard score against an exact failure probability q."""
+    return (failures - trials * q) / math.sqrt(trials * q * (1 - q))
+
+
+class TestCountsExactLaw:
+    # Concentration 1e12 draws truths within about 1e-6 of uniform, where each case's
+    # failure probability is exact.  Each run is at a fixed seed, so |z| <= 4 is
+    # deterministic.
+    def run(self, kind, params, trials, **fields):
+        cfg = ExperimentConfig(
+            kind=kind, params=params, trials=trials, seed=1, concentration=1e12, **fields
+        )
+        return run_experiment(cfg).trials
+
+    def test_multinomial_draw_fails_at_the_binomial_tail(self):
+        # V = 2, n = 100 >= V: the error 2 |X/100 - 1/2| exceeds 0.21 iff |X - 50| >= 11.
+        q = sum(math.comb(100, x) for x in range(101) if abs(x - 50) >= 11) / 2**100
+        assert q == pytest.approx(0.0352, abs=1e-4)
+        params = BoundParams(epsilon=0.21, delta=0.05, vocab_size=2)
+        rows = self.run("textgen", params, 4_000, samples_override=100)
+        assert abs(binomial_z(sum(r.failed for r in rows), 4_000, q)) <= 4
+
+    @pytest.mark.parametrize("contexts", [1, 4])
+    def test_merged_draw_fails_when_both_draws_agree(self, contexts):
+        # V = 3, n = 2 < V: counts (2, 0, 0) read 4/3 > 1, counts (1, 1, 0) read 2/3,
+        # so a context fails with q = 1/3 and a trial of m contexts with 1 - (2/3)**m.
+        params = BoundParams(epsilon=1.0, delta=0.05, vocab_size=3, num_contexts=contexts)
+        rows = self.run("textgen", params, 3_000, samples_override=2)
+        q = 1 - (2 / 3) ** contexts
+        assert abs(binomial_z(sum(r.failed for r in rows), 3_000, q)) <= 4
+
+    def test_nested_grid_fails_at_each_sizes_exact_rate(self):
+        # V = 3, limit 0.8 sqrt(5 / n): at n = 2 (a merge) the limit 1.26 fails only
+        # (2, 0, 0), q = 1/3; at n = 5 (a 3 >= V multinomial increment) the limit 0.8
+        # fails (5, 0, 0), 4/3, and (4, 1, 0), 14/15, but not (3, 2, 0), 2/3: q = 33/243.
+        params = BoundParams(epsilon=1.0, delta=0.05, vocab_size=3, constant=0.8 * math.sqrt(5))
+        rows = self.run("subset_penalty", params, 3_000, subset_sizes=(2, 5))
+        for size, q in ((2, 1 / 3), (5, 33 / 243)):
+            failed = [r.failed for r in rows if r.sweep_value == size]
+            assert len(failed) == 3_000
+            assert abs(binomial_z(sum(failed), 3_000, q)) <= 4
 
 
 class TestBoundedTextgenExperiment:
