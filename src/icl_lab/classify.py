@@ -27,8 +27,8 @@ _TINY = float(np.finfo(float).tiny)
 def sigmoid(z):
     """Numerically stable logistic function, elementwise over an array."""
     arr = np.asarray(z, dtype=float)
-    e = np.exp(-np.abs(arr))  # in (0, 1], so neither branch overflows
-    return np.where(arr >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    e = np.exp(-np.abs(arr))  # in (0, 1], so 1 + e never overflows
+    return np.where(arr >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass(frozen=True)

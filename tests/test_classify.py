@@ -472,6 +472,16 @@ class TestDatasetTypes:
         assert vec == pytest.approx([predict_probs(model, p[None])[0] for p in pts])
 
     def test_sigmoid_scalar_and_array(self):
-        # Elementwise: a scalar comes back as a 0-d array.
+        # Elementwise: a scalar comes back 0-d.
         assert sigmoid(0.0).shape == () and sigmoid(0.0) == 0.5
         assert np.allclose(sigmoid(np.array([0.0, 1000.0])), [0.5, 1.0])
+
+    def test_sigmoid_matches_the_two_branch_form_bit_for_bit(self):
+        # One shared divide picks its numerator per sign; each branch's own divide
+        # gives the same bits, NaN, signed zeros, subnormals and infinities included.
+        edges = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 5e-324, -5e-324]
+        edges += [745.0, -745.0, 800.0, -800.0, np.inf, -np.inf, np.nan]
+        z = np.concatenate([np.random.default_rng(3).standard_normal(100_000) * 50, edges])
+        e = np.exp(-np.abs(z))
+        two_branch = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        assert np.array_equal(sigmoid(z).view(np.uint64), two_branch.view(np.uint64))

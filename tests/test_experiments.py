@@ -376,6 +376,18 @@ def test_numpy_scalars_write_the_plain_report(tmp_path, path):
     )
 
 
+def warm_peak(cfg):
+    """The ``tracemalloc`` peak of a second run of ``cfg``, so one-off first-call
+    allocations are not counted."""
+    run_experiment(cfg)
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestTrialRng:
     def test_pure_function_of_seed_and_index(self):
         a = trial_rng(123, 4).random(8)
@@ -662,25 +674,13 @@ class TestCountsBlocks:
         peak(16)  # warm-up, so one-off first-call allocations are not counted
         assert peak(200) <= 1.5 * peak(16)
 
-    @staticmethod
-    def warm_peak(cfg):
-        """The ``tracemalloc`` peak of a second run of ``cfg``, so one-off first-call
-        allocations are not counted."""
-        run_experiment(cfg)
-        tracemalloc.start()
-        try:
-            run_experiment(cfg)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     def test_one_context_block_holds_under_two_and_a_half_rows_of_v(self):
         # At V = 1,000,000 a block is one context, and n = 100,000 < V merges: the
         # truths and the count row with the n merge floats after it make about 2.3
         # rows of V float64.  An int64 count row per draw would make about 3.2.
         params = BoundParams(epsilon=0.2, delta=0.05, vocab_size=1_000_000, num_contexts=2)
         cfg = textgen_config(params=params, samples_override=100_000, trials=1)
-        assert self.warm_peak(cfg) <= 2.5 * 8 * 1_000_000
+        assert warm_peak(cfg) <= 2.5 * 8 * 1_000_000
 
     def test_multi_row_block_counts_in_its_responder_rows(self):
         # At V = 2,000 a block holds 16 contexts, and n = 500 < V: the truths and the
@@ -688,7 +688,7 @@ class TestCountsBlocks:
         # stacked, then concatenated, made about 4.
         params = BoundParams(epsilon=0.2, delta=0.05, vocab_size=2_000, num_contexts=40)
         cfg = textgen_config(params=params, samples_override=500, trials=1)
-        assert self.warm_peak(cfg) <= 2.75 * experiments.STACK_BYTES
+        assert warm_peak(cfg) <= 2.75 * experiments.STACK_BYTES
 
     def test_nested_grid_carries_one_int64_block(self):
         # At V = 2,000 a block holds 16 rows: 20 trials of one context are batches of
@@ -702,7 +702,7 @@ class TestCountsBlocks:
             seed=5,
             subset_sizes=(100, 500, 1_500, 5_000),
         )
-        assert self.warm_peak(cfg) <= 4 * experiments.STACK_BYTES
+        assert warm_peak(cfg) <= 4 * experiments.STACK_BYTES
 
 
 
@@ -903,6 +903,16 @@ class TestClassificationExperiments:
             ("3", 5760, [1, 1, 3, 3, 3, 3]),
         ]:
             assert render(threads, stack_bytes) == (whole, expected)
+
+    def test_coreset_memory_does_not_grow_with_the_cloud(self):
+        # At d = 5 a cloud chunk is 6,552 points, 256 KiB: 200,000 points run as 31
+        # chunks and hold what 10,000 do.  Drawn whole, they held 19 times as much.
+        params = BoundParams(epsilon=0.25, delta=0.05, input_dim=5)
+
+        def cloud(points):
+            return dataclasses.replace(self.CORESET, params=params, trials=2, eval_points=points)
+
+        assert warm_peak(cloud(200_000)) <= 1.25 * warm_peak(cloud(10_000))
 
     def test_sensitivity_weights_come_from_the_full_fit(self, monkeypatch):
         # The trial's full-data model is the sensitivity pilot: each dataset is fitted once.

@@ -1,12 +1,15 @@
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from icl_lab import ExperimentConfig
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
+LEDGER = Path(__file__).with_name("report_digests.txt")
 
 
 @pytest.fixture(scope="module")
@@ -25,19 +28,25 @@ def test_every_report_digests_config_builds(report_digests):
     # Built only, not run: a schema change that breaks one shows here, not at
     # the next byte-identity check.
     configs = report_digests.configs()
-    assert len(configs) == 21  # 42 reports, a JSON and a CSV each
+    assert len(configs) == 22  # 44 reports, a JSON and a CSV each
     for name, config in configs.items():
         cfg = ExperimentConfig.from_dict(config)
         assert cfg.kind == config["kind"], name
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg, name
 
 
-def test_report_digests_renders_through_the_cli(report_digests, tmp_path, monkeypatch):
-    # Rendered, on the five eta-0 tiny configs: a break in the tool's verify path
-    # shows here, not at the next byte-identity check.
-    tiny = {k: v for k, v in report_digests.tiny_configs().items() if k.endswith("eta0.0")}
-    assert len(tiny) == 5
-    monkeypatch.setattr(report_digests, "configs", lambda: tiny)
-    reports = report_digests.render(tmp_path / "out")
-    assert [p.name for p in reports] == [f"{n}.{ext}" for n in tiny for ext in ("json", "csv")]
-    assert all(p.stat().st_size > 0 for p in reports)
+def test_reports_match_the_digest_ledger(report_digests, tmp_path):
+    # Reports follow numpy's Generator streams, which may change between numpy
+    # versions, so a mismatch names the ledger's version and this one.
+    ledger = LEDGER.read_text()
+    recorded = [line for line in ledger.splitlines() if not line.startswith("#")]
+    rendered = report_digests.digests(tmp_path / "out")
+
+    def by_name(lines):
+        return {name: digest for digest, name in (line.split("  ") for line in lines)}
+
+    then, now = by_name(recorded), by_name(rendered)
+    moved = [name for name in {**then, **now} if then.get(name) != now.get(name)]
+    taken = re.search(r"numpy (\S+)\.$", ledger, re.MULTILINE).group(1)
+    numpy = "" if taken == np.__version__ else f"; ledger numpy {taken}, here {np.__version__}"
+    assert rendered == recorded, f"reports moved: {', '.join(moved) or 'order only'}{numpy}"

@@ -9,11 +9,13 @@ kind's ``tests/conftest.py`` tiny config at eta 0 and 0.1, textgen at V = 2,000,
 m = 40, n = 500 (three blocks of an n < V draw), and subset_penalty at
 V = 20,000 with its default sizes (one row a block) and at V = 2,000 with sizes
 (100, 500, 1,500, 5,000), 20 trials (nested n < V draws in a block of several
-trials).  Each config is written to OUTDIR and run
-through ``icl_lab.cli.main`` of this checkout's ``src``, which writes its JSON
-and CSV reports there; one ``sha256  file`` line per report goes to stdout.  To
+trials), and coreset at d = 5 with sensitivity weights, eta 0.1 and a 20,001-point
+cloud (three chunks of 6,552 points and a short one).  Each config is written to
+OUTDIR and run through ``icl_lab.cli.main`` of this checkout's ``src``, which
+writes its JSON and CSV reports there; one ``sha256  file`` line per report goes to stdout.  To
 check that two trees give byte-identical reports, run this script in each tree
-and ``diff`` the two outputs.
+and ``diff`` the two outputs.  ``tests/report_digests.txt`` holds the lines of
+the current tree, and a Tier-1 test checks that they still hold.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import workloads  # noqa: E402
 
 from icl_lab.bounds import BoundParams  # noqa: E402
 from icl_lab.cli import EXIT_FAILED_VERIFICATION, EXIT_OK, main  # noqa: E402
+from icl_lab.classify import TrainConfig  # noqa: E402
 from icl_lab.experiments import ExperimentConfig  # noqa: E402
 
 
@@ -75,6 +78,18 @@ def configs() -> dict:
         seed=5,
         subset_sizes=(100, 500, 1_500, 5_000),
     ).to_dict()
+    named["coreset-d5-eval20001"] = ExperimentConfig(
+        kind="coreset",
+        params=BoundParams(epsilon=0.25, delta=0.05, input_dim=5),
+        trials=3,
+        seed=5,
+        eta=0.1,
+        eval_points=20_001,
+        dataset_size=500,
+        coreset_sizes=(50, 200, 500),
+        coreset_strategy="sensitivity",
+        train=TrainConfig(max_iters=300, l2_reg=1e-2),
+    ).to_dict()
     return named
 
 
@@ -94,8 +109,12 @@ def render(outdir: Path) -> list[Path]:
     return reports
 
 
+def digests(outdir: Path) -> list[str]:
+    """Render the set under ``outdir``; one ``sha256  file`` line per report."""
+    return [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}" for p in render(outdir)]
+
+
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         raise SystemExit(__doc__)
-    for path in render(Path(sys.argv[1])):
-        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
+    print("\n".join(digests(Path(sys.argv[1]))))
