@@ -26,9 +26,21 @@ _TINY = float(np.finfo(float).tiny)
 
 def sigmoid(z):
     """Numerically stable logistic function, elementwise over an array."""
-    arr = np.asarray(z, dtype=float)
-    e = np.exp(-np.abs(arr))  # in (0, 1], so 1 + e never overflows
-    return np.where(arr >= 0, 1.0, e) / (1.0 + e)
+    return _sigmoid_in_place(np.array(z, dtype=float))
+
+
+def _sigmoid_in_place(x: np.ndarray) -> np.ndarray:
+    """:func:`sigmoid` of the float64 array ``x``, written over it, with one scratch
+    array: ``1 / (1 + e)`` where ``x >= 0`` and ``e / (1 + e)`` elsewhere (NaN
+    included), ``e = exp(-|x|)``."""
+    positive = x >= 0
+    e = np.abs(x, out=np.empty_like(x))
+    np.negative(e, out=e)
+    np.exp(e, out=e)  # in (0, 1], so 1 + e never overflows
+    np.copyto(x, e)
+    np.copyto(x, 1.0, where=positive)
+    np.add(e, 1.0, out=e)
+    return np.divide(x, e, out=x)
 
 
 @dataclass(frozen=True)
@@ -287,7 +299,9 @@ def predict_probs(model: LinearModel, features) -> np.ndarray:
     if features.ndim != 2:
         raise ParameterError("features must be an (N, d) array")
     _check_dim(model, features.shape[1])
-    return sigmoid(features @ model.weights + model.bias)
+    logits = features @ model.weights
+    logits += model.bias
+    return _sigmoid_in_place(logits)
 
 
 def sensitivity_scores(data: LabeledDataset, pilot: LinearModel) -> np.ndarray:

@@ -21,6 +21,9 @@ PROB_SUM_TOLERANCE = 1e-9
 # The byte of a uint64 that holds its lowest bit.
 _LOW_BYTE = 0 if np.little_endian else 7
 
+# Uniforms whose ranks one slice of the merged positions subtracts at a time.
+_RANK_SLICE = 4096
+
 
 @dataclass(frozen=True)
 class Vocabulary:
@@ -226,9 +229,12 @@ def _cdf_index(p, n, rng, keys) -> np.ndarray:
     merged[support:] |= 1
     merged.sort(kind="stable")
     merged &= 1
-    # Read as bools, the tags take numpy's branch-free nonzero.
-    index = np.flatnonzero(merged.view(np.bool_)[_LOW_BYTE::8])
-    index -= np.arange(n)
+    # Read as bools, the tags take numpy's branch-free nonzero; a 1-D view needs no
+    # raveled copy, as flatnonzero's would.  The ranks go in slices, not one arange.
+    (index,) = np.nonzero(merged.view(np.bool_)[_LOW_BYTE::8])
+    for start in range(0, n, _RANK_SLICE):
+        part = index[start : start + _RANK_SLICE]
+        part -= np.arange(start, start + len(part))
     return index
 
 

@@ -60,15 +60,18 @@ from .reports import (
 
 # Largest stacked array: a counts batch's (block, support) truths, count rows (then
 # its responder) or int64 running counts, one stacked logistic fit's (fits,
-# points, d + 1) design tensor, or one chunk of a coreset evaluation cloud.
+# points, d + 1) design tensor, one chunk of a coreset evaluation cloud, or one
+# chunk of knn queries' (queries, max k) neighbour ranking.
 # A counts trial whose contexts span blocks takes its draw order from the block
 # height, so changing this changes those reports (textgen at V=50,000, m=100).
 STACK_BYTES = 256 * 1024
 
-# A coreset cloud chunk holds a multiple of this many points.  BLAS's gemv sums
-# the rows of ``X @ w`` in groups, so whole groups give each point the bits of the
-# unchunked one-thread product (OpenBLAS 0.3.31, d = 1 to 130: 4 and 8-row chunks
-# do, at any thread count; at d >= 8, 2, 3 and 7-row chunks do not).
+# A coreset cloud chunk, and each knn query chunk but the last, holds a multiple
+# of this many points.  BLAS's gemv sums the rows of ``X @ w`` in groups, so whole
+# groups give each point the bits of the unchunked one-thread product (OpenBLAS
+# 0.3.31, d = 1 to 130: 4 and 8-row chunks do, at any thread count; at d >= 8, 2,
+# 3 and 7-row chunks do not).  A last chunk of 2 to 31 rows after 32-row ones
+# matched it too, at d = 1 to 20, 24, 32, 64, 100 and 130; a lone last row did not.
 _CLOUD_ROWS = 8
 
 THREADS_ENV_VAR = "ICL_LAB_THREADS"
@@ -345,12 +348,13 @@ def _run_coreset(cfg: ExperimentConfig) -> BoundReport:
     Each trial draws its dataset, fits the full model alone with the run's
     ``train`` settings (a fit draws nothing), weights the points by that model
     under the sensitivity strategy and selects every coreset; each size below
-    ``dataset_size`` is then fitted across the batch as one stack.  Last, each
-    trial draws its evaluation cloud and scores every model on it, chunk by chunk:
-    a chunk is :func:`_stack_rows` points, rounded down to a multiple of
-    :data:`_CLOUD_ROWS` and at least that, and the dataset joins the last chunk,
-    so no chunk is a lone point.  Each size keeps its running largest gap, so a
-    trial holds one chunk, not the cloud.
+    ``dataset_size`` is then fitted across the batch as one stack.  A trial keeps
+    only what scoring reads: the dataset's points, the full model, the cores
+    still to fit and each size's single-class flag; each size's cores go once
+    their stack is fitted.  Last, each trial draws its evaluation cloud and scores
+    every model on it, chunk by chunk: a chunk is :func:`_chunk_rows` points, and
+    the dataset joins the last chunk, so no chunk is a lone point.  Each size keeps
+    its running largest gap, so a trial holds one chunk, not the cloud.
     """
     p = cfg.params
     sizes = _within_dataset(cfg, cfg.coreset_sizes or (coreset_size(p),))
@@ -358,46 +362,51 @@ def _run_coreset(cfg: ExperimentConfig) -> BoundReport:
     # A batch is as many trials as one stack of the largest fitted size holds.
     fitted = [size for size in sizes if size < cfg.dataset_size]
     batch = _stack_rows(max(fitted) * (p.input_dim + 1)) if fitted else 1
-    chunk = max(_CLOUD_ROWS, _stack_rows(p.input_dim) // _CLOUD_ROWS * _CLOUD_ROWS)
+    chunk = _chunk_rows(p.input_dim)
 
     def draw(rng):
         data, _ = planted_linear_dataset(cfg.dataset_size, p.input_dim, cfg.planted_norm, rng)
         full_model = train_logistic(data, cfg.train)
         sensitive = cfg.coreset_strategy == "sensitivity"
         weights = sensitivity_scores(data, full_model) if sensitive else None
-        return data, full_model, [select_coreset(data, size, weights, rng) for size in sizes]
+        cores = [select_coreset(data, size, weights, rng) for size in sizes]
+        # The size-N core is the dataset itself, whose points alone are scored.
+        to_fit = [core for size, core in zip(sizes, cores) if size < cfg.dataset_size]
+        return data.features, full_model, to_fit, [core.is_single_class() for core in cores]
 
-    def score(rng, data, full_model, cores, models):
+    def score(rng, features, full_model, single_class, models):
         worst = np.zeros(len(models))  # gaps are non-negative; np.maximum keeps a NaN
         for start in range(0, eval_draws, chunk):
             # The cloud follows the generator's own input law.
             points = rng.standard_normal((min(chunk, eval_draws - start), p.input_dim))
             if start + chunk >= eval_draws:
-                points = np.vstack([points, data.features])
+                points = np.vstack([points, features])
             full_probs = predict_probs(full_model, points)
             for j, model in enumerate(models):
                 if not isinstance(model, DivergenceError):
                     probs = full_probs if model is full_model else predict_probs(model, points)
                     gaps = np.abs(mix_with_uniform(probs, cfg.eta, 2) - full_probs)
                     worst[j] = np.maximum(worst[j], np.max(gaps))
-        for core, model, gap in zip(cores, models, worst):
+        for single, model, gap in zip(single_class, models, worst):
             if isinstance(model, DivergenceError):
                 yield float("inf"), str(model)
                 continue
-            detail = "single-class subset; guarantee vacuous" if core.is_single_class() else ""
-            yield float(gap), detail
+            yield float(gap), "single-class subset; guarantee vacuous" if single else ""
 
     def measure(rngs):
         drawn = [draw(rng) for rng in rngs]
         # Per swept size, one model per trial; the whole dataset's is the full model.
+        # Each fitted size pops its core from every trial, so no core outlives its fit.
         by_size = [
-            _fit_cores([cores[j] for _, _, cores in drawn], cfg.train)
+            _fit_cores([to_fit.pop(0) for _, _, to_fit, _ in drawn], cfg.train)
             if size < cfg.dataset_size
-            else [full_model for _, full_model, _ in drawn]
-            for j, size in enumerate(sizes)
+            else [full_model for _, full_model, _, _ in drawn]
+            for size in sizes
         ]
-        for rng, trial, models in zip(rngs, drawn, zip(*by_size)):
-            yield score(rng, *trial, models)
+        for rng, (features, full_model, _, single_class), models in zip(
+            rngs, drawn, zip(*by_size)
+        ):
+            yield score(rng, features, full_model, single_class, models)
 
     extras = {
         "sizes": list(sizes),
@@ -437,6 +446,12 @@ def _stack_rows(floats: int) -> int:
     return max(1, STACK_BYTES // (8 * floats))
 
 
+def _chunk_rows(floats: int) -> int:
+    """Rows per chunk of points: :func:`_stack_rows` of ``floats``, rounded down to
+    a multiple of :data:`_CLOUD_ROWS`, and at least that."""
+    return max(_CLOUD_ROWS, _stack_rows(floats) // _CLOUD_ROWS * _CLOUD_ROWS)
+
+
 def _fit_neighbourhoods(data: LabeledDataset, neighbours: np.ndarray, train: TrainConfig):
     """The (queries, d + 1) ``theta = (w, b)`` array of one logistic fit per row
     of the (queries, k) index array ``neighbours``, run by :func:`_fit_rows` in
@@ -453,30 +468,54 @@ def _fit_neighbourhoods(data: LabeledDataset, neighbours: np.ndarray, train: Tra
 
 def _run_knn(cfg: ExperimentConfig) -> BoundReport:
     """Per-query local models on k nearest neighbors, compared to the planted
-    model; sweeps k and fits the error-decay slope."""
+    model; sweeps k and fits the error-decay slope.
+
+    Each trial draws its dataset, then its queries from its own stream chunk by
+    chunk: a chunk is :func:`_chunk_rows` rows of a ranking at the largest k, and
+    a lone last query joins the chunk before it.  A chunk is ranked once, and per
+    k its neighbourhoods are fitted by :func:`_fit_neighbourhoods` and scored
+    against the planted model.  Per k the trial keeps its running largest error,
+    its count of single-class neighbourhoods and its diverged queries, numbered
+    across the trial, so a trial holds one chunk, not every query.
+    """
     p = cfg.params
     ks = _within_dataset(cfg, cfg.knn_sizes or (knn_context_size(p),))
     queries_per_trial = cfg.eval_points or 16  # few by default: one local fit per query
+    chunk = _chunk_rows(max(ks))
+    # A lone last query joins the chunk before it: gemv scores a one-row chunk
+    # with other bits than the same row at the end of a longer product.
+    starts = list(range(0, queries_per_trial, chunk))
+    if len(starts) > 1 and queries_per_trial - starts[-1] == 1:
+        starts.pop()
+    chunks = list(zip(starts, starts[1:] + [queries_per_trial]))
 
     def trial(rng):
         data, planted = planted_linear_dataset(
             cfg.dataset_size, p.input_dim, cfg.planted_norm, rng
         )
-        queries = rng.standard_normal((queries_per_trial, p.input_dim))
-        truth = predict_probs(planted, queries)
-        # Neighbours come nearest first, so each k fits prefixes of one ranking per query.
-        ranked = np.stack([knn_order(data, query, max(ks)) for query in queries])
-        for k in ks:
-            thetas, failures = _fit_neighbourhoods(data, ranked[:, :k], cfg.train)
-            # A batched matmul, unlike einsum, gives each query's w.x bit for bit.
-            logits = (thetas[:, None, :-1] @ queries[:, :, None])[:, 0, 0] + thetas[:, -1]
-            errors = np.abs(mix_with_uniform(sigmoid(logits), cfg.eta, 2) - truth)
-            labels = data.labels[ranked[:, :k]]
-            degenerate = int(np.count_nonzero(np.all(labels == labels[:, :1], axis=1)))
-            notes = [f"{degenerate} single-class neighborhoods"] if degenerate else []
-            diverged = [f"query {query}: {exc}" for query, exc in enumerate(failures) if exc]
+        worst = np.zeros(len(ks))  # errors are non-negative
+        degenerate = [0] * len(ks)
+        diverged = [[] for _ in ks]
+        for start, stop in chunks:
+            queries = rng.standard_normal((stop - start, p.input_dim))
+            truth = predict_probs(planted, queries)
+            # Neighbours come nearest first, so each k fits prefixes of one ranking per query.
+            ranked = np.stack([knn_order(data, query, max(ks)) for query in queries])
+            for j, k in enumerate(ks):
+                thetas, failures = _fit_neighbourhoods(data, ranked[:, :k], cfg.train)
+                # A batched matmul, unlike einsum, gives each query's w.x bit for bit.
+                logits = (thetas[:, None, :-1] @ queries[:, :, None])[:, 0, 0] + thetas[:, -1]
+                errors = np.abs(mix_with_uniform(sigmoid(logits), cfg.eta, 2) - truth)
+                worst[j] = np.maximum(worst[j], np.max(errors))
+                labels = data.labels[ranked[:, :k]]
+                degenerate[j] += int(np.count_nonzero(np.all(labels == labels[:, :1], axis=1)))
+                diverged[j] += [
+                    f"query {start + q}: {exc}" for q, exc in enumerate(failures) if exc
+                ]
+        for error, single, failed in zip(worst, degenerate, diverged):
+            notes = [f"{single} single-class neighborhoods"] if single else []
             # A query whose fit diverged scores inf, and so does its row.
-            yield np.inf if diverged else float(np.max(errors)), "; ".join(notes + diverged)
+            yield np.inf if failed else float(error), "; ".join(notes + failed)
 
     def measure(rngs):  # batches of one trial
         return map(trial, rngs)

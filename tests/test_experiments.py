@@ -23,7 +23,13 @@ from icl_lab import (
     run_experiment,
     subset_penalty,
 )
-from icl_lab.classify import knn_select, predict_probs, select_coreset, train_logistic
+from icl_lab.classify import (
+    knn_order,
+    knn_select,
+    predict_probs,
+    select_coreset,
+    train_logistic,
+)
 from icl_lab.distributions import (
     CategoricalDistribution,
     dirichlet_rows,
@@ -674,13 +680,14 @@ class TestCountsBlocks:
         peak(16)  # warm-up, so one-off first-call allocations are not counted
         assert peak(200) <= 1.5 * peak(16)
 
-    def test_one_context_block_holds_under_two_and_a_half_rows_of_v(self):
+    def test_one_context_block_holds_under_two_point_three_rows_of_v(self):
         # At V = 1,000,000 a block is one context, and n = 100,000 < V merges: the
-        # truths and the count row with the n merge floats after it make about 2.3
-        # rows of V float64.  An int64 count row per draw would make about 3.2.
+        # truths and the count row with the n merge floats after it make about 2.2
+        # rows of V float64.  A raveled copy of the merge tags and an n-length rank
+        # arange made about 2.34, an int64 count row per draw about 3.2.
         params = BoundParams(epsilon=0.2, delta=0.05, vocab_size=1_000_000, num_contexts=2)
         cfg = textgen_config(params=params, samples_override=100_000, trials=1)
-        assert warm_peak(cfg) <= 2.5 * 8 * 1_000_000
+        assert warm_peak(cfg) <= 2.3 * 8 * 1_000_000
 
     def test_multi_row_block_counts_in_its_responder_rows(self):
         # At V = 2,000 a block holds 16 contexts, and n = 500 < V: the truths and the
@@ -914,6 +921,37 @@ class TestClassificationExperiments:
 
         assert warm_peak(cloud(200_000)) <= 1.25 * warm_peak(cloud(10_000))
 
+    def test_coreset_batch_keeps_only_what_scoring_reads(self):
+        # The coreset_sensitivity benchmark config: 5 trials of N = 2,000 at d = 5 in
+        # one batch.  Dropping each trial's labels and its cores once fitted, and
+        # scoring with in-place probabilities, took it from 5.0 to about 3.6 blocks.
+        cfg = ExperimentConfig(
+            kind="coreset",
+            params=BoundParams(epsilon=0.25, delta=0.05, input_dim=5),
+            trials=5,
+            seed=7,
+            coreset_sizes=(25, 100, 400, 2000),
+            coreset_strategy="sensitivity",
+            train=TrainConfig(max_iters=300, l2_reg=1e-2),
+        )
+        assert warm_peak(cfg) <= 4.25 * experiments.STACK_BYTES
+
+    def test_coreset_rows_note_single_class_cores(self, monkeypatch):
+        # A batch drops each core once it is fitted; its row still notes a single class.
+        cores = []
+        real_select = experiments.select_coreset
+
+        def recording(data, size, weights, rng):
+            cores.append(real_select(data, size, weights, rng))
+            return cores[-1]
+
+        monkeypatch.setattr(experiments, "select_coreset", recording)
+        report = run_experiment(dataclasses.replace(self.CORESET, coreset_sizes=(2, 120)))
+        single = [core.is_single_class() for core in cores]
+        assert any(single) and not all(single)
+        vacuous = "single-class subset; guarantee vacuous"
+        assert [row.detail == vacuous for row in report.trials] == single
+
     def test_sensitivity_weights_come_from_the_full_fit(self, monkeypatch):
         # The trial's full-data model is the sensitivity pilot: each dataset is fitted once.
         lone, full, pilots = [], [], []
@@ -1081,6 +1119,72 @@ class TestClassificationExperiments:
             models = [LinearModel(t[:-1], t[-1]) for t in thetas]
             one_row = [predict_probs(m, q[None])[0] for m, q in zip(models, queries)]
             assert probs.tolist() == one_row
+
+    def test_knn_reports_do_not_depend_on_query_chunks(self, tmp_path, monkeypatch):
+        # A chunk holds 1,024 queries at k = 32 by default, and 8 at STACK_BYTES = 1:
+        # 17 queries run as one chunk, or as 8 + 9, since a lone last query joins the
+        # chunk before it.  Query 13's 8-point fit is made to diverge; its note
+        # numbers it across the trial either way.
+        cfg = ExperimentConfig(
+            kind="knn",
+            params=BoundParams(epsilon=0.5, delta=0.05, input_dim=3),
+            trials=2,
+            seed=6,
+            eta=0.1,
+            knn_sizes=(8, 32),
+            dataset_size=256,
+            eval_points=17,
+            train=TrainConfig(max_iters=200, l2_reg=1e-3),
+        )
+        rng = trial_rng(6, 1)
+        data, _ = planted_linear_dataset(256, 3, 2.0, rng)
+        query = rng.standard_normal((17, 3))[13]
+        marked = data.features[knn_order(data, query, 8)]
+        real_fit, real_probs = experiments.fit_logistic_stack, experiments.predict_probs
+        scored = []
+
+        def diverging(features, labels, train):
+            if any(np.array_equal(x, marked) for x in features):
+                raise DivergenceError(7)
+            return real_fit(features, labels, train)
+
+        def probs(model, features):
+            scored.append(len(features))
+            return real_probs(model, features)
+
+        def render(name):
+            scored.clear()
+            report = run_experiment(cfg, str(tmp_path / f"{name}.json"))
+            written = [(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("json", "csv")]
+            return report, written, [n for n in scored if n < 256]  # not the datasets'
+
+        monkeypatch.setattr(experiments, "fit_logistic_stack", diverging)
+        monkeypatch.setattr(experiments, "predict_probs", probs)
+        whole, whole_bytes, whole_chunks = render("whole")
+        monkeypatch.setattr(experiments, "STACK_BYTES", 1)
+        _, chunked_bytes, chunks = render("chunked")
+        assert (whole_chunks, chunks) == ([17, 17], [8, 9, 8, 9])
+        assert chunked_bytes == whole_bytes
+        assert whole.trials[2].sup_error == np.inf
+        assert whole.trials[2].detail.endswith("query 13: non-finite training loss at iteration 7")
+
+    def test_knn_memory_does_not_grow_with_queries(self):
+        # knn_sweep's config: at max k = 1,024 a chunk is 32 queries, so 512 queries
+        # hold what 64 do.  Ranked all at once, they held 5 times as much.
+        cfg = ExperimentConfig(
+            kind="knn",
+            params=BoundParams(epsilon=0.2, delta=0.05, input_dim=5),
+            trials=1,
+            seed=7,
+            knn_sizes=(16, 64, 256, 1024),
+            dataset_size=4096,
+            train=TrainConfig(max_iters=300, l2_reg=1e-3),
+        )
+
+        def queries(count):
+            return dataclasses.replace(cfg, eval_points=count)
+
+        assert warm_peak(queries(512)) <= 1.25 * warm_peak(queries(64))
 
     def test_knn_eta_shifts_errors_by_at_most_half_eta(self):
         base = ExperimentConfig(
