@@ -132,36 +132,33 @@ def nested_counts(probs: np.ndarray, sizes, rng: np.random.Generator):
     ``sizes`` (from 1 to 2**63 - 1) from the rows of the (rows, V) array ``probs``, one
     int64 array per size: each size after the first adds ``Multinomial(n_k - n_{k-1},
     p)`` draws, the joint law of one token stream's prefixes, by :func:`add_counts` in
-    one key vector sized here."""
-    sizes = check_draw_sizes(sizes)
-    keys = np.empty(probs.shape[1] + cdf_draw_size(sizes, probs.shape[1]))
-    return _nested_counts(probs, sizes, rng, keys)
+    one key vector sized by :func:`check_draw_sizes`.  The sizes are checked and the
+    key vector allocated on the call; each size's counts are drawn as it is taken."""
+    sizes, sampled = check_draw_sizes(sizes, probs.shape[1])
+    keys = np.empty(probs.shape[1] + sampled)
+
+    def draws():
+        counts = np.zeros(probs.shape, np.int64)
+        for low, high in zip((0,) + sizes, sizes):
+            add_counts(probs, high - low, rng, counts, keys)
+            yield counts.copy()
+
+    return draws()
 
 
-def check_draw_sizes(sizes) -> tuple[int, ...]:
+def check_draw_sizes(sizes, support: int) -> tuple[tuple[int, ...], int]:
     """``sizes`` as a tuple, refused unless they strictly increase from 1 or more to
-    2**63 - 1 or less: numpy's ``multinomial`` draws at most that many."""
+    2**63 - 1 or less (numpy's ``multinomial`` draws at most that many), and their
+    largest increment below ``support``, 0 if none: the n < V draw that merges the
+    most floats, which sizes each key vector past its V floats, the one of
+    :func:`nested_counts` and each counts batch's in ``_counts_measure``."""
     sizes = tuple(sizes)
-    if any(low >= high for low, high in zip((0,) + sizes, sizes)):
+    steps = [high - low for low, high in zip((0,) + sizes, sizes)]
+    if any(step <= 0 for step in steps):
         raise ParameterError(f"sizes must be strictly increasing and >= 1, got {shown(sizes)}")
     if sizes and sizes[-1] >= 2**63:
         raise ParameterError(f"sample size {shown(sizes[-1])} exceeds the largest draw, 2**63 - 1")
-    return sizes
-
-
-def cdf_draw_size(sizes, support: int) -> int:
-    """The largest increment of the nested ``sizes`` below ``support``, 0 if none: the
-    n < V draw that merges the most floats, which sizes each key vector, the one of
-    :func:`nested_counts` and each counts batch's in ``_counts_measure``."""
-    return max((b - a for a, b in zip((0,) + sizes, sizes) if b - a < support), default=0)
-
-
-def _nested_counts(probs, sizes, rng, keys):
-    """:func:`nested_counts` past its checks, merging in the ``keys`` it sized."""
-    counts = np.zeros(probs.shape, np.int64)
-    for low, high in zip((0,) + sizes, sizes):
-        add_counts(probs, high - low, rng, counts, keys)
-        yield counts.copy()
+    return sizes, max((step for step in steps if step < support), default=0)
 
 
 def add_counts(probs, n: int, rng, counts, keys) -> None:
@@ -170,9 +167,10 @@ def add_counts(probs, n: int, rng, counts, keys) -> None:
 
     With ``n >= V`` the draw is one ``rng.multinomial`` call, equal bit for bit to one
     call per row.  With ``n < V`` each row's draws are located on its CDF by a merge
-    in the float64 ``keys``' first V + n floats, sized by :func:`nested_counts` or
-    ``_counts_measure``, which beats multinomial's one binomial draw per outcome, and
-    added with ``np.add.at``.
+    in the float64 ``keys``' first V + n floats, sized by :func:`check_draw_sizes`,
+    which beats multinomial's one binomial draw per outcome, and added with
+    ``np.add.at``.  A grid of sizes in ``_counts_measure`` keeps its running counts
+    here; the responder's divide writes its count rows once per size.
     """
     if n >= probs.shape[1]:
         counts += rng.multinomial(n, probs)

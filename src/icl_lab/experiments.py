@@ -45,7 +45,7 @@ from .classify import (
     sigmoid,
     train_logistic,
 )
-from .distributions import add_counts, cdf_draw_size, check_draw_sizes, dirichlet_rows, write_counts
+from .distributions import add_counts, check_draw_sizes, dirichlet_rows, write_counts
 from .errors import DivergenceError, ParameterError, check_int, check_real, from_object, shown
 from .oracle import check_eta, icl_counts_rows, mix_with_uniform, sequence_space
 from .reports import (
@@ -279,18 +279,18 @@ def _counts_measure(cfg: ExperimentConfig, support: int, contexts: int, sizes: t
     vector of rows * support floats, the block's count rows, then its responder,
     with the largest n < V draw's n floats after them, where the last row's
     :func:`write_counts` merge runs.  A grid of several sizes carries its running
-    counts in one int64 (rows, support) array, added to by :func:`add_counts` and
-    cast into the count rows once per size.  A block draws, trial after trial and
-    each from its own stream, all of its truths, then per size its counts, forms the
-    responder in place on them and takes their L1 errors row-wise.  So every stream
-    sees the draws of its trial run alone, and a batch holds O(block) memory, not
-    O(contexts * support).  Each row is normalized once: a truth row over its own
-    sum, a responder row as its counts over the draw's exact size.
+    counts in one int64 (rows, support) array, added to by :func:`add_counts`, and
+    its count rows are written once per size, by the responder's divide of those
+    counts.  A block draws, trial after trial and each from its own stream, all of
+    its truths, then per size its counts, forms the responder in the count rows and
+    takes their L1 errors row-wise.  So every stream sees the draws of its trial run
+    alone, and a batch holds O(block) memory, not O(contexts * support).  Each row
+    is normalized once: a truth row over its own sum, a responder row as its counts
+    over the draw's exact size.
     """
-    check_draw_sizes(sizes)  # refused before any trial runs
+    sizes, sampled = check_draw_sizes(sizes, support)  # refused before any trial runs
     per_block = _stack_rows(support)
     heights = [min(per_block, contexts - start) for start in range(0, contexts, per_block)]
-    sampled = cdf_draw_size(sizes, support)
 
     def measure(rngs):
         rows = len(rngs) * heights[0]
@@ -315,9 +315,9 @@ def _counts_measure(cfg: ExperimentConfig, support: int, contexts: int, sizes: t
                         write_counts(truths[own], size - drawn, rng, keys)
                     else:
                         add_counts(truths[own], size - drawn, rng, carry[own], keys)
-                        counts[own] = carry[own]
                 drawn = size
-                diff = icl_counts_rows(counts, cfg.eta, out=counts, totals=size)
+                drawn_counts = counts if carry is None else carry[: len(truths)]
+                diff = icl_counts_rows(drawn_counts, cfg.eta, out=counts, totals=size)
                 diff -= truths
                 errors.append(np.abs(diff, out=diff).sum(axis=1))
             per_trial = np.reshape(errors, (len(sizes), len(rngs), height)).max(axis=2)

@@ -9,7 +9,7 @@ from icl_lab import ParameterError, Vocabulary
 from icl_lab.distributions import (
     PROB_SUM_TOLERANCE,
     CategoricalDistribution,
-    cdf_draw_size,
+    check_draw_sizes,
     dirichlet_rows,
     empirical_distribution,
     l1_distance,
@@ -330,8 +330,8 @@ class TestNestedCounts:
             ((5, 50), 20, 5),
         ],
     )
-    def test_cdf_draw_size_is_the_largest_increment_below_v(self, sizes, support, largest):
-        assert cdf_draw_size(sizes, support) == largest
+    def test_check_draw_sizes_returns_the_largest_increment_below_v(self, sizes, support, largest):
+        assert check_draw_sizes(sizes, support) == (tuple(sizes), largest)
 
 
 class TestRandomDistribution:

@@ -594,6 +594,7 @@ class TestCountsBlocks:
             # float counts, or a grid carrying its counts in float64, differs here.
             ((2**54 + 1,), 0.2, 3),
             ((5, 2**60), 0.0, 6),
+            ((5, 2**60), 0.2, 6),
         ],
     )
     def test_multi_row_block_draws_truths_then_counts(self, sizes, eta, seed):
@@ -700,7 +701,8 @@ class TestCountsBlocks:
     def test_nested_grid_carries_one_int64_block(self):
         # At V = 2,000 a block holds 16 rows: 20 trials of one context are batches of
         # 16 and 4.  The truths, the count rows and the int64 running counts make
-        # about 3.1 blocks; a fresh counts array per draw and size made about 6.5.
+        # about 3.1 blocks, 3.3 with numpy's 64 KiB cast buffer for the responder's
+        # int64 divide; a fresh counts array per draw and size made about 6.5.
         params = BoundParams(epsilon=1.0, delta=0.05, vocab_size=2_000, constant=2.0)
         cfg = ExperimentConfig(
             kind="subset_penalty",
