@@ -51,16 +51,18 @@ class LabeledDataset:
     labels: np.ndarray  # (N,) in {0, 1}
 
     def __post_init__(self):
-        features = np.asarray(self.features, dtype=float)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        # Views, frozen: the caller's own arrays stay writable.
+        features = np.asarray(self.features, dtype=float).view()
+        labels = np.asarray(self.labels)
         if features.ndim != 2 or features.shape[0] < 1 or features.shape[1] < 1:
             raise ParameterError("features must be a non-empty (N, d) array")
         if not np.all(np.isfinite(features)):
             raise ParameterError("features contain non-finite values")
         if labels.shape != (features.shape[0],):
             raise ParameterError("need exactly one label per point")
-        if not np.all((labels == 0) | (labels == 1)):
+        if not np.all((labels == 0) | (labels == 1)):  # before the cast, which would truncate
             raise ParameterError("labels must be 0 or 1")
+        labels = labels.astype(np.int64, copy=False).view()
         features.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "features", features)
@@ -90,7 +92,7 @@ class LinearModel:
     bias: float
 
     def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=float)
+        weights = np.asarray(self.weights, dtype=float).view()  # frozen; the caller's is not
         if weights.ndim != 1 or not np.all(np.isfinite(weights)):
             raise ParameterError("weights must be a finite vector")
         if not np.isfinite(self.bias):

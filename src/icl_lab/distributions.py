@@ -8,6 +8,7 @@ operation is a pure function of its inputs and the seed.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,9 +105,18 @@ def l1_distance(p: CategoricalDistribution, q: CategoricalDistribution) -> float
     return float(np.abs(diff, out=diff).sum())  # in place: one V-sized temporary, not two
 
 
+def token_indices(samples) -> np.ndarray:
+    """``samples`` as int64 token indices, refused unless an integer array: a float,
+    bool or string is not read as an index.  An empty one passes, for its caller."""
+    idx = np.asarray(samples)
+    if idx.size and not np.issubdtype(idx.dtype, np.integer):
+        raise ParameterError(f"token indices must be integers, got an array of {idx.dtype}")
+    return idx.astype(np.int64, copy=False)
+
+
 def token_counts(samples, size: int) -> np.ndarray:
     """Occurrences of each index of ``[0, size)`` among the token indices ``samples``."""
-    idx = np.asarray(samples, dtype=np.int64)
+    idx = token_indices(samples)
     if idx.size == 0:
         raise ParameterError("cannot estimate a distribution from an empty sample list")
     if idx.ndim != 1:
@@ -147,12 +157,15 @@ def nested_counts(probs: np.ndarray, sizes, rng: np.random.Generator):
 
 
 def check_draw_sizes(sizes, support: int) -> tuple[tuple[int, ...], int]:
-    """``sizes`` as a tuple, refused unless they strictly increase from 1 or more to
-    2**63 - 1 or less (numpy's ``multinomial`` draws at most that many), and their
-    largest increment below ``support``, 0 if none: the n < V draw that merges the
-    most floats, which sizes each key vector past its V floats, the one of
-    :func:`nested_counts` and each counts batch's in ``_counts_measure``."""
+    """``sizes`` as a tuple, refused unless they are integers (no float or bool) that
+    strictly increase from 1 or more to 2**63 - 1 or less (numpy's ``multinomial``
+    draws at most that many), and their largest increment below ``support``, 0 if
+    none: the n < V draw that merges the most floats, which sizes each key vector
+    past its V floats, the one of :func:`nested_counts` and each counts batch's in
+    ``_counts_measure``."""
     sizes = tuple(sizes)
+    if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in sizes):
+        raise ParameterError(f"sizes must be integers, got {shown(sizes)}")
     steps = [high - low for low, high in zip((0,) + sizes, sizes)]
     if any(step <= 0 for step in steps):
         raise ParameterError(f"sizes must be strictly increasing and >= 1, got {shown(sizes)}")

@@ -61,17 +61,16 @@ from .reports import (
 # Largest stacked array: a counts batch's (block, support) truths, count rows (then
 # its responder) or int64 running counts, one stacked logistic fit's (fits,
 # points, d + 1) design tensor, one chunk of a coreset evaluation cloud, or one
-# chunk of knn queries' (queries, max k) neighbour ranking.
+# chunk of knn queries' (queries, max k) int64 neighbour ranking.
 # A counts trial whose contexts span blocks takes its draw order from the block
 # height, so changing this changes those reports (textgen at V=50,000, m=100).
 STACK_BYTES = 256 * 1024
 
-# A coreset cloud chunk, and each knn query chunk but the last, holds a multiple
-# of this many points.  BLAS's gemv sums the rows of ``X @ w`` in groups, so whole
-# groups give each point the bits of the unchunked one-thread product (OpenBLAS
-# 0.3.31, d = 1 to 130: 4 and 8-row chunks do, at any thread count; at d >= 8, 2,
-# 3 and 7-row chunks do not).  A last chunk of 2 to 31 rows after 32-row ones
-# matched it too, at d = 1 to 20, 24, 32, 64, 100 and 130; a lone last row did not.
+# Each coreset cloud chunk but the last holds a multiple of this many points.
+# BLAS's gemv sums the rows of ``X @ w`` in groups, so whole groups give each point
+# the bits of the unchunked one-thread product (OpenBLAS 0.3.31, d = 1 to 130: 4 and
+# 8-row chunks do, at any thread count; at d >= 8, 2, 3 and 7-row chunks do not).
+# A short last chunk matched too, but a lone row did not: the dataset joins it.
 _CLOUD_ROWS = 8
 
 THREADS_ENV_VAR = "ICL_LAB_THREADS"
@@ -352,9 +351,10 @@ def _run_coreset(cfg: ExperimentConfig) -> BoundReport:
     only what scoring reads: the dataset's points, the full model, the cores
     still to fit and each size's single-class flag; each size's cores go once
     their stack is fitted.  Last, each trial draws its evaluation cloud and scores
-    every model on it, chunk by chunk: a chunk is :func:`_chunk_rows` points, and
-    the dataset joins the last chunk, so no chunk is a lone point.  Each size keeps
-    its running largest gap, so a trial holds one chunk, not the cloud.
+    every model on it, chunk by chunk: a chunk is :func:`_stack_rows` points rounded
+    down to whole groups of :data:`_CLOUD_ROWS`, and the dataset joins the last
+    chunk, so no chunk is a lone point.  Each size keeps its running largest gap,
+    so a trial holds one chunk, not the cloud.
     """
     p = cfg.params
     sizes = _within_dataset(cfg, cfg.coreset_sizes or (coreset_size(p),))
@@ -362,7 +362,7 @@ def _run_coreset(cfg: ExperimentConfig) -> BoundReport:
     # A batch is as many trials as one stack of the largest fitted size holds.
     fitted = [size for size in sizes if size < cfg.dataset_size]
     batch = _stack_rows(max(fitted) * (p.input_dim + 1)) if fitted else 1
-    chunk = _chunk_rows(p.input_dim)
+    chunk = max(_CLOUD_ROWS, _stack_rows(p.input_dim) // _CLOUD_ROWS * _CLOUD_ROWS)
 
     def draw(rng):
         data, _ = planted_linear_dataset(cfg.dataset_size, p.input_dim, cfg.planted_norm, rng)
@@ -446,12 +446,6 @@ def _stack_rows(floats: int) -> int:
     return max(1, STACK_BYTES // (8 * floats))
 
 
-def _chunk_rows(floats: int) -> int:
-    """Rows per chunk of points: :func:`_stack_rows` of ``floats``, rounded down to
-    a multiple of :data:`_CLOUD_ROWS`, and at least that."""
-    return max(_CLOUD_ROWS, _stack_rows(floats) // _CLOUD_ROWS * _CLOUD_ROWS)
-
-
 def _fit_neighbourhoods(data: LabeledDataset, neighbours: np.ndarray, train: TrainConfig):
     """The (queries, d + 1) ``theta = (w, b)`` array of one logistic fit per row
     of the (queries, k) index array ``neighbours``, run by :func:`_fit_rows` in
@@ -470,42 +464,38 @@ def _run_knn(cfg: ExperimentConfig) -> BoundReport:
     """Per-query local models on k nearest neighbors, compared to the planted
     model; sweeps k and fits the error-decay slope.
 
-    Each trial draws its dataset, then its queries from its own stream chunk by
-    chunk: a chunk is :func:`_chunk_rows` rows of a ranking at the largest k, and
-    a lone last query joins the chunk before it.  A chunk is ranked once, and per
-    k its neighbourhoods are fitted by :func:`_fit_neighbourhoods` and scored
-    against the planted model.  Per k the trial keeps its running largest error,
-    its count of single-class neighbourhoods and its diverged queries, numbered
-    across the trial, so a trial holds one chunk, not every query.
+    Each trial draws its dataset, then its queries from its own stream, and
+    scores the planted model on them once.  The queries are ranked in chunks of
+    :func:`_stack_rows` rows of a ranking at the largest k; per k a chunk's
+    neighbourhoods are fitted by :func:`_fit_neighbourhoods` and scored against
+    the planted truth.  Per k the trial keeps its running largest error, its
+    count of single-class neighbourhoods and its diverged queries, numbered
+    across the trial, so a trial holds its queries and truths, and ranks one
+    chunk at a time.
     """
     p = cfg.params
     ks = _within_dataset(cfg, cfg.knn_sizes or (knn_context_size(p),))
     queries_per_trial = cfg.eval_points or 16  # few by default: one local fit per query
-    chunk = _chunk_rows(max(ks))
-    # A lone last query joins the chunk before it: gemv scores a one-row chunk
-    # with other bits than the same row at the end of a longer product.
-    starts = list(range(0, queries_per_trial, chunk))
-    if len(starts) > 1 and queries_per_trial - starts[-1] == 1:
-        starts.pop()
-    chunks = list(zip(starts, starts[1:] + [queries_per_trial]))
+    chunk = _stack_rows(max(ks))
 
     def trial(rng):
         data, planted = planted_linear_dataset(
             cfg.dataset_size, p.input_dim, cfg.planted_norm, rng
         )
+        queries = rng.standard_normal((queries_per_trial, p.input_dim))
+        truth = predict_probs(planted, queries)
         worst = np.zeros(len(ks))  # errors are non-negative
         degenerate = [0] * len(ks)
         diverged = [[] for _ in ks]
-        for start, stop in chunks:
-            queries = rng.standard_normal((stop - start, p.input_dim))
-            truth = predict_probs(planted, queries)
+        for start in range(0, queries_per_trial, chunk):
+            rows, want = queries[start : start + chunk], truth[start : start + chunk]
             # Neighbours come nearest first, so each k fits prefixes of one ranking per query.
-            ranked = np.stack([knn_order(data, query, max(ks)) for query in queries])
+            ranked = np.stack([knn_order(data, query, max(ks)) for query in rows])
             for j, k in enumerate(ks):
                 thetas, failures = _fit_neighbourhoods(data, ranked[:, :k], cfg.train)
                 # A batched matmul, unlike einsum, gives each query's w.x bit for bit.
-                logits = (thetas[:, None, :-1] @ queries[:, :, None])[:, 0, 0] + thetas[:, -1]
-                errors = np.abs(mix_with_uniform(sigmoid(logits), cfg.eta, 2) - truth)
+                logits = (thetas[:, None, :-1] @ rows[:, :, None])[:, 0, 0] + thetas[:, -1]
+                errors = np.abs(mix_with_uniform(sigmoid(logits), cfg.eta, 2) - want)
                 worst[j] = np.maximum(worst[j], np.max(errors))
                 labels = data.labels[ranked[:, :k]]
                 degenerate[j] += int(np.count_nonzero(np.all(labels == labels[:, :1], axis=1)))

@@ -20,7 +20,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .distributions import CategoricalDistribution, Context, Vocabulary, token_counts
+from .distributions import CategoricalDistribution, Context, Vocabulary
+from .distributions import token_counts, token_indices
 from .errors import ParameterError, check_int, check_real, shown
 
 # Dense sequence distributions refuse to materialize beyond this many outcomes.
@@ -96,7 +97,7 @@ def icl_textgen_dist(
 
 def encode_sequences(sequences, vocab_size: int, length: int) -> np.ndarray:
     """Map length-``length`` token tuples to integer codes in [0, vocab_size**length)."""
-    arr = np.asarray(sequences, dtype=np.int64)
+    arr = token_indices(sequences)
     if arr.ndim != 2 or arr.shape[1] != length:
         raise ParameterError(f"samples must be sequences of exactly {length} token indices")
     if arr.size and (arr.min() < 0 or arr.max() >= vocab_size):
@@ -135,4 +136,4 @@ def icl_sequence_dist(
     check_int("sequence length", length, 1)
     space = sequence_space(vocab.size, length)
     codes = encode_sequences(prompt.samples_for(context.id), vocab.size, length)
-    return icl_counts_dist(np.bincount(codes, minlength=space), eta)
+    return icl_counts_dist(token_counts(codes, space), eta)

@@ -445,6 +445,20 @@ class TestDatasetTypes:
         with pytest.raises(ParameterError):
             make_dataset([[1.0]], [2])
 
+    @pytest.mark.parametrize("labels", [[0.5, 1.0], [1.9, 0.2], ["1", "0"]])
+    def test_rejects_fractional_or_string_labels_before_casting(self, labels):
+        # They were cast to 0/1: [1.9, 0.2] read as [1, 0], ["1", "0"] as [1, 0].
+        with pytest.raises(ParameterError, match="labels must be 0 or 1"):
+            LabeledDataset(np.zeros((2, 1)), labels)
+
+    def test_caller_arrays_stay_writable_and_stored_ones_are_frozen(self):
+        features, labels, weights = np.zeros((2, 1)), np.array([0, 1]), np.ones(1)
+        data, model = LabeledDataset(features, labels), LinearModel(weights, 0.0)
+        features[0], labels[0], weights[0] = 1.0, 1, 2.0
+        for stored in (data.features, data.labels, model.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0] = 0
+
     def test_rejects_non_finite(self):
         with pytest.raises(ParameterError):
             make_dataset([[np.inf]], [0])

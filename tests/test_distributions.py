@@ -183,6 +183,14 @@ class TestEmpiricalDistribution:
         with pytest.raises(ParameterError, match="flat sequence"):
             token_counts([[0, 1], [1, 2]], 3)
 
+    @pytest.mark.parametrize(
+        "samples, dtype", [([0.5], "float64"), ([True, False], "bool"), (["3"], "<U1")]
+    )
+    def test_non_integer_indices_rejected_not_cast(self, samples, dtype):
+        # They were read as tokens 0, then 1 and 0, then 3.
+        with pytest.raises(ParameterError, match=f"must be integers, got an array of {dtype}$"):
+            empirical_distribution(samples, Vocabulary.of_size(4))
+
 
 class TestSampleCounts:
     # Each test covers both sampler paths: multinomial (n >= V) and sorted
@@ -262,6 +270,11 @@ class TestNestedCounts:
             ((2**63,), f"^sample size {2**63} exceeds"),
             ((10, 2**64), f"^sample size {2**64} exceeds"),
             ((2**62, 2**63), f"^sample size {2**63} exceeds"),
+            # A float or bool size was truncated (10.7 drew 10) or read as 1.
+            ((10.7,), r"^sizes must be integers, got \(10\.7,\)"),
+            ((2.5,), r"^sizes must be integers, got \(2\.5,\)"),
+            ((True,), r"^sizes must be integers, got \(True,\)"),
+            ((3, np.float64(8.0)), "^sizes must be integers"),
         ],
     )
     def test_rejects_sizes_not_strictly_increasing_from_one_to_2_63_minus_1(self, sizes, match):

@@ -1123,9 +1123,9 @@ class TestClassificationExperiments:
             assert probs.tolist() == one_row
 
     def test_knn_reports_do_not_depend_on_query_chunks(self, tmp_path, monkeypatch):
-        # A chunk holds 1,024 queries at k = 32 by default, and 8 at STACK_BYTES = 1:
-        # 17 queries run as one chunk, or as 8 + 9, since a lone last query joins the
-        # chunk before it.  Query 13's 8-point fit is made to diverge; its note
+        # A chunk holds 1,024 queries at k = 32 by default, and one at STACK_BYTES = 1,
+        # where each fit also runs as its own stack; the planted truth is scored once
+        # per trial either way.  Query 13's 8-point fit is made to diverge; its note
         # numbers it across the trial either way.
         cfg = ExperimentConfig(
             kind="knn",
@@ -1142,30 +1142,28 @@ class TestClassificationExperiments:
         data, _ = planted_linear_dataset(256, 3, 2.0, rng)
         query = rng.standard_normal((17, 3))[13]
         marked = data.features[knn_order(data, query, 8)]
-        real_fit, real_probs = experiments.fit_logistic_stack, experiments.predict_probs
-        scored = []
+        real_fit = experiments.fit_logistic_stack
+        stacks = []
 
         def diverging(features, labels, train):
+            stacks.append(len(features))
             if any(np.array_equal(x, marked) for x in features):
                 raise DivergenceError(7)
             return real_fit(features, labels, train)
 
-        def probs(model, features):
-            scored.append(len(features))
-            return real_probs(model, features)
-
         def render(name):
-            scored.clear()
+            stacks.clear()
             report = run_experiment(cfg, str(tmp_path / f"{name}.json"))
             written = [(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("json", "csv")]
-            return report, written, [n for n in scored if n < 256]  # not the datasets'
+            return report, written, list(stacks)
 
         monkeypatch.setattr(experiments, "fit_logistic_stack", diverging)
-        monkeypatch.setattr(experiments, "predict_probs", probs)
-        whole, whole_bytes, whole_chunks = render("whole")
+        whole, whole_bytes, whole_stacks = render("whole")
         monkeypatch.setattr(experiments, "STACK_BYTES", 1)
-        _, chunked_bytes, chunks = render("chunked")
-        assert (whole_chunks, chunks) == ([17, 17], [8, 9, 8, 9])
+        _, chunked_bytes, chunked_stacks = render("chunked")
+        # 17 fits per k per trial; trial 1's diverged k = 8 stack refits each alone.
+        assert whole_stacks == [17, 17, 17] + [1] * 17 + [17]
+        assert chunked_stacks == [1] * (2 * 2 * 17)
         assert chunked_bytes == whole_bytes
         assert whole.trials[2].sup_error == np.inf
         assert whole.trials[2].detail.endswith("query 13: non-finite training loss at iteration 7")

@@ -178,6 +178,17 @@ class TestSequenceOracle:
         with pytest.raises(IndexError, match=r"\[0, 2\)"):
             encode_sequences([(0, 1), (2, 0)], 2, 2)
 
+    @pytest.mark.parametrize("samples", [[(0.5, 1.0)], [(True, False)], [("1", "0")]])
+    def test_non_integer_tokens_rejected_not_cast(self, samples):
+        prompt = IclPromptSamples(per_context={0: samples})
+        with pytest.raises(ParameterError, match="token indices must be integers"):
+            icl_sequence_dist(prompt, Context(0), Vocabulary.of_size(2), 2)
+
+    def test_empty_prompt_rejected_as_textgen_rejects_it(self):
+        prompt = IclPromptSamples(per_context={0: np.empty((0, 2), np.int64)})
+        with pytest.raises(ParameterError, match="from an empty sample list"):
+            icl_sequence_dist(prompt, Context(0), Vocabulary.of_size(2), 2)
+
 
 @settings(max_examples=150)
 @given(

@@ -28,7 +28,7 @@ def test_every_report_digests_config_builds(report_digests):
     # Built only, not run: a schema change that breaks one shows here, not at
     # the next byte-identity check.
     configs = report_digests.configs()
-    assert len(configs) == 23  # 46 reports, a JSON and a CSV each
+    assert len(configs) == 24  # 48 reports, a JSON and a CSV each
     for name, config in configs.items():
         cfg = ExperimentConfig.from_dict(config)
         assert cfg.kind == config["kind"], name

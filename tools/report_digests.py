@@ -10,12 +10,13 @@ m = 40, n = 500 (three blocks of an n < V draw), and subset_penalty at
 V = 20,000 with its default sizes (one row a block) and at V = 2,000 with sizes
 (100, 500, 1,500, 5,000), 20 trials (nested n < V draws in a block of several
 trials), coreset at d = 5 with sensitivity weights, eta 0.1 and a 20,001-point
-cloud (three chunks of 6,552 points and a short one), and knn at d = 5 with 45
-queries, eta 0.1 (a 32-query chunk at k = 1,024 and a short one of 13).  Each
-config is written to OUTDIR and run through ``icl_lab.cli.main`` of this
-checkout's ``src``, which writes its JSON and CSV reports there; one
-``sha256  file`` line per report goes to stdout.  To check that two trees give
-byte-identical reports, run this script in each tree and ``diff`` the two outputs.  ``tests/report_digests.txt`` holds the lines of
+cloud (three chunks of 6,552 points and a short one), and knn at d = 5, eta 0.1
+with 45 queries (a 32-query chunk at k = 1,024 and a short one of 13) and with 33
+(a 32-query chunk and a lone query).  Each config is written to OUTDIR and run
+through ``icl_lab.cli.main`` of this checkout's ``src``, which writes its JSON
+and CSV reports there; one ``sha256  file`` line per report goes to stdout.  To
+check that two trees give byte-identical reports, run this script in each tree
+and ``diff`` the two outputs.  ``tests/report_digests.txt`` holds the lines of
 the current tree, and a Tier-1 test checks that they still hold.
 """
 
@@ -102,6 +103,7 @@ def configs() -> dict:
         knn_sizes=(16, 1_024),
         train=TrainConfig(max_iters=300, l2_reg=1e-3),
     ).to_dict()
+    named["knn-d5-eval33"] = dict(named["knn-d5-eval45"], eval_points=33)
     return named
 
 
