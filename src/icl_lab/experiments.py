@@ -61,7 +61,8 @@ from .reports import (
 # Largest stacked array: a counts batch's (block, support) truths, count rows (then
 # its responder) or int64 running counts, one stacked logistic fit's (fits,
 # points, d + 1) design tensor, one chunk of a coreset evaluation cloud, or one
-# chunk of knn queries' (queries, max k) int64 neighbour ranking.
+# knn k's (queries, k) int64 neighbour indices, as many queries as its fits' design
+# tensor holds.
 # A counts trial whose contexts span blocks takes its draw order from the block
 # height, so changing this changes those reports (textgen at V=50,000, m=100).
 STACK_BYTES = 256 * 1024
@@ -446,37 +447,23 @@ def _stack_rows(floats: int) -> int:
     return max(1, STACK_BYTES // (8 * floats))
 
 
-def _fit_neighbourhoods(data: LabeledDataset, neighbours: np.ndarray, train: TrainConfig):
-    """The (queries, d + 1) ``theta = (w, b)`` array of one logistic fit per row
-    of the (queries, k) index array ``neighbours``, run by :func:`_fit_rows` in
-    stacks of :func:`_stack_rows` fits, and per query its fit's
-    :class:`DivergenceError` or None.
-    """
-    num, k = neighbours.shape
-    per_stack = _stack_rows(k * (data.dim + 1))
-    stacks = (neighbours[i : i + per_stack] for i in range(0, num, per_stack))
-    fits = [_fit_rows(data.features[s], data.labels[s], train) for s in stacks]
-    failures = [exc for _, excs in fits for exc in excs]
-    return np.concatenate([thetas for thetas, _ in fits]), failures
-
-
 def _run_knn(cfg: ExperimentConfig) -> BoundReport:
     """Per-query local models on k nearest neighbors, compared to the planted
     model; sweeps k and fits the error-decay slope.
 
     Each trial draws its dataset, then its queries from its own stream, and
-    scores the planted model on them once.  The queries are ranked in chunks of
-    :func:`_stack_rows` rows of a ranking at the largest k; per k a chunk's
-    neighbourhoods are fitted by :func:`_fit_neighbourhoods` and scored against
-    the planted truth.  Per k the trial keeps its running largest error, its
-    count of single-class neighbourhoods and its diverged queries, numbered
-    across the trial, so a trial holds its queries and truths, and ranks one
-    chunk at a time.
+    scores the planted model on them once.  Each query is ranked once, at the
+    largest k, and each k copies its ranking's first k indices into its own
+    int64 stack of ``_stack_rows(k * (d + 1))`` neighbourhoods, at most the
+    trial's queries.  A full stack, and each k's last one, is fitted by
+    :func:`_fit_rows` and scored against the planted truth of its queries.  Per
+    k the trial keeps its running largest error, its count of single-class
+    neighbourhoods and its diverged queries, numbered across the trial, so a
+    trial holds its queries and truths, one ranking and one stack per k.
     """
     p = cfg.params
     ks = _within_dataset(cfg, cfg.knn_sizes or (knn_context_size(p),))
     queries_per_trial = cfg.eval_points or 16  # few by default: one local fit per query
-    chunk = _stack_rows(max(ks))
 
     def trial(rng):
         data, planted = planted_linear_dataset(
@@ -487,21 +474,25 @@ def _run_knn(cfg: ExperimentConfig) -> BoundReport:
         worst = np.zeros(len(ks))  # errors are non-negative
         degenerate = [0] * len(ks)
         diverged = [[] for _ in ks]
-        for start in range(0, queries_per_trial, chunk):
-            rows, want = queries[start : start + chunk], truth[start : start + chunk]
-            # Neighbours come nearest first, so each k fits prefixes of one ranking per query.
-            ranked = np.stack([knn_order(data, query, max(ks)) for query in rows])
-            for j, k in enumerate(ks):
-                thetas, failures = _fit_neighbourhoods(data, ranked[:, :k], cfg.train)
+        heights = (min(_stack_rows(k * (p.input_dim + 1)), queries_per_trial) for k in ks)
+        stacks = [np.empty((h, k), dtype=np.int64) for h, k in zip(heights, ks)]
+        for q, query in enumerate(queries):
+            # Neighbours come nearest first, so each k fits a prefix of one ranking per query.
+            ranked = knn_order(data, query, max(ks))
+            for j, stack in enumerate(stacks):
+                row = q % len(stack)
+                stack[row] = ranked[: stack.shape[1]]
+                if row + 1 < len(stack) and q + 1 < queries_per_trial:
+                    continue
+                span, neighbours = slice(q - row, q + 1), stack[: row + 1]
+                labels = data.labels[neighbours]
+                thetas, excs = _fit_rows(data.features[neighbours], labels, cfg.train)
                 # A batched matmul, unlike einsum, gives each query's w.x bit for bit.
-                logits = (thetas[:, None, :-1] @ rows[:, :, None])[:, 0, 0] + thetas[:, -1]
-                errors = np.abs(mix_with_uniform(sigmoid(logits), cfg.eta, 2) - want)
+                logits = (thetas[:, None, :-1] @ queries[span, :, None])[:, 0, 0] + thetas[:, -1]
+                errors = np.abs(mix_with_uniform(sigmoid(logits), cfg.eta, 2) - truth[span])
                 worst[j] = np.maximum(worst[j], np.max(errors))
-                labels = data.labels[ranked[:, :k]]
                 degenerate[j] += int(np.count_nonzero(np.all(labels == labels[:, :1], axis=1)))
-                diverged[j] += [
-                    f"query {start + q}: {exc}" for q, exc in enumerate(failures) if exc
-                ]
+                diverged[j] += [f"query {i}: {e}" for i, e in enumerate(excs, span.start) if e]
         for error, single, failed in zip(worst, degenerate, diverged):
             notes = [f"{single} single-class neighborhoods"] if single else []
             # A query whose fit diverged scores inf, and so does its row.

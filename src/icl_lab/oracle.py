@@ -98,6 +98,8 @@ def icl_textgen_dist(
 def encode_sequences(sequences, vocab_size: int, length: int) -> np.ndarray:
     """Map length-``length`` token tuples to integer codes in [0, vocab_size**length)."""
     arr = token_indices(sequences)
+    if arr.size == 0:  # no codes, whatever the shape: the caller's empty-list message
+        arr = arr.reshape(0, length)
     if arr.ndim != 2 or arr.shape[1] != length:
         raise ParameterError(f"samples must be sequences of exactly {length} token indices")
     if arr.size and (arr.min() < 0 or arr.max() >= vocab_size):

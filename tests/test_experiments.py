@@ -1123,10 +1123,10 @@ class TestClassificationExperiments:
             assert probs.tolist() == one_row
 
     def test_knn_reports_do_not_depend_on_query_chunks(self, tmp_path, monkeypatch):
-        # A chunk holds 1,024 queries at k = 32 by default, and one at STACK_BYTES = 1,
-        # where each fit also runs as its own stack; the planted truth is scored once
-        # per trial either way.  Query 13's 8-point fit is made to diverge; its note
-        # numbers it across the trial either way.
+        # Each k stacks all 17 queries by default, and one at STACK_BYTES = 1, where
+        # each fit runs as its own stack; the planted truth is scored once per trial
+        # either way.  Query 13's 8-point fit is made to diverge; its note numbers it
+        # across the trial either way.
         cfg = ExperimentConfig(
             kind="knn",
             params=BoundParams(epsilon=0.5, delta=0.05, input_dim=3),
@@ -1169,8 +1169,10 @@ class TestClassificationExperiments:
         assert whole.trials[2].detail.endswith("query 13: non-finite training loss at iteration 7")
 
     def test_knn_memory_does_not_grow_with_queries(self):
-        # knn_sweep's config: at max k = 1,024 a chunk is 32 queries, so 512 queries
-        # hold what 64 do.  Ranked all at once, they held 5 times as much.
+        # knn_sweep's config: each query is ranked alone, and each k's stack of
+        # neighbour indices holds at most 256 KiB of design tensor (341 queries at
+        # k = 16), so 512 queries hold little more than 64 do.  Ranked all at once,
+        # they held 5 times as much.
         cfg = ExperimentConfig(
             kind="knn",
             params=BoundParams(epsilon=0.2, delta=0.05, input_dim=5),
@@ -1185,6 +1187,30 @@ class TestClassificationExperiments:
             return dataclasses.replace(cfg, eval_points=count)
 
         assert warm_peak(queries(512)) <= 1.25 * warm_peak(queries(64))
+
+    def test_knn_fills_each_k_stack_across_the_trial(self, monkeypatch):
+        # knn_sweep's config at 64 queries: a k's stack holds _stack_rows(k (d + 1))
+        # queries, 341 / 85 / 21 / 5 at d = 5, or the trial's 64, whatever the largest k.
+        cfg = ExperimentConfig(
+            kind="knn",
+            params=BoundParams(epsilon=0.2, delta=0.05, input_dim=5),
+            trials=1,
+            seed=7,
+            knn_sizes=(16, 64, 256, 1024),
+            dataset_size=4096,
+            eval_points=64,
+            train=TrainConfig(max_iters=300, l2_reg=1e-3),
+        )
+        real_fit = experiments.fit_logistic_stack
+        stacks = {k: [] for k in cfg.knn_sizes}
+
+        def recording(features, labels, train):
+            stacks[features.shape[1]].append(len(features))
+            return real_fit(features, labels, train)
+
+        monkeypatch.setattr(experiments, "fit_logistic_stack", recording)
+        run_experiment(cfg)
+        assert stacks == {16: [64], 64: [64], 256: [21, 21, 21, 1], 1024: [5] * 12 + [4]}
 
     def test_knn_eta_shifts_errors_by_at_most_half_eta(self):
         base = ExperimentConfig(

@@ -185,9 +185,11 @@ class TestSequenceOracle:
             icl_sequence_dist(prompt, Context(0), Vocabulary.of_size(2), 2)
 
     def test_empty_prompt_rejected_as_textgen_rejects_it(self):
-        prompt = IclPromptSamples(per_context={0: np.empty((0, 2), np.int64)})
-        with pytest.raises(ParameterError, match="from an empty sample list"):
-            icl_sequence_dist(prompt, Context(0), Vocabulary.of_size(2), 2)
+        # An empty list or flat array is a (0,) array, not (0, 2): no shape message.
+        for empty in (np.empty((0, 2), np.int64), [], np.empty(0, np.int64)):
+            prompt = IclPromptSamples(per_context={0: empty})
+            with pytest.raises(ParameterError, match="from an empty sample list"):
+                icl_sequence_dist(prompt, Context(0), Vocabulary.of_size(2), 2)
 
 
 @settings(max_examples=150)

@@ -3,7 +3,6 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from icl_lab import ExperimentConfig
@@ -37,7 +36,8 @@ def test_every_report_digests_config_builds(report_digests):
 
 def test_reports_match_the_digest_ledger(report_digests, tmp_path):
     # Reports follow numpy's Generator streams, which may change between numpy
-    # versions, so a mismatch names the ledger's version and this one.
+    # versions, and classification bits follow the BLAS core and numpy's CPU
+    # dispatch, so a mismatch names each of them that differs from the ledger's.
     ledger = LEDGER.read_text()
     recorded = [line for line in ledger.splitlines() if not line.startswith("#")]
     rendered = report_digests.digests(tmp_path / "out")
@@ -47,6 +47,11 @@ def test_reports_match_the_digest_ledger(report_digests, tmp_path):
 
     then, now = by_name(recorded), by_name(rendered)
     moved = [name for name in {**then, **now} if then.get(name) != now.get(name)]
-    taken = re.search(r"numpy (\S+)\.$", ledger, re.MULTILINE).group(1)
-    numpy = "" if taken == np.__version__ else f"; ledger numpy {taken}, here {np.__version__}"
-    assert rendered == recorded, f"reports moved: {', '.join(moved) or 'order only'}{numpy}"
+    taken = dict(re.findall(r"^# (BLAS core|CPU dispatch): (.*)\.$", ledger, re.MULTILINE))
+    taken["numpy"] = re.search(r"numpy (\S+)\.$", ledger, re.MULTILINE).group(1)
+    platform = "".join(
+        f"; ledger {key} {taken.get(key)}, here {value}"
+        for key, value in report_digests.platform().items()
+        if taken.get(key) != value
+    )
+    assert rendered == recorded, f"reports moved: {', '.join(moved) or 'order only'}{platform}"

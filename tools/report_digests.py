@@ -11,18 +11,22 @@ V = 20,000 with its default sizes (one row a block) and at V = 2,000 with sizes
 (100, 500, 1,500, 5,000), 20 trials (nested n < V draws in a block of several
 trials), coreset at d = 5 with sensitivity weights, eta 0.1 and a 20,001-point
 cloud (three chunks of 6,552 points and a short one), and knn at d = 5, eta 0.1
-with 45 queries (a 32-query chunk at k = 1,024 and a short one of 13) and with 33
-(a 32-query chunk and a lone query).  Each config is written to OUTDIR and run
-through ``icl_lab.cli.main`` of this checkout's ``src``, which writes its JSON
-and CSV reports there; one ``sha256  file`` line per report goes to stdout.  To
-check that two trees give byte-identical reports, run this script in each tree
-and ``diff`` the two outputs.  ``tests/report_digests.txt`` holds the lines of
-the current tree, and a Tier-1 test checks that they still hold.
+with 45 queries and with 33: at k = 1,024 a stack holds 5 queries, so 45 fill
+nine stacks and 33 end in a stack of 3, while k = 16's one stack holds them all.
+Each config is written to OUTDIR and run through ``icl_lab.cli.main`` of this
+checkout's ``src``, which writes its JSON and CSV reports there.  Stdout gets the
+ledger's header, which names the platform (numpy's version, the BLAS core numpy's
+bundled OpenBLAS picked and numpy's CPU dispatch targets, all of which move
+classification bits), then one ``sha256  file`` line per report.  To check that
+two trees give byte-identical reports, run this script in each tree and ``diff``
+the two outputs.  ``tests/report_digests.txt`` holds the output of the current
+tree, and a Tier-1 test checks that it still holds.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import dataclasses
 import hashlib
 import importlib.util
@@ -30,6 +34,8 @@ import io
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -128,7 +134,43 @@ def digests(outdir: Path) -> list[str]:
     return [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}" for p in render(outdir)]
 
 
+def blas_core() -> str:
+    """The kernel numpy's bundled OpenBLAS picked on this host, or "unknown"."""
+    site, name = Path(np.__file__).parents[1], "libscipy_openblas64_*"
+    for lib in [*site.glob(f"numpy.libs/{name}"), *site.glob(f"numpy/.dylibs/{name}")]:
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def platform() -> dict:
+    """What report bits depend on besides the config: numpy's version (its streams),
+    the BLAS core and the CPU dispatch targets numpy's SIMD loops use here."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+
+    dispatch = [target for target in umath.__cpu_dispatch__ if umath.__cpu_features__.get(target)]
+    return {"numpy": np.__version__, "BLAS core": blas_core(), "CPU dispatch": " ".join(dispatch)}
+
+
+def header() -> list[str]:
+    """The ledger's comment lines, naming this host's :func:`platform`."""
+    here = platform()
+    return [
+        f"# sha256 of each tools/report_digests.py report, rendered with numpy {here['numpy']}.",
+        f"# BLAS core: {here['BLAS core']}.",
+        f"# CPU dispatch: {here['CPU dispatch']}.",
+        "# A change that moves report bytes on purpose updates this file in the same commit.",
+    ]
+
+
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         raise SystemExit(__doc__)
-    print("\n".join(digests(Path(sys.argv[1]))))
+    print("\n".join(header() + digests(Path(sys.argv[1]))))
