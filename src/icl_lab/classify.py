@@ -5,6 +5,9 @@ labels mapped {0,1} -> {-1,+1}, plus an optional ridge ``l2_reg/2 * ||w||^2``
 (never on the bias), by damped Newton: each iteration solves the (d+1)x(d+1)
 Hessian system and halves the step from 1 until the Armijo condition holds,
 so accepted losses never increase and convergence near the optimum is quadratic.
+The system is solved through the Hessian's inverse where its traces prove it
+well conditioned, and through its eigendecomposition, for the minimum-norm
+direction, elsewhere (:func:`_newton_directions`).
 :func:`fit_logistic_stack` runs a stack of same-shaped fits at once, each
 exactly as it would run alone; :func:`train_logistic` is a stack of one.
 """
@@ -198,6 +201,37 @@ def _min_norm_directions(hessians: np.ndarray, grads: np.ndarray) -> np.ndarray:
     return (vectors @ coords[:, :, None])[..., 0]
 
 
+def _newton_directions(hessians: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """:func:`_min_norm_directions` of a stack of positive semi-definite Hessians,
+    through ``H^-1 g`` wherever that is the same direction.
+
+    A PSD ``H`` has largest eigenvalue at most ``tr H`` and smallest at least
+    ``1 / tr H^-1``.  So where ``0 < tr H tr H^-1 < 1 / (eps (d + 1))`` and
+    ``tr H^-1 < 1 / tiny``, no eigenvalue falls under the minimum-norm cutoff and
+    the two directions agree in exact arithmetic.  Every other fit (singular,
+    saturated, single-class) takes the eigendecomposition.  An exactly singular
+    pivot makes ``inv`` raise for the whole stack; the fits are then solved one at
+    a time, so no fit's direction depends on the others in its stack.
+    """
+    try:
+        inverses = np.linalg.inv(hessians)
+    except np.linalg.LinAlgError:
+        if len(hessians) == 1:
+            return _min_norm_directions(hessians, grads)
+        return np.concatenate(
+            [_newton_directions(h[None], g[None]) for h, g in zip(hessians, grads)]
+        )
+    inverse_traces = np.trace(inverses, axis1=1, axis2=2)
+    spreads = np.trace(hessians, axis1=1, axis2=2) * inverse_traces
+    trusted = (spreads > 0) & (spreads < 1.0 / (_EPS * grads.shape[1]))
+    trusted &= inverse_traces < 1.0 / _TINY
+    directions = (inverses @ grads[:, :, None])[..., 0]
+    if np.count_nonzero(trusted) < trusted.size:
+        rest = ~trusted
+        directions[rest] = _min_norm_directions(hessians[rest], grads[rest])
+    return directions
+
+
 def fit_logistic_stack(features, labels, cfg: TrainConfig = TrainConfig()) -> np.ndarray:
     """Damped Newton from the all-zeros initialization, on a stack of fits at once.
 
@@ -248,9 +282,10 @@ def fit_logistic_stack(features, labels, cfg: TrainConfig = TrainConfig()) -> np
             hessian += ridge_matrix
             if np.count_nonzero(np.isfinite(hessian)) < hessian.size:
                 raise DivergenceError(iteration)
-            # Minimum-norm direction: the Hessian is singular when, say, there are
-            # fewer points than d + 1 and no ridge, or the fit has saturated.
-            direction = _min_norm_directions(hessian, grad)
+            # Minimum-norm direction, H^-1 g where the Hessian is provably well
+            # conditioned; it is singular when, say, there are fewer points than
+            # d + 1 and no ridge, or the fit has saturated.
+            direction = _newton_directions(hessian, grad)
             decrease = _ARMIJO * np.maximum(np.add.reduce(grad * direction, axis=1), 0.0)
             slopes = (Z @ direction[:, :, None])[..., 0]
             pending = None  # the fits still searching; None while that is all of them

@@ -147,11 +147,20 @@ def write_csv_report(report: BoundReport, path) -> None:
 
 
 def fit_log_log_slope(xs, ys) -> float:
-    """Least-squares slope of log(y) against log(x)."""
+    """Least-squares slope of log(y) against log(x), in closed form:
+    ``sum(u v) / sum(u u)`` with ``u`` and ``v`` the logs less their means, each
+    sum taken of a product.  A y of inf gives NaN, which a JSON report writes as
+    null."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.size != ys.size or xs.size < 2:
         raise ParameterError("slope fit needs at least two matching (x, y) points")
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise ParameterError("slope fit requires strictly positive values")
-    return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
+    u, v = np.log(xs), np.log(ys)
+    u -= u.mean()
+    if not np.any(u):
+        raise ParameterError("slope fit needs at least two distinct x values")
+    with np.errstate(invalid="ignore"):  # inf - inf, from a y of inf
+        v -= v.mean()
+        return float(np.sum(u * v) / np.sum(u * u))

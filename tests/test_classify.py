@@ -1,5 +1,8 @@
 import dataclasses
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,6 +188,20 @@ SATURATING = np.array(
 )
 
 
+@pytest.fixture
+def min_norm_calls(monkeypatch):
+    """The stack size of each call of ``_min_norm_directions``, which still runs."""
+    calls = []
+    real = classify._min_norm_directions
+
+    def recording(hessians, grads):
+        calls.append(len(hessians))
+        return real(hessians, grads)
+
+    monkeypatch.setattr(classify, "_min_norm_directions", recording)
+    return calls
+
+
 class TestFitLogisticStack:
     # Four fits of three points on a line: labels that no threshold separates,
     # a single class, a separable pair of classes and heavy-tailed features.
@@ -214,22 +231,47 @@ class TestFitLogisticStack:
         )
 
     @pytest.mark.parametrize(
-        "cfg",
+        "cfg, zero_fit",
         [
             # Every fit reaches the tolerance, after 3, 18, 18 and 22 iterations.
-            TrainConfig(max_iters=300, l2_reg=0.0),
+            (TrainConfig(max_iters=300, l2_reg=0.0), False),
             # In iterations 4 and 43 to 61 some fits halve their step while
             # others take step 1, and at iteration 61 no step passes the
             # single-class fit's Armijo test: it stalls and leaves the stack.
-            TrainConfig(max_iters=300, grad_tolerance=1e-300, l2_reg=1e-3),
-            TrainConfig(max_iters=0),
+            (TrainConfig(max_iters=300, grad_tolerance=1e-300, l2_reg=1e-3), False),
+            (TrainConfig(max_iters=0), False),
+            # A fifth fit of all-zero features has an exactly singular Hessian
+            # without a ridge, so the stack's inverse raises until it leaves, and
+            # the stack's directions are solved one fit at a time.
+            (TrainConfig(max_iters=300, l2_reg=0.0), True),
         ],
-        ids=["tolerance", "stall", "no-iterations"],
+        ids=["tolerance", "stall", "no-iterations", "singular-pivot"],
     )
-    def test_each_row_is_its_lone_fit(self, cfg):
-        thetas = fit_logistic_stack(self.FEATURES, self.LABELS, cfg)
+    def test_each_row_is_its_lone_fit(self, cfg, zero_fit, monkeypatch):
+        stack, stack_labels = self.FEATURES, self.LABELS
+        if zero_fit:
+            stack = np.concatenate([stack, np.zeros((1, 3, 1))])
+            stack_labels = np.concatenate([stack_labels, [[0, 1, 1]]])
+            raises = []
+            real_inv = np.linalg.inv
+
+            def recording_inv(hessians):
+                try:
+                    return real_inv(hessians)
+                except np.linalg.LinAlgError:
+                    raises.append(len(hessians))
+                    raise
+
+            monkeypatch.setattr(np.linalg, "inv", recording_inv)
+        thetas = fit_logistic_stack(stack, stack_labels, cfg)
+        if zero_fit:
+            assert 5 in raises  # the whole stack's inverse raised
+            lone = fit_logistic_stack(stack[4:], stack_labels[4:], cfg)[0]
+            assert np.array_equal(thetas[4], lone)
+            assert np.allclose(lone, [0.0, math.log(2.0)])  # its bias fits the 2:1 labels
+            thetas = thetas[:4]
         assert thetas.shape == (4, 2)
-        for features, labels, theta in zip(self.FEATURES, self.LABELS, thetas):
+        for features, labels, theta in zip(stack, stack_labels, thetas):
             assert np.array_equal(theta, fit_logistic_stack(features[None], labels[None], cfg)[0])
             model = train_logistic(LabeledDataset(features, labels), cfg)
             assert np.array_equal(theta, np.append(model.weights, model.bias))
@@ -307,6 +349,61 @@ class TestFitLogisticStack:
         (theta,) = fit_logistic_stack(np.array([SATURATING]), np.zeros((1, 3)), cfg)
         assert np.all(np.isfinite(theta))
         assert np.all(predict_probs(LinearModel(theta[:-1], theta[-1]), SATURATING) < 1e-300)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_newton_directions_match_the_min_norm_ones(self, seed, monkeypatch):
+        # Stacks of well-conditioned Hessians of the solver's form, Z^T diag(p (1 - p)) Z / n
+        # plus a ridge on all but the bias, each solved through its inverse alone.
+        rng = np.random.default_rng(seed)
+        for size in range(2, 22):
+            fits, n = int(rng.integers(1, 17)), 4 * size
+            Z = rng.standard_normal((fits, n, size))
+            p = rng.uniform(0.05, 0.95, (fits, n))
+            hessians = (Z.transpose(0, 2, 1) * (p * (1 - p))[:, None, :]) @ Z / n
+            hessians += np.diag(np.append(np.full(size - 1, rng.uniform(1e-3, 1e-1)), 0.0))
+            grads = rng.standard_normal((fits, size))
+            expected = classify._min_norm_directions(hessians, grads)
+            with monkeypatch.context() as patched:
+                patched.setattr(classify, "_min_norm_directions", None)  # not called
+                directions = classify._newton_directions(hessians, grads)
+            scale = np.linalg.norm(expected, axis=1)
+            assert np.all(np.linalg.norm(directions - expected, axis=1) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize(
+        "features, labels, cfg",
+        [
+            ([[[1.0, 2.0]]], [[1]], TrainConfig(l2_reg=0.0)),
+            ([[[1.0, 2.0]]], [[1]], TrainConfig(l2_reg=1e-300)),
+            ([SATURATING], [[0, 0, 0]], TrainConfig(max_iters=2000, grad_tolerance=1e-300)),
+            (
+                FEATURES[1:2],
+                LABELS[1:2],
+                TrainConfig(max_iters=300, grad_tolerance=1e-300, l2_reg=1e-3),
+            ),
+        ],
+        ids=["singular", "singular-ridge-1e-300", "saturating", "stall"],
+    )
+    def test_ill_conditioned_fits_take_the_min_norm_direction(
+        self, features, labels, cfg, min_norm_calls
+    ):
+        # The singular, saturating and stalling fits above reach a Hessian whose
+        # traces cannot rule out an eigenvalue under the cutoff.
+        fit_logistic_stack(np.array(features), np.array(labels), cfg)
+        assert min_norm_calls
+
+    @pytest.mark.parametrize("workload", ["knn_sweep", "coreset_sensitivity"])
+    def test_benchmark_fits_never_take_the_eigendecomposition(
+        self, workload, monkeypatch, min_norm_calls
+    ):
+        # Every Hessian of the two classification workloads passes the trace test,
+        # so their runs never call eigh.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "workloads", workloads)  # for its dataclass
+        spec.loader.exec_module(workloads)
+        run_experiment(ExperimentConfig.from_dict(workloads.make_config(workload, 1)))
+        assert min_norm_calls == []
 
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ParameterError):

@@ -190,6 +190,21 @@ class TestReports:
             fit_log_log_slope([1], [1])
         with pytest.raises(ParameterError, match="strictly positive"):
             fit_log_log_slope([10, 100], [0.1, 0.0])
+        with pytest.raises(ParameterError, match="distinct x"):
+            fit_log_log_slope([10, 10], [0.1, 0.2])
+
+    def test_slope_fit_matches_polyfit(self):
+        # The closed form against np.polyfit's least squares, the reference.
+        rng = np.random.default_rng(3)
+        for size in range(2, 12):
+            xs = np.sort(rng.choice(np.arange(1, 100_000), size, replace=False))
+            ys = rng.uniform(1e-6, 10.0, size)
+            expected = np.polyfit(np.log(xs), np.log(ys), 1)[0]
+            assert fit_log_log_slope(xs, ys) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_slope_fit_of_an_infinite_median_is_nan(self):
+        # A divergent fit's row reads inf, and so can its size's median.
+        assert math.isnan(fit_log_log_slope([8, 32, 128], [0.3, math.inf, 0.1]))
 
     def test_report_needs_a_trial(self):
         with pytest.raises(ParameterError, match="at least one trial"):
@@ -1167,6 +1182,8 @@ class TestClassificationExperiments:
         assert chunked_bytes == whole_bytes
         assert whole.trials[2].sup_error == np.inf
         assert whole.trials[2].detail.endswith("query 13: non-finite training loss at iteration 7")
+        # The diverged row makes k = 8's median inf, and the slope NaN, written null.
+        assert json.loads(whole_bytes[0])["extras"]["log_log_slope"] is None
 
     def test_knn_memory_does_not_grow_with_queries(self):
         # knn_sweep's config: each query is ranked alone, and each k's stack of

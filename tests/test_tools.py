@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import re
 import sys
 from pathlib import Path
@@ -55,3 +56,43 @@ def test_reports_match_the_digest_ledger(report_digests, tmp_path):
         if taken.get(key) != value
     )
     assert rendered == recorded, f"reports moved: {', '.join(moved) or 'order only'}{platform}"
+
+
+def test_compare_names_changed_reports_and_their_moves(report_digests, tmp_path):
+    # Two hand-written report pairs: "a" moves, "b" does not, and a config file
+    # is not a report.
+    def report(passed, slope):
+        return json.dumps({"pass": passed, "extras": {"log_log_slope": slope}})
+
+    old, new = tmp_path / "old", tmp_path / "new"
+    files = {
+        "a.json": (report(True, -0.5), report(False, -0.25)),
+        "a.csv": (
+            "trial_index,sup_error,failed\n0,0.5,0\n1,2.0,0\n2,inf,1\n",
+            "trial_index,sup_error,failed\n0,0.75,0\n1,2.0,1\n2,inf,1\n",
+        ),
+        "b.json": (report(True, None), report(True, None)),
+        "b.csv": ("trial_index,sup_error,failed\n0,0.1,0\n",) * 2,
+        "b.config.json": ("{}", '{"seed": 2}'),
+    }
+    for outdir, side in ((old, 0), (new, 1)):
+        outdir.mkdir()
+        for name, texts in files.items():
+            (outdir / name).write_text(texts[side])
+    (new / "c.csv").write_text("trial_index,sup_error,failed\n")
+    assert report_digests.compare(old, new) == [
+        "changed: a.csv",
+        "changed: a.json",
+        "only in new: c.csv",
+        "3 of 5 reports changed",
+        "largest relative sup_error move: 0.5 (a.csv trial_index 0)",
+        "failed flip: a.csv trial_index 1: 0 -> 1",
+        "pass flip: a.json: True -> False",
+        "largest log_log_slope move: 0.25 (a.json)",
+    ]
+    assert report_digests.compare(old, old)[-4:] == [
+        "0 of 4 reports changed",
+        "largest relative sup_error move: none compared",
+        "no failed or pass flip",
+        "largest log_log_slope move: none compared",
+    ]

@@ -21,17 +21,27 @@ classification bits), then one ``sha256  file`` line per report.  To check that
 two trees give byte-identical reports, run this script in each tree and ``diff``
 the two outputs.  ``tests/report_digests.txt`` holds the output of the current
 tree, and a Tier-1 test checks that it still holds.
+
+Where reports move on purpose, render both trees and compare the two OUTDIRs:
+
+    python3 tools/report_digests.py --compare OLD NEW
+
+which prints each report whose bytes changed, the largest relative move of a
+CSV row's ``sup_error``, every row's ``failed`` and every report's ``pass``
+that flipped, and the largest move of a JSON report's ``log_log_slope``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import ctypes
 import dataclasses
 import hashlib
 import importlib.util
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -170,7 +180,68 @@ def header() -> list[str]:
     ]
 
 
+def _relative_move(old: float, new: float) -> float:
+    if old == new:  # inf included
+        return 0.0
+    return abs(new - old) / abs(old) if math.isfinite(old) and old else math.inf
+
+
+def _largest(moves: list[tuple[float, str]], what: str) -> str:
+    if not moves:
+        return f"largest {what} move: none compared"
+    size, where = max(moves, key=lambda move: move[0])
+    return f"largest {what} move: {size:.2g} ({where})"
+
+
+def compare(old: Path, new: Path) -> list[str]:
+    """How the reports rendered under ``new`` differ from those under ``old``."""
+    names = sorted(
+        {
+            path.name
+            for outdir in (old, new)
+            for path in outdir.iterdir()
+            if path.suffix in (".json", ".csv") and not path.name.endswith(".config.json")
+        }
+    )
+    lines, flips, errors, slopes = [], [], [], []
+    for name in names:
+        before, after = old / name, new / name
+        if not (before.exists() and after.exists()):
+            lines.append(f"only in {'new' if after.exists() else 'old'}: {name}")
+            continue
+        if before.read_bytes() == after.read_bytes():
+            continue
+        lines.append(f"changed: {name}")
+        if name.endswith(".csv"):
+            with before.open() as a, after.open() as b:
+                rows = list(zip(csv.DictReader(a), csv.DictReader(b), strict=True))
+            for was, now in rows:
+                where = f"{name} trial_index {now['trial_index']}"
+                moved = _relative_move(float(was["sup_error"]), float(now["sup_error"]))
+                errors.append((moved, where))
+                if was["failed"] != now["failed"]:
+                    flips.append(f"failed flip: {where}: {was['failed']} -> {now['failed']}")
+        else:
+            was, now = (json.loads(path.read_text()) for path in (before, after))
+            if was["pass"] != now["pass"]:
+                flips.append(f"pass flip: {name}: {was['pass']} -> {now['pass']}")
+            slope_was, slope_now = (report["extras"].get("log_log_slope") for report in (was, now))
+            if slope_was != slope_now:
+                if slope_was is None or slope_now is None:
+                    slopes.append((math.inf, f"{name}: {slope_was} -> {slope_now}"))
+                else:
+                    slopes.append((abs(slope_now - slope_was), name))
+    lines.append(f"{len(lines)} of {len(names)} reports changed")
+    lines.append(_largest(errors, "relative sup_error"))
+    lines += flips or ["no failed or pass flip"]
+    lines.append(_largest(slopes, "log_log_slope"))
+    return lines
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        print("\n".join(compare(Path(sys.argv[2]), Path(sys.argv[3]))))
+    elif len(sys.argv) == 2:
+        print("\n".join(header() + digests(Path(sys.argv[1]))))
+    else:
         raise SystemExit(__doc__)
-    print("\n".join(header() + digests(Path(sys.argv[1]))))
