@@ -25,6 +25,10 @@ _STEP_SIZES = [0.5**i for i in range(41)]
 _ARMIJO = 1e-4
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
+# Budget of one Newton group's weighted design, Hessians and their inverses, n (d + 1)
+# + 2 (d + 1)**2 floats a fit: under glibc's initial 128 KiB mmap threshold, so
+# those temporaries come from the heap, whatever ran before.
+_GROUP_BYTES = 128 * 1024
 
 
 def sigmoid(z):
@@ -210,8 +214,9 @@ def _newton_directions(hessians: np.ndarray, grads: np.ndarray) -> np.ndarray:
     ``tr H^-1 < 1 / tiny``, no eigenvalue falls under the minimum-norm cutoff and
     the two directions agree in exact arithmetic.  Every other fit (singular,
     saturated, single-class) takes the eigendecomposition.  An exactly singular
-    pivot makes ``inv`` raise for the whole stack; the fits are then solved one at
-    a time, so no fit's direction depends on the others in its stack.
+    pivot makes ``inv`` raise for its group, the stack passed here; that group's
+    fits are then solved one at a time, so no fit's direction depends on the
+    others in its group.
     """
     try:
         inverses = np.linalg.inv(hessians)
@@ -247,14 +252,22 @@ def fit_logistic_stack(features, labels, cfg: TrainConfig = TrainConfig()) -> np
     step (which a non-finite direction always gives), raises
     :class:`DivergenceError` naming the iteration, counted from 1.
 
-    Margins are carried from iterate to iterate: a step moves them by
-    ``Z @ direction``, computed once per iteration, and the accepted
-    candidate's ``exp(-|margin|)`` also serves the next gradient.
+    The stack holds one design tensor, ``Z``: ``features`` and ``labels`` are
+    dropped once it is built, so a caller that passes a gathered copy as a
+    temporary frees it here.  Each iteration forms the weighted design, the
+    Hessians, their inverses and the directions one group of consecutive fits at
+    a time, as many as fit :data:`_GROUP_BYTES` and at least one; matmul and
+    ``inv`` work matrix by matrix, so the grouping moves no bit.  Margins are
+    carried from iterate to iterate: a step moves them by ``Z @ direction``,
+    computed once per iteration, and the accepted candidate's ``exp(-|margin|)``
+    also serves the next gradient.
     """
     if np.ndim(features) != 3 or np.shape(labels) != np.shape(features)[:2]:
         raise ParameterError("need (B, N, d) features and (B, N) labels")
     Z = _signed_design(features, labels)
+    del features, labels
     num_fits, n, size = Z.shape
+    group = max(1, _GROUP_BYTES // (8 * (n * size + 2 * size * size)))
     ridge = _ridge(size - 1, cfg.l2_reg)
     half_ridge, ridge_matrix = 0.5 * ridge, np.diag(ridge)
     thetas = np.zeros((num_fits, size))
@@ -277,15 +290,19 @@ def fit_logistic_stack(features, labels, cfg: TrainConfig = TrainConfig()) -> np
                 )
                 if not rows.size:
                     break
-            hessian = (Z.transpose(0, 2, 1) * (wrong * (1.0 - wrong))[:, None, :]) @ Z
-            hessian /= n
-            hessian += ridge_matrix
-            if np.count_nonzero(np.isfinite(hessian)) < hessian.size:
-                raise DivergenceError(iteration)
-            # Minimum-norm direction, H^-1 g where the Hessian is provably well
-            # conditioned; it is singular when, say, there are fewer points than
-            # d + 1 and no ridge, or the fit has saturated.
-            direction = _newton_directions(hessian, grad)
+            curvature = wrong * (1.0 - wrong)
+            direction = np.empty_like(grad)
+            for start in range(0, len(rows), group):
+                fits = slice(start, start + group)
+                hessian = (Z[fits].transpose(0, 2, 1) * curvature[fits, None, :]) @ Z[fits]
+                hessian /= n
+                hessian += ridge_matrix
+                if np.count_nonzero(np.isfinite(hessian)) < hessian.size:
+                    raise DivergenceError(iteration)
+                # Minimum-norm direction, H^-1 g where the Hessian is provably well
+                # conditioned; it is singular when, say, there are fewer points than
+                # d + 1 and no ridge, or the fit has saturated.
+                direction[fits] = _newton_directions(hessian, grad[fits])
             decrease = _ARMIJO * np.maximum(np.add.reduce(grad * direction, axis=1), 0.0)
             slopes = (Z @ direction[:, :, None])[..., 0]
             pending = None  # the fits still searching; None while that is all of them
@@ -379,7 +396,8 @@ def knn_order(data: LabeledDataset, query, k: int) -> np.ndarray:
     if query.ndim != 1 or query.size != data.dim or not np.all(np.isfinite(query)):
         raise ParameterError(f"query must be a finite vector of dimension {data.dim}")
     k = check_int("k", k, 1, data.num_points)
-    sq_dists = ((data.features - query) ** 2).sum(axis=1)
+    diffs = data.features - query
+    sq_dists = np.square(diffs, out=diffs).sum(axis=1)
     # Points within the k-th smallest distance, ties included, sorted stably by distance.
     near = np.flatnonzero(sq_dists <= np.partition(sq_dists, k - 1)[k - 1])
     return near[np.argsort(sq_dists[near], kind="stable")[:k]]

@@ -62,7 +62,10 @@ from .reports import (
 # its responder) or int64 running counts, one stacked logistic fit's (fits,
 # points, d + 1) design tensor, one chunk of a coreset evaluation cloud, or one
 # knn k's (queries, k) int64 neighbour indices, as many queries as its fits' design
-# tensor holds.
+# tensor holds.  A stacked fit's design tensor is the only array of its size the fit
+# holds: its features are gathered as a temporary, and each Newton iteration's
+# weighted design, Hessians and inverses come one group at a time, bounded by
+# ``classify._GROUP_BYTES`` (128 KiB) instead.
 # A counts trial whose contexts span blocks takes its draw order from the block
 # height, so changing this changes those reports (textgen at V=50,000, m=100).
 STACK_BYTES = 256 * 1024
@@ -419,25 +422,36 @@ def _run_coreset(cfg: ExperimentConfig) -> BoundReport:
     )
 
 
-def _fit_rows(features: np.ndarray, labels: np.ndarray, train: TrainConfig):
-    """:func:`fit_logistic_stack`'s (B, d + 1) thetas of the stack ``features``,
-    ``labels``, and per fit its :class:`DivergenceError` or None.  When the stack
-    diverges, each fit is refitted alone, so each gets exactly its lone outcome;
-    a diverged fit's theta is NaN."""
+def _fit_rows(gather, labels: np.ndarray, train: TrainConfig):
+    """:func:`fit_logistic_stack`'s (B, d + 1) thetas of the stack of fits with the
+    (B, N) ``labels``, and per fit its :class:`DivergenceError` or None.
+
+    ``gather(fits)`` builds the (fits, N, d) features of the fits that the slice
+    ``fits`` picks.  Each gather goes to :func:`fit_logistic_stack` as a temporary,
+    which it drops once its design is built, so no gathered copy of the features
+    lives through a fit.  When the stack diverges, each fit is gathered again and
+    refitted alone, so each gets exactly its lone outcome; a diverged fit's theta
+    is NaN."""
     try:
-        return fit_logistic_stack(features, labels, train), [None] * len(labels)
+        return fit_logistic_stack(gather(slice(None)), labels, train), [None] * len(labels)
     except DivergenceError as exc:
         if len(labels) == 1:
-            return np.full((1, features.shape[2] + 1), np.nan), [exc]
-        fits = [_fit_rows(features[b, None], labels[b, None], train) for b in range(len(labels))]
-        return np.concatenate([thetas for thetas, _ in fits]), [lone for _, (lone,) in fits]
+            return np.full((1, gather(slice(None)).shape[2] + 1), np.nan), [exc]
+    # Past the handler, so the stack's traceback no longer holds its design.
+    fits = [
+        _fit_rows(lambda fits, b=b: gather(slice(b, b + 1))[fits], labels[b, None], train)
+        for b in range(len(labels))
+    ]
+    return np.concatenate([thetas for thetas, _ in fits]), [lone for _, (lone,) in fits]
 
 
 def _fit_cores(cores: list[LabeledDataset], train: TrainConfig) -> list:
     """Per same-sized core, its fitted :class:`LinearModel` or its fit's
     :class:`DivergenceError`, the cores fitted as one stack by :func:`_fit_rows`."""
-    features = np.stack([core.features for core in cores])
-    thetas, failures = _fit_rows(features, np.stack([core.labels for core in cores]), train)
+    labels = np.stack([core.labels for core in cores])
+    thetas, failures = _fit_rows(
+        lambda fits: np.stack([core.features for core in cores[fits]]), labels, train
+    )
     return [exc or LinearModel(t[:-1], t[-1]) for t, exc in zip(thetas, failures)]
 
 
@@ -486,7 +500,9 @@ def _run_knn(cfg: ExperimentConfig) -> BoundReport:
                     continue
                 span, neighbours = slice(q - row, q + 1), stack[: row + 1]
                 labels = data.labels[neighbours]
-                thetas, excs = _fit_rows(data.features[neighbours], labels, cfg.train)
+                thetas, excs = _fit_rows(
+                    lambda fits: data.features[neighbours[fits]], labels, cfg.train
+                )
                 # A batched matmul, unlike einsum, gives each query's w.x bit for bit.
                 logits = (thetas[:, None, :-1] @ queries[span, :, None])[:, 0, 0] + thetas[:, -1]
                 errors = np.abs(mix_with_uniform(sigmoid(logits), cfg.eta, 2) - truth[span])

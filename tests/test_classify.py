@@ -278,6 +278,42 @@ class TestFitLogisticStack:
         if cfg.max_iters == 0:
             assert np.array_equal(thetas, np.zeros((4, 2)))
 
+    def test_singular_pivot_raises_for_its_newton_group_only(self, monkeypatch):
+        # Six fits of 4,000 points at d = 1 count 8,008 floats each, so a Newton
+        # group holds two and the stack spans three.  Fit 2, of all-zero features and
+        # no ridge, has an exactly singular Hessian in the middle group.
+        rng = np.random.default_rng(11)
+        features = rng.standard_normal((6, 4000, 1))
+        features[2] = 0.0
+        labels = (features[..., 0] + rng.standard_normal((6, 4000)) > 0).astype(np.int64)
+        cfg = TrainConfig(max_iters=300, l2_reg=0.0)
+        group = classify._GROUP_BYTES // (8 * (4000 * 2 + 2 * 2 * 2))
+        assert group == 2
+        calls = []  # per inv call: its stack size, whether it raised, whether fit 2 is in it
+        real_inv = np.linalg.inv
+
+        def recording_inv(hessians):
+            singular = bool(np.any(hessians[:, 0, 0] == 0))
+            try:
+                inverses = real_inv(hessians)
+            except np.linalg.LinAlgError:
+                calls.append((len(hessians), True, singular))
+                raise
+            calls.append((len(hessians), False, singular))
+            return inverses
+
+        with monkeypatch.context() as patched:
+            patched.setattr(np.linalg, "inv", recording_inv)
+            thetas = fit_logistic_stack(features, labels, cfg)
+        assert [size for size, _, _ in calls[:5]] == [2, 2, 1, 1, 2]  # the first iteration
+        assert max(size for size, _, _ in calls) == group
+        raised = [(size, singular) for size, failed, singular in calls if failed]
+        assert (group, True) in raised  # fit 2's group raised, then fit 2 alone
+        assert all(singular for _, singular in raised)
+        for b, theta in enumerate(thetas):
+            lone = fit_logistic_stack(features[b, None], labels[b, None], cfg)[0]
+            assert np.array_equal(theta, lone)
+
     def test_members_leave_at_different_iterations(self):
         cfg = TrainConfig(max_iters=300, l2_reg=0.0)
         stops = [self.stop_iteration(x, y, cfg) for x, y in zip(self.FEATURES, self.LABELS)]

@@ -953,6 +953,23 @@ class TestClassificationExperiments:
         )
         assert warm_peak(cfg) <= 4.25 * experiments.STACK_BYTES
 
+    def test_knn_fit_holds_one_design_tensor(self):
+        # knn_sweep's config at 16 queries, seed 7: a stack's fit (a k = 1,024 stack
+        # of 5 fits is 240 KiB of design tensor) holds that tensor, not also a gathered
+        # copy of the features or a full-stack weighted design.  With both it read 5.0
+        # blocks; it reads about 4.2.
+        cfg = ExperimentConfig(
+            kind="knn",
+            params=BoundParams(epsilon=0.2, delta=0.05, input_dim=5),
+            trials=1,
+            seed=7,
+            knn_sizes=(16, 64, 256, 1024),
+            dataset_size=4096,
+            eval_points=16,
+            train=TrainConfig(max_iters=300, l2_reg=1e-3),
+        )
+        assert warm_peak(cfg) <= 4.5 * experiments.STACK_BYTES
+
     def test_coreset_rows_note_single_class_cores(self, monkeypatch):
         # A batch drops each core once it is fitted; its row still notes a single class.
         cores = []
