@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import sys
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,8 +157,58 @@ def max_workers() -> int:
 
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     """Independent stream for trial ``trial_index``, a pure function of (seed, index)."""
-    root = np.random.SeedSequence(entropy=seed, spawn_key=(trial_index,))
-    return np.random.default_rng(root)
+    random = _numpy_random()
+    root = random.SeedSequence(entropy=seed, spawn_key=(trial_index,))
+    return random.default_rng(root)
+
+
+def _numpy_random():
+    """``numpy.random``, imported the first time without OpenSSL.
+
+    Its ``bit_generator`` runs ``from secrets import randbits``, and ``secrets``
+    imports ``hmac``, which maps OpenSSL's libcrypto through ``_hashlib``: about
+    3.6 MB of peak RSS and 6 ms, for a function that only an unseeded
+    ``SeedSequence`` calls.  That import sees :func:`_secrets_stand_in` instead,
+    which leaves ``sys.modules`` afterwards, so a later ``import secrets`` loads
+    the stdlib module.  With ``numpy.random`` or ``secrets`` already loaded there
+    is nothing to save, and the import is the plain one.
+    """
+    if "numpy.random" in sys.modules or "secrets" in sys.modules:
+        return np.random
+    stand_in = _secrets_stand_in()
+    sys.modules["secrets"] = stand_in
+    try:
+        import numpy.random
+    finally:
+        # A pool thread's own stand-in may have replaced this one; that thread removes it.
+        if sys.modules.get("secrets") is stand_in:
+            sys.modules.pop("secrets", None)
+    return np.random
+
+
+def _secrets_stand_in() -> types.ModuleType:
+    """A ``secrets`` module whose ``randbits`` is the one ``secrets.py`` defines.
+
+    Any other public name loads the real module in its place and is taken from it.
+    Dunder names are refused, so the import system's ``__path__`` probe of a
+    ``from secrets import ...`` loads nothing.
+    """
+    from random import SystemRandom
+
+    stand_in = types.ModuleType("secrets")
+    stand_in.randbits = SystemRandom().getrandbits
+
+    def forward(name: str):
+        if name.startswith("__"):
+            raise AttributeError(f"module 'secrets' has no attribute {name!r}")
+        if sys.modules.get("secrets") is stand_in:
+            sys.modules.pop("secrets", None)
+        import secrets
+
+        return getattr(secrets, name)
+
+    stand_in.__getattr__ = forward
+    return stand_in
 
 
 def _run_sweep(

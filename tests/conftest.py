@@ -1,9 +1,15 @@
-"""Shared fixtures: one tiny config per experiment kind, and a Newton direction
-solve that overflows on a subnormal Hessian."""
+"""Shared fixtures: one tiny config per experiment kind, a Newton direction
+solve that overflows on a subnormal Hessian, and a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import icl_lab
 from icl_lab import BoundParams, ExperimentConfig, TrainConfig
 
 _TRAIN = TrainConfig(max_iters=20, l2_reg=1e-3)
@@ -67,3 +73,25 @@ def unfloored_directions(monkeypatch):
         return (vectors @ coords[:, :, None])[..., 0]
 
     monkeypatch.setattr("icl_lab.classify._min_norm_directions", directions)
+
+
+@pytest.fixture
+def fresh_python():
+    """``run(script, threads=None)``: the stdout of ``script`` run by a new
+    interpreter that imports this ``icl_lab``, with ``ICL_LAB_THREADS`` set to
+    ``threads`` (unset when None)."""
+    src = str(Path(icl_lab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("ICL_LAB_THREADS", None)
+
+    def run(script: str, threads: str | None = None) -> str:
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env if threads is None else dict(env, ICL_LAB_THREADS=threads),
+            check=True,
+        )
+        return done.stdout
+
+    return run

@@ -1,12 +1,7 @@
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
-
-import icl_lab
 
 from icl_lab import BoundParams, ExperimentConfig, experiments
 from icl_lab.cli import main
@@ -719,23 +714,19 @@ class TestVerify:
 
 
     @pytest.mark.parametrize("kind", ["knn", "coreset", "subset_penalty"])
-    def test_sweep_run_does_not_import_numpy_ma(self, tmp_path, tiny_config, kind):
+    def test_sweep_run_does_not_import_numpy_ma(self, tmp_path, tiny_config, fresh_python, kind):
         # np.median imports numpy.ma, about 15 ms of start-up, so the runner avoids it.
+        # numpy.random's import leaves out `secrets` and the OpenSSL library it loads.
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(tiny_config(kind).to_dict()))
         script = (
             "import sys\n"
             "from icl_lab.cli import main\n"
             f"code = main(['verify', {kind!r}, '--config', {str(path)!r}])\n"
-            "print(code, 'numpy.ma' in sys.modules)\n"
+            "print(code, *(name in sys.modules for name in ('numpy.ma', 'secrets', '_hashlib')))\n"
         )
-        src = str(Path(icl_lab.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
-        )
-        code, imported = done.stdout.split()[-2:]
-        assert code in ("0", "2") and imported == "False"
+        code, *imported = fresh_python(script).split()[-4:]
+        assert code in ("0", "2") and imported == ["False"] * 3
 
 
 class TestPromptBuild:

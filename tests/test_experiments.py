@@ -2,12 +2,9 @@ import concurrent.futures
 import dataclasses
 import json
 import math
-import os
-import subprocess
 import sys
 import threading
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,21 +68,6 @@ def textgen_config(**overrides):
 
 def four_points():
     return planted_linear_dataset(4, 2, 2.0, trial_rng(0, 0))[0]
-
-
-def fresh_python(script, threads=None):
-    """The stdout of ``script`` run by a new interpreter that imports this
-    ``icl_lab``, with ``ICL_LAB_THREADS`` set to ``threads`` (unset when None)."""
-    src = str(Path(experiments.__file__).parents[1])
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = dict(os.environ, PYTHONPATH=path)
-    env.pop("ICL_LAB_THREADS", None)
-    if threads is not None:
-        env["ICL_LAB_THREADS"] = threads
-    done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
-    )
-    return done.stdout
 
 
 @pytest.fixture
@@ -417,6 +399,63 @@ class TestTrialRng:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_numpy_random_import_leaves_the_real_secrets(self, fresh_python):
+        script = (
+            "import os, sys\n"
+            "from icl_lab.experiments import trial_rng\n"
+            "draws = trial_rng(7, 3).random(4).tolist()\n"
+            "import numpy as np\n"
+            "import secrets\n"
+            "print([os.path.dirname(secrets.__file__) == os.path.dirname(os.__file__),\n"
+            "       len(secrets.token_hex(4)) == 8,\n"
+            "       np.random.SeedSequence().entropy != np.random.SeedSequence().entropy])\n"
+            "print(draws)\n"
+        )
+        checks, draws = fresh_python(script).splitlines()[-2:]
+        assert checks == str([True, True, True])
+        # With the real `secrets` loaded first, numpy.random's import is the plain one.
+        plain = fresh_python(
+            "import secrets\n"
+            "from icl_lab.experiments import trial_rng\n"
+            "print(trial_rng(7, 3).random(4).tolist())\n"
+        )
+        assert plain.splitlines()[-1] == draws == str(trial_rng(7, 3).random(4).tolist())
+
+    def test_first_streams_made_in_four_threads_at_once(self, fresh_python):
+        # Each thread may put its own stand-in in place; each removes only its own.
+        script = (
+            "import sys, threading\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "from icl_lab.experiments import trial_rng\n"
+            "barrier = threading.Barrier(4)\n"
+            "draws, errors = {}, []\n"
+            "def make(i):\n"
+            "    barrier.wait()\n"
+            "    try:\n"
+            "        draws[i] = trial_rng(11, i).random(2).tolist()\n"
+            "    except BaseException as exc:\n"
+            "        errors.append(repr(exc))\n"
+            "threads = [threading.Thread(target=make, args=(i,)) for i in range(4)]\n"
+            "for t in threads: t.start()\n"
+            "for t in threads: t.join(timeout=60)\n"
+            "print([errors, [t.is_alive() for t in threads], 'secrets' in sys.modules])\n"
+            "print([draws.get(i) for i in range(4)])\n"
+        )
+        checks, draws = fresh_python(script).splitlines()[-2:]
+        assert checks == str([[], [False] * 4, False])
+        assert draws == str([trial_rng(11, i).random(2).tolist() for i in range(4)])
+
+    def test_secrets_stand_in_loads_the_real_module_for_other_names(self, monkeypatch):
+        stand_in = experiments._secrets_stand_in()
+        monkeypatch.setitem(sys.modules, "secrets", stand_in)
+        from secrets import randbits  # the import system probes its __path__
+
+        assert randbits is stand_in.randbits and 0 <= randbits(8) < 256
+        assert sys.modules["secrets"] is stand_in
+        assert len(stand_in.token_hex(4)) == 8
+        assert sys.modules["secrets"] is not stand_in
+        assert sys.modules["secrets"].token_hex is stand_in.token_hex
+
 
 class TestTextgenExperiment:
     def test_report_is_deterministic(self):
@@ -530,7 +569,7 @@ class TestTextgenExperiment:
         report = run_experiment(cfg)
         assert report.extras["failure_threshold"] == pytest.approx(0.2 + 0.5)
 
-    def test_warm_wide_run_reuses_its_workspace_pages(self):
+    def test_warm_wide_run_reuses_its_workspace_pages(self, fresh_python):
         # Criterion-1 shape at n = 20,000 < V: a warm run draws into one workspace
         # allocated per batch and takes about 300 minor page faults.  Allocating the
         # n < V uniforms per draw instead takes about 3,100.
@@ -551,9 +590,13 @@ class TestTextgenExperiment:
         "trials, threads, loaded",
         [(1, None, False), (2, None, False), (2, "2", True)],
     )
-    def test_pool_module_loads_only_when_a_pool_starts(self, trials, threads, loaded):
+    def test_pool_module_loads_only_when_a_pool_starts(
+        self, fresh_python, trials, threads, loaded
+    ):
         # At V=2,000, m=40 a trial fills more than one block, so each trial is a batch;
-        # two batches at the default thread count are `textgen_wide`'s case.
+        # two batches at the default thread count are `textgen_wide`'s case.  Whether
+        # the first stream is made here or in a pool thread, numpy.random's import
+        # leaves out `secrets` and the OpenSSL library it would load.
         script = (
             "import sys\n"
             "from icl_lab import BoundParams, ExperimentConfig, run_experiment\n"
@@ -561,9 +604,11 @@ class TestTextgenExperiment:
             f"cfg = ExperimentConfig(kind='textgen', params=params, trials={trials}, seed=5,\n"
             "                       samples_override=500, mode='big_o')\n"
             "run_experiment(cfg)\n"
-            "print('concurrent.futures' in sys.modules)\n"
+            "names = ('concurrent.futures', 'secrets', '_hashlib')\n"
+            "print([name in sys.modules for name in names])\n"
         )
-        assert fresh_python(script, threads).split()[-1] == str(loaded)
+        shown = fresh_python(script, threads).splitlines()[-1]
+        assert shown == str([loaded, False, False])
 
 
 def per_context_reference(cfg, support, contexts, sizes, rng, block):
